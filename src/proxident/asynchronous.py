@@ -31,11 +31,21 @@ the simulated event time.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import SolverConfig, _Tracer, _resolve_gamma, _start_point
+from .solvers import (
+    CONVERGED,
+    DIVERGED,
+    MAX_ITER,
+    SolverConfig,
+    _resolve_gamma,
+    _start_point,
+    _step_norm,
+    _Tracer,
+)
 
 __all__ = ["DelayModel", "run_dave_pg"]
 
@@ -130,8 +140,11 @@ def run_dave_pg(problem, config=None, workers=None,
     def msg_cost(vec):
         return n if encoding == "dense" else int(np.count_nonzero(vec))
 
-    # synchronous round zero: contributions at x0, x0 broadcast to everyone
-    contrib = [x - gamma * comps[j].gradient(x) for j in range(m)]
+    # synchronous round zero: contributions at x0, x0 broadcast to everyone;
+    # row j of contrib is worker j's latest contribution
+    contrib = np.empty((m,) + x.shape)
+    for j in range(m):
+        contrib[j] = x - gamma * comps[j].gradient(x)
     base = [x.copy() for _ in range(m)]
     comm = m * msg_cost(x)
     events = []
@@ -140,10 +153,9 @@ def run_dave_pg(problem, config=None, workers=None,
         heapq.heappush(events, (1.0 + delay_model.sample(rng), seq, j))
         seq += 1
 
-    u_prev = np.mean(contrib, axis=0)
+    u_prev = contrib.mean(axis=0)
     tracer = _Tracer(problem, config, gamma)
     pattern = None
-    converged = False
     quiet = 0  # consecutive batches with a small u-step
     deliveries = np.zeros(m, dtype=np.int64)
     for k in range(1, config.max_iter + 1):
@@ -154,7 +166,10 @@ def run_dave_pg(problem, config=None, workers=None,
         for j in batch:
             contrib[j] = base[j] - gamma * comps[j].gradient(base[j])
             deliveries[j] += 1
-        u = np.mean(contrib, axis=0)
+        u = contrib.mean(axis=0)
+        u_step = _step_norm(u, u_prev)
+        if not math.isfinite(u_step):
+            return tracer.finish(x, pattern, DIVERGED)
         res = g.prox(u, gamma)
         x, pattern = res.point, res.pattern
         for j in batch:
@@ -162,7 +177,6 @@ def run_dave_pg(problem, config=None, workers=None,
             comm += msg_cost(x)
             heapq.heappush(events, (t + 1.0 + delay_model.sample(rng), seq, j))
             seq += 1
-        u_step = float(np.linalg.norm(u - u_prev))
         u_prev = u
         tracer.record(k, x, pattern, u, u_step, comm=comm, clock=t)
         # a single small arrival can be a coincidence (the first deliveries
@@ -171,6 +185,5 @@ def run_dave_pg(problem, config=None, workers=None,
         # receiving a post-round-zero iterate
         quiet = quiet + 1 if u_step <= config.stop_tol else 0
         if quiet >= m and int(deliveries.min()) >= 2:
-            converged = True
-            break
-    return tracer.finish(x, pattern, converged)
+            return tracer.finish(x, pattern, CONVERGED)
+    return tracer.finish(x, pattern, MAX_ITER)

@@ -1,10 +1,10 @@
 """Plain-text instance bundles.
 
 Matrix files carry a ``rows cols`` header line followed by one line per row
-of whitespace-separated entries; vectors are stored single-column. A bundle
-is a directory with the data files plus a ``meta`` file of key=value lines
-(kind, lambda, seed, components, and for certified instances gamma, delta,
-and the ground-truth file references).
+of whitespace-separated entries, which must be finite; vectors are stored
+single-column. A bundle is a directory with the data files plus a ``meta``
+file of key=value lines (kind, lambda, seed, components, and for certified
+instances gamma, delta, and the ground-truth file references).
 """
 
 import os
@@ -53,6 +53,13 @@ def read_matrix(path):
         raise BundleError(f"cannot read {path}: {exc}") from exc
     if data.shape != (rows, cols):
         raise BundleError(f"{path}: header says {rows}x{cols}, got {data.shape}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise BundleError(
+            f"{path}: non-finite entry {float(data[i, j])!r} at data row "
+            f"{i + 1}, column {j + 1}"
+        )
     return data
 
 

@@ -1,8 +1,9 @@
 """Experiment harness: gen / solve / replicate / screen.
 
-Exit codes: 0 success, 1 usage or data error, 2 solver hit max_iter without
-converging. The default seed comes from --seed, then a --config file, then
-the PROXIDENT_SEED environment variable, then 0.
+Exit codes: 0 success, 1 usage or data error, 2 solver ended without
+converging (max_iter reached or the run diverged; the ``status=`` line of
+report.txt says which). The default seed comes from --seed, then a --config
+file, then the PROXIDENT_SEED environment variable, then 0.
 """
 
 import argparse
@@ -196,10 +197,11 @@ def cmd_solve(args):
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
     trace_to_csv(trace, os.path.join(out, "trace.csv"))
-    report = analyze_trace(trace)
     with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write(report_text(report))
+        if trace:  # a run that diverges on its first step records nothing
+            fh.write(report_text(analyze_trace(trace)))
         fh.write(f"converged={int(trace.converged)}\n")
+        fh.write(f"status={trace.status}\n")
         fh.write(f"iterations={trace.iterations}\n")
         fh.write(f"gamma={trace.gamma!r}\n")
         fh.write(f"objective={problem.objective(point.point)!r}\n")

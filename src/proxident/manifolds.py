@@ -8,6 +8,7 @@ point belongs to.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,8 @@ class SparsityPattern:
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1:
             raise ValueError("pattern bits must be one-dimensional")
-        if arr.size and arr.max() > 1:
+        # a boolean mask is 0/1 already; asarray copies it into owned bits
+        if arr.size and getattr(bits, "dtype", None) != bool and arr.max() > 1:
             raise ValueError("pattern bits must be 0 or 1")
         arr.setflags(write=False)
         self.bits = arr
@@ -85,7 +87,7 @@ class SparsityPattern:
 
     def count_ones(self) -> int:
         """Number of sets the point does NOT belong to (nnz for sparsity)."""
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def packed_hex(self) -> str:
         """Lowercase hex of the bits packed little-endian (trace hash)."""
@@ -142,6 +144,14 @@ class ManifoldCollection:
                     raise ValueError(f"adjacent index {s.index} out of range")
             self.ambient = n
         self.specs = specs
+
+    @cached_property
+    def _spec_arrays(self):
+        """(index, adjacent): every spec's index, and whether it is an
+        adjacent equality, as arrays; built on the first project call."""
+        index = np.array([s.index for s in self.specs], dtype=np.intp)
+        adjacent = np.array([s.kind == ADJACENT_EQUAL for s in self.specs])
+        return index, adjacent
 
     @property
     def is_matrix(self) -> bool:
@@ -256,41 +266,49 @@ def project(collection: ManifoldCollection, indices, point) -> np.ndarray:
     truncates the singular value decomposition to the r leading values.
     """
     point = collection._check_point(point)
-    indices = sorted(set(int(i) for i in indices))
-    for i in indices:
-        if not 0 <= i < len(collection):
-            raise ValueError(f"spec index {i} out of range")
+    if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"):
+        indices = np.array([int(i) for i in indices], dtype=np.intp)
+    if indices.size:
+        if indices.min() < 0:
+            raise ValueError(f"spec index {indices.min()} out of range")
+        count = len(collection)
+        if indices.max() >= count:
+            first = indices[indices >= count].min()
+            raise ValueError(f"spec index {first} out of range")
 
     if collection.is_matrix:
-        if len(indices) != 1:
+        levels = np.unique(indices)
+        if levels.size != 1:
             raise ValueError("rank projection needs exactly one rank level")
-        r = collection.specs[indices[0]].index
+        r = collection.specs[levels[0]].index
         if r == 0:
             return np.zeros_like(point)
         u, s, vt = np.linalg.svd(point, full_matrices=False)
         s[r:] = 0.0
         return (u * s) @ vt
 
+    spec_index, spec_adjacent = collection._spec_arrays
+    adjacent = spec_adjacent[indices]
+    positions = spec_index[indices]
     n = point.size
-    # Chain adjacent equalities into groups of consecutive coordinates.
-    group = np.arange(n)
-    for i in indices:
-        spec = collection.specs[i]
-        if spec.kind == ADJACENT_EQUAL:
-            group[spec.index] = group[spec.index - 1]
-    # group ids are "leftmost member" and nondecreasing, so one pass suffices
-    for j in range(1, n):
-        group[j] = group[group[j]]
-    zeroed = set()
-    for i in indices:
-        spec = collection.specs[i]
-        if spec.kind == COORDINATE_ZERO:
-            zeroed.add(group[spec.index])
-    out = np.empty(n)
-    for g in np.unique(group):
-        members = group == g
-        out[members] = 0.0 if g in zeroed else point[members].mean()
-    return out
+    # coordinate j joins the group of j-1 when x_j = x_{j-1} is selected, so
+    # groups are runs of consecutive coordinates starting where no link is
+    link = np.zeros(n, dtype=bool)
+    link[positions[adjacent]] = True
+    starts = np.flatnonzero(~link)
+    group = np.cumsum(~link) - 1  # group number of each coordinate
+    lengths = np.diff(np.append(starts, n))
+    # Row means of equal-length groups stacked as a matrix: numpy sums each
+    # row exactly as it sums the 1-D group (pairwise, from 0.0), so the means
+    # match point[members].mean() bit for bit. np.add.reduceat does not: it
+    # starts each sum from the group's first element.
+    values = np.empty(starts.size)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        members = starts[rows, None] + np.arange(length)
+        values[rows] = point[members].mean(axis=1)
+    values[group[positions[~adjacent]]] = 0.0
+    return values[group]
 
 
 @dataclass

@@ -67,20 +67,15 @@ _KIND_COLLECTION = {
 
 @dataclass
 class ProxResult:
-    """Prox output plus its exact structure pattern.
-
-    objective_residual is an optional diagnostic (see
-    prox_optimality_residual); it is not computed by default.
-    """
+    """Prox output plus its exact structure pattern."""
 
     point: np.ndarray
     pattern: SparsityPattern
-    objective_residual: float | None = None
 
 
 def _check_input(u, gamma):
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("prox input must be finite")
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -97,7 +92,7 @@ def prox_l1(u, gamma, lam=1.0) -> ProxResult:
     t = gamma * lam
     keep = np.abs(u) > t
     x = np.where(keep, u - t * np.sign(u), 0.0)
-    return ProxResult(x, SparsityPattern(keep.astype(np.uint8)))
+    return ProxResult(x, SparsityPattern(keep))
 
 
 def prox_l0(u, gamma, lam=1.0) -> ProxResult:
@@ -106,7 +101,7 @@ def prox_l0(u, gamma, lam=1.0) -> ProxResult:
     thr = np.sqrt(2.0 * gamma * lam)
     keep = np.abs(u) > thr
     x = np.where(keep, u, 0.0)
-    return ProxResult(x, SparsityPattern(keep.astype(np.uint8)))
+    return ProxResult(x, SparsityPattern(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +343,17 @@ class Regularizer:
         return self.lam * float(np.sum(s > cut))
 
     def prox(self, u, gamma) -> ProxResult:
-        fn = {
-            "l1": prox_l1,
-            "l0": prox_l0,
-            "tv1d": prox_tv1d,
-            "potts1d": prox_potts1d,
-            "nuclear": prox_nuclear,
-            "rank": prox_rank,
-        }[self.kind]
-        return fn(u, gamma, self.lam)
+        return _PROX[self.kind](u, gamma, self.lam)
+
+
+_PROX = {
+    "l1": prox_l1,
+    "l0": prox_l0,
+    "tv1d": prox_tv1d,
+    "potts1d": prox_potts1d,
+    "nuclear": prox_nuclear,
+    "rank": prox_rank,
+}
 
 
 def prox_optimality_residual(reg: Regularizer, u, gamma, x) -> float:

@@ -5,6 +5,9 @@ then x_{k+1} = prox_{gamma*g}(u_{k+1}) with the prox module supplying the
 exact structure pattern of the iterate. Runs stop when the u-step
 ||u_{k+1} - u_k|| falls below stop_tol or when max_iter is reached, and
 return the final structured point together with a list of trace records.
+The u-step is computed before the prox call; when it is not finite the run
+stops there as diverged, returning the last finite iterate and the trace so
+far (``trace.status`` is "converged", "max_iter" or "diverged").
 
 Default stepsizes are taken from the oracle constants: gamma = 1/L for the
 proximal gradient and its accelerated variant, 1/(3*L_max) for SAGA
@@ -18,6 +21,7 @@ logical clock -- simulated seconds for the asynchronous solver, zero for the
 synchronous ones -- so that identical runs emit byte-identical files.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -78,14 +82,21 @@ class TraceRecord:
     u: np.ndarray | None = None
 
 
+CONVERGED = "converged"
+MAX_ITER = "max_iter"
+DIVERGED = "diverged"
+
+
 class TraceLog(list):
-    """List of TraceRecord plus run metadata."""
+    """List of TraceRecord plus run metadata; status is CONVERGED, MAX_ITER
+    or DIVERGED once the run has ended."""
 
     def __init__(self, gamma, seed):
         super().__init__()
         self.gamma = gamma
         self.seed = seed
         self.converged = False
+        self.status = None
         self.iterations = 0
 
 
@@ -135,35 +146,45 @@ def _resolve_gamma(config, default, low, high, high_inclusive, algo):
     return gamma
 
 
+def _step_norm(a, b) -> float:
+    """||a - b||, computed as np.linalg.norm does (same bytes) without its
+    argument dispatch."""
+    d = (a - b).ravel(order="K")
+    return math.sqrt(d.dot(d))
+
+
 class _Tracer:
-    """Applies the trace cadence and the u-step stopping rule."""
+    """Applies the trace cadence and records how the run ended."""
 
     def __init__(self, problem, config, gamma):
         self.problem = problem
-        self.config = config
+        self.every = config.trace_every
+        self.keep_u = config.keep_u
+        self.structure_count = problem.reg.collection.structure_count
         self.log = TraceLog(gamma, config.seed)
 
     def record(self, k, x, pattern, u, u_step, comm=0, clock=0.0,
                accel=None, enforced=None):
         self.log.iterations = k
-        if (k - 1) % self.config.trace_every == 0:
+        if (k - 1) % self.every == 0:
             self.log.append(
                 TraceRecord(
                     k=k,
                     objective=self.problem.objective(x),
                     pattern=pattern,
-                    nnz=self.problem.reg.collection.structure_count(pattern),
+                    nnz=self.structure_count(pattern),
                     u_step=u_step,
                     comm_coords=comm,
                     wallclock=clock,
                     accel_active=accel,
                     enforced_count=enforced,
-                    u=u.copy() if self.config.keep_u else None,
+                    u=u.copy() if self.keep_u else None,
                 )
             )
 
-    def finish(self, x, pattern, converged):
-        self.log.converged = converged
+    def finish(self, x, pattern, status):
+        self.log.status = status
+        self.log.converged = status == CONVERGED
         return StructuredPoint(np.asarray(x), pattern, "prox"), self.log
 
 
@@ -188,18 +209,18 @@ def run_pg(problem, config=None, x0=None):
     u_prev = x
     tracer = _Tracer(problem, config, gamma)
     pattern = None
-    converged = False
     for k in range(1, config.max_iter + 1):
         u = x - gamma * f.gradient(x)
+        u_step = _step_norm(u, u_prev)
+        if not math.isfinite(u_step):
+            return tracer.finish(x, pattern, DIVERGED)
         res = g.prox(u, gamma)
         x, pattern = res.point, res.pattern
-        u_step = float(np.linalg.norm(u - u_prev))
         u_prev = u
         tracer.record(k, x, pattern, u, u_step)
         if k > 1 and u_step <= config.stop_tol:
-            converged = True
-            break
-    return tracer.finish(x, pattern, converged)
+            return tracer.finish(x, pattern, CONVERGED)
+    return tracer.finish(x, pattern, MAX_ITER)
 
 
 def run_apg(problem, config=None, x0=None):
@@ -218,20 +239,20 @@ def run_apg(problem, config=None, x0=None):
     u_prev = x
     tracer = _Tracer(problem, config, gamma)
     pattern = None
-    converged = False
     for k in range(1, config.max_iter + 1):
         alpha = (k - 1.0) / (k + 3.0)
         y = x + alpha * (x - x_prev)
         u = y - gamma * f.gradient(y)
+        u_step = _step_norm(u, u_prev)
+        if not math.isfinite(u_step):
+            return tracer.finish(x, pattern, DIVERGED)
         res = g.prox(u, gamma)
         x_prev, x, pattern = x, res.point, res.pattern
-        u_step = float(np.linalg.norm(u - u_prev))
         u_prev = u
         tracer.record(k, x, pattern, u, u_step)
         if k > 1 and u_step <= config.stop_tol:
-            converged = True
-            break
-    return tracer.finish(x, pattern, converged)
+            return tracer.finish(x, pattern, CONVERGED)
+    return tracer.finish(x, pattern, MAX_ITER)
 
 
 def run_dr(problem, config=None, x0=None):
@@ -251,18 +272,18 @@ def run_dr(problem, config=None, x0=None):
     res = g.prox(u, gamma)
     x, pattern = res.point, res.pattern
     tracer = _Tracer(problem, config, gamma)
-    converged = False
     for k in range(1, config.max_iter + 1):
         u_new = f.prox(2.0 * x - u, gamma) + u - x
+        u_step = _step_norm(u_new, u)
+        if not math.isfinite(u_step):
+            return tracer.finish(x, pattern, DIVERGED)
         res = g.prox(u_new, gamma)
         x, pattern = res.point, res.pattern
-        u_step = float(np.linalg.norm(u_new - u))
         u = u_new
         tracer.record(k, x, pattern, u, u_step)
         if k > 1 and u_step <= config.stop_tol:
-            converged = True
-            break
-    return tracer.finish(x, pattern, converged)
+            return tracer.finish(x, pattern, CONVERGED)
+    return tracer.finish(x, pattern, MAX_ITER)
 
 
 def run_saga(problem, config=None, x0=None):
@@ -293,16 +314,17 @@ def run_saga(problem, config=None, x0=None):
     recent = deque(maxlen=window)
     tracer = _Tracer(problem, config, gamma)
     pattern = None
-    converged = False
     for k in range(1, config.max_iter + 1):
         i = int(rng.integers(m))
         grad_i = comps[i].gradient(x)
         u = x - gamma * (grad_i - table[i] + table_mean)
+        u_step = _step_norm(u, u_prev)
+        if not math.isfinite(u_step):
+            return tracer.finish(x, pattern, DIVERGED)
         table_mean = table_mean + (grad_i - table[i]) / m
         table[i] = grad_i
         res = g.prox(u, gamma)
         x, pattern = res.point, res.pattern
-        u_step = float(np.linalg.norm(u - u_prev))
         u_prev = u
         recent.append(u_step)
         tracer.record(k, x, pattern, u, u_step)
@@ -311,9 +333,8 @@ def run_saga(problem, config=None, x0=None):
             and sum(recent) / len(recent) <= config.stop_tol
             and u_step <= 3.0 * config.stop_tol
         ):
-            converged = True
-            break
-    return tracer.finish(x, pattern, converged)
+            return tracer.finish(x, pattern, CONVERGED)
+    return tracer.finish(x, pattern, MAX_ITER)
 
 
 def fixed_point_residual(problem, x, gamma) -> float:

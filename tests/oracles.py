@@ -69,3 +69,46 @@ def potts1d_bruteforce(u, step):
         if (obj, jumps) < best_key:
             best_key, best_x = (obj, jumps), x
     return best_x
+
+
+def project_reference(collection, indices, point):
+    """Loop implementation of ``manifolds.project``, kept to pin its bytes.
+
+    Chains of selected adjacent equalities are resolved coordinate by
+    coordinate, and each group is replaced by ``point[members].mean()``.
+    """
+    point = collection._check_point(point)
+    indices = sorted(set(int(i) for i in indices))
+    for i in indices:
+        if not 0 <= i < len(collection):
+            raise ValueError(f"spec index {i} out of range")
+
+    if collection.is_matrix:
+        if len(indices) != 1:
+            raise ValueError("rank projection needs exactly one rank level")
+        r = collection.specs[indices[0]].index
+        if r == 0:
+            return np.zeros_like(point)
+        u, s, vt = np.linalg.svd(point, full_matrices=False)
+        s[r:] = 0.0
+        return (u * s) @ vt
+
+    n = point.size
+    group = np.arange(n)
+    for i in indices:
+        spec = collection.specs[i]
+        if spec.kind == "adjacent_equal":
+            group[spec.index] = group[spec.index - 1]
+    # group ids are "leftmost member" and nondecreasing, so one pass suffices
+    for j in range(1, n):
+        group[j] = group[group[j]]
+    zeroed = set()
+    for i in indices:
+        spec = collection.specs[i]
+        if spec.kind == "coordinate_zero":
+            zeroed.add(group[spec.index])
+    out = np.empty(n)
+    for g in np.unique(group):
+        members = group == g
+        out[members] = 0.0 if g in zeroed else point[members].mean()
+    return out

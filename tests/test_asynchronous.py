@@ -4,6 +4,7 @@ import pytest
 from proxident.asynchronous import DelayModel, run_dave_pg
 from proxident.problems import (
     CompositeProblem,
+    SmoothOracle,
     gen_lasso,
     gen_qc_lasso,
     least_squares_oracle,
@@ -157,3 +158,42 @@ class TestDeterminism:
         clocks = [r.wallclock for r in log]
         assert clocks == sorted(clocks)
         assert clocks[0] >= 1.0
+
+
+class TestDivergence:
+    def test_default_step_divergence_ends_with_status(self):
+        # the default step 2/(mu+L) uses the aggregate L (99.6 here) while
+        # the largest component L is 620: with uniform delays this instance
+        # diverges; the run must stop with a status, not raise from the prox
+        p = gen_qc_lasso(n=20, s=5, delta=0.5, seed=7008)
+        cfg = SolverConfig(stop_tol=1e-9, max_iter=500_000, seed=7008)
+        with np.errstate(over="ignore", invalid="ignore"):
+            point, log = run_dave_pg(p, cfg,
+                                     delay_model=DelayModel.uniform(0, 3))
+        assert log.status == "diverged" and not log.converged
+        assert len(log) == log.iterations > 0
+        assert np.isfinite(point.point).all()
+
+
+class TestMatrixIterate:
+    def test_matrix_components(self):
+        # f(X) = (1/m) sum_j 0.5*||X - T_j||^2 = 0.5*||X - mean(T)||^2 + c,
+        # so the minimiser of f + lam*||X||_* is the prox of mean(T)
+        rng = np.random.default_rng(3)
+        targets = [rng.standard_normal((4, 3)) for _ in range(3)]
+
+        def piece(t):
+            return SmoothOracle(lambda x: 0.5 * np.sum((x - t) ** 2),
+                                lambda x: x - t, 1.0, 1.0)
+
+        mean = np.mean(targets, axis=0)
+        f = SmoothOracle(lambda x: 0.5 * np.sum((x - mean) ** 2),
+                         lambda x: x - mean, 1.0, 1.0,
+                         components=[piece(t) for t in targets])
+        reg = Regularizer.nuclear(4, 3, lam=0.5)
+        point, log = run_dave_pg(CompositeProblem(f, reg),
+                                 SolverConfig(stop_tol=1e-12, max_iter=200))
+        assert log.status == "converged"
+        expected = reg.prox(mean, 1.0).point
+        assert point.point.shape == (4, 3)
+        assert np.allclose(point.point, expected, atol=1e-10)

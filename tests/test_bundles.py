@@ -79,3 +79,28 @@ def test_bad_meta_line(tmp_path):
     (d / "meta").write_text("kind lasso\n")
     with pytest.raises(BundleError):
         read_bundle(d)
+
+
+def _replace_entry(path, value):
+    lines = path.read_text().splitlines()
+    fields = lines[2].split()
+    fields[0] = value
+    lines[2] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", ["A.txt", "b.txt", "xstar.txt", "ustar.txt"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_entry_rejected(tmp_path, name, value):
+    write_bundle(tmp_path / "b", gen_qc_lasso(n=6, s=2, delta=0.5, seed=1))
+    _replace_entry(tmp_path / "b" / name, value)
+    with pytest.raises(BundleError, match=rf"{name}: non-finite entry .* "
+                                          r"data row 2, column 1"):
+        read_bundle(tmp_path / "b")
+
+
+def test_non_finite_lowrank_target_rejected(tmp_path):
+    write_bundle(tmp_path / "b", gen_lowrank_matrix_problem(size=4, rank=2))
+    _replace_entry(tmp_path / "b" / "A.txt", "nan")
+    with pytest.raises(BundleError, match="A.txt: non-finite entry nan"):
+        read_bundle(tmp_path / "b")

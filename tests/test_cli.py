@@ -146,3 +146,33 @@ def test_csv_row_count_matches_trace_every(qc_bundle):
           "1e-15", "--trace-every", "4"])
     rows = (qc_bundle / "trace.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 3  # ceil(10/4)
+
+
+def test_report_states_status(qc_bundle):
+    assert main(["solve", "pg", str(qc_bundle)]) == 0
+    assert "status=converged\n" in (qc_bundle / "report.txt").read_text()
+    assert main(["solve", "pg", str(qc_bundle), "--max-iter", "2"]) == 2
+    assert "status=max_iter\n" in (qc_bundle / "report.txt").read_text()
+
+
+def test_diverging_run_exits_2_with_status(tmp_path):
+    path = tmp_path / "qc"
+    assert main(["gen", "qc-lasso", "--n", "20", "--s", "5", "--delta", "0.5",
+                 "--seed", "7008", "--out", str(path)]) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve", "dave-pg", str(path), "--delay", "uniform:0:3",
+                     "--stop-tol", "1e-9", "--seed", "7008"])
+    assert code == 2
+    report = (path / "report.txt").read_text()
+    assert "converged=0\n" in report and "status=diverged\n" in report
+    assert len((path / "trace.csv").read_text().splitlines()) > 1
+
+
+def test_non_finite_design_is_a_bundle_error(qc_bundle, capsys):
+    a = qc_bundle / "A.txt"
+    lines = a.read_text().splitlines()
+    lines[1] = "nan " + lines[1].split(" ", 1)[1]
+    a.write_text("\n".join(lines) + "\n")
+    assert main(["solve", "pg", str(qc_bundle)]) == 1
+    err = capsys.readouterr().err
+    assert "bundle error" in err and "A.txt: non-finite entry nan" in err

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import project_reference
 from proxident.manifolds import (
     ManifoldCollection,
     ManifoldSpec,
@@ -112,6 +113,107 @@ class TestProject:
         )
         got = project(coll, [0, 1], np.array([5.0, 6.0, 7.0]))
         assert np.array_equal(got, [0.0, 0.0, 7.0])
+
+
+def _vector_collection(n, layout, rng):
+    """coordinate / adjacent / mixed specs over R^n in a shuffled order."""
+    specs = []
+    if layout in ("coordinate", "mixed"):
+        specs += [ManifoldSpec("coordinate_zero", i) for i in range(n)]
+    if layout in ("adjacent", "mixed"):
+        specs += [ManifoldSpec("adjacent_equal", i) for i in range(1, n)]
+    order = rng.permutation(len(specs))
+    return ManifoldCollection([specs[i] for i in order], n)
+
+
+def _assert_same_bytes(coll, indices, x):
+    want = project_reference(coll, indices, x)
+    for idx in (list(indices), np.array(indices, dtype=np.int64)):
+        got = project(coll, idx, x)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+_values = st.one_of(
+    st.just(0.0), st.just(-0.0),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestProjectMatchesLoop:
+    """The vectorised project equals the loop in tests/oracles.py byte for
+    byte, on duplicate and unsorted selections."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_small_collections(self, data):
+        n = data.draw(st.integers(2, 24))
+        layout = data.draw(
+            st.sampled_from(["coordinate", "adjacent", "mixed"])
+        )
+        coll = _vector_collection(
+            n, layout, np.random.default_rng(data.draw(st.integers(0, 99)))
+        )
+        indices = data.draw(st.lists(st.integers(0, len(coll) - 1),
+                                     max_size=2 * len(coll)))
+        x = np.array(data.draw(st.lists(_values, min_size=n, max_size=n)))
+        _assert_same_bytes(coll, indices, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(9, 400),
+           st.floats(0.5, 1.0), st.floats(0.0, 0.05))
+    def test_long_chains(self, seed, n, p_link, p_zero):
+        # long runs of selected equalities: groups past numpy's 8-wide
+        # unrolled and 128-element blocked pairwise summation
+        rng = np.random.default_rng(seed)
+        coll = _vector_collection(n, "mixed", rng)
+        keep = np.array([
+            rng.random() < (p_link if s.kind == "adjacent_equal" else p_zero)
+            for s in coll.specs
+        ])
+        indices = rng.permutation(np.flatnonzero(keep))
+        indices = np.concatenate([indices, indices[: indices.size // 3]])
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, size=n)
+        _assert_same_bytes(coll, indices.tolist(), x)
+
+    def test_group_of_nine_is_not_reduceat(self):
+        # a 9-element chain where a left-to-right or first-element-seeded sum
+        # rounds differently from numpy's pairwise mean
+        coll = adjacent_pairs(9)
+        x = np.array([3.0, 0.5, 1e16, 3.0, 0.5, -1e16, 0.5, 3.0, 3.0])
+        assert project(coll, range(8), x)[0] == x.mean() == 15.0 / 9.0
+        _assert_same_bytes(coll, range(8), x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_range_errors(self, data):
+        n = data.draw(st.integers(2, 12))
+        coll = _vector_collection(n, "mixed", np.random.default_rng(n))
+        indices = data.draw(st.lists(st.integers(-5, len(coll) + 5),
+                                     min_size=1, max_size=8))
+        x = np.ones(n)
+        try:
+            want = project_reference(coll, indices, x)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                project(coll, indices, x)
+            assert str(got.value) == str(exc)
+        else:
+            assert project(coll, indices, x).tobytes() == want.tobytes()
+
+    def test_rank_levels_match(self):
+        coll = rank_levels(4, 3)
+        x = np.random.default_rng(3).standard_normal((4, 3))
+        for indices in ([0], [2], [3, 3], [1, 2], []):
+            try:
+                want = project_reference(coll, indices, x)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    project(coll, indices, x)
+            else:
+                assert project(coll, indices, x).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="spec index 4 out of range"):
+            project(coll, [4, 9], x)
 
 
 class TestPatternOrder:

@@ -6,11 +6,13 @@ import pytest
 from proxident.manifolds import coordinate_zeros, pattern_of
 from proxident.problems import (
     CompositeProblem,
+    SmoothOracle,
     gen_lasso,
     gen_qc_lasso,
     least_squares_oracle,
 )
 from proxident.prox import ProxResult, Regularizer
+from proxident.registry import run_solver
 from proxident.solvers import (
     SolverConfig,
     fixed_point_residual,
@@ -312,3 +314,41 @@ class TestDRDegenerateSmooth:
         # a fixed point of the prox of g (here the origin)
         assert log.converged
         assert np.allclose(pt.point, 0.0)
+
+
+def overshooting_problem(n=4):
+    """f(x) = 5 * ||x - 1||^2 advertising L = mu = 1 (and two identical
+    components), so every default step overshoots and the run diverges."""
+    def value(x):
+        return 5.0 * float(np.sum((x - 1.0) ** 2))
+
+    def gradient(x):
+        return 10.0 * (x - 1.0)
+
+    part = SmoothOracle(value, gradient, 1.0, 1.0)
+    return CompositeProblem(
+        SmoothOracle(value, gradient, 1.0, 1.0, components=[part, part]),
+        Regularizer.l1(n, 1e-3),
+    )
+
+
+class TestRunStatus:
+    @pytest.mark.parametrize("name", ["pg", "apg", "saga", "dave-pg",
+                                      "pg-adaptive", "predictor-corrector",
+                                      "random-subspace"])
+    def test_divergence_ends_with_status(self, name):
+        with np.errstate(over="ignore", invalid="ignore"):
+            point, log = run_solver(name, overshooting_problem(),
+                                    SolverConfig(max_iter=100_000))
+        assert log.status == "diverged" and not log.converged
+        assert 0 < len(log) and log[-1].k == log.iterations < 100_000
+        assert np.isfinite(point.point).all()
+
+    def test_converged_and_max_iter(self):
+        p = gen_qc_lasso(n=10, s=3, delta=0.5, seed=2)
+        for name in ("pg", "apg", "dr", "saga"):
+            _, log = run_solver(name, p, SolverConfig(stop_tol=1e-9))
+            assert (log.status, log.converged) == ("converged", True)
+            _, log = run_solver(name, p, SolverConfig(max_iter=3))
+            assert (log.status, log.converged) == ("max_iter", False)
+            assert log.iterations == 3
