@@ -41,6 +41,7 @@ from .solvers import (
     DIVERGED,
     MAX_ITER,
     SolverConfig,
+    _quiet_divergence,
     _resolve_gamma,
     _start_point,
     _step_norm,
@@ -104,6 +105,7 @@ class DelayModel:
         return float(rng.geometric(self.a) - 1)
 
 
+@_quiet_divergence
 def run_dave_pg(problem, config=None, workers=None,
                 delay_model=DelayModel.constant(0.0), encoding="dense",
                 x0=None):

@@ -26,19 +26,22 @@ __all__ = [
     "write_bundle",
     "read_bundle",
     "BundleError",
+    "read_key_values",
 ]
 
 
 class BundleError(ValueError):
-    """Malformed bundle directory or instance file."""
+    """Malformed bundle directory, instance file or key=value file."""
 
 
 def write_matrix(path, arr):
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    # "%.17g" % v renders a float as format(v, ".17g") does
+    row_format = " ".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+        for row in arr.tolist():
+            fh.write(row_format % tuple(row))
 
 
 def read_matrix(path):
@@ -84,21 +87,31 @@ def _write_meta(path, entries):
             fh.write(f"{key}={value}\n")
 
 
-def _read_meta(path):
-    meta = {}
+def read_key_values(path):
+    """Parse a file of key=value lines into a dict of strings.
+
+    Blank lines and lines starting with # are skipped; keys and values are
+    stripped. Serves bundle meta files and the CLI's --config files. An
+    unreadable file or a line without '=' raises BundleError naming the
+    file (and the line number).
+    """
+    entries = {}
     try:
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise BundleError(f"{path}: bad meta line {line!r}")
+                    raise BundleError(
+                        f"{path}: line {number}: expected key=value, "
+                        f"got {line!r}"
+                    )
                 key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
+                entries[key.strip()] = value.strip()
     except OSError as exc:
         raise BundleError(f"cannot read {path}: {exc}") from exc
-    return meta
+    return entries
 
 
 def write_bundle(path, problem: CompositeProblem):
@@ -122,8 +135,7 @@ def write_bundle(path, problem: CompositeProblem):
     else:
         write_matrix(os.path.join(path, "A.txt"), problem.smooth.A)
         write_vector(os.path.join(path, "b.txt"), problem.smooth.b)
-        comps = problem.smooth.components
-        meta["components"] = len(comps) if comps else None
+        meta["components"] = problem.smooth.component_count
         if kind == "qc-lasso":
             meta["degenerate"] = int(bool(problem.meta.get("degenerate")))
     if problem.xstar is not None:
@@ -150,12 +162,28 @@ def _read_ground_truth(path, meta, vector):
     return xstar, ustar
 
 
+def _component_count(meta_path, meta, m):
+    """The meta file's components entry, checked to be an integer in 1..m."""
+    if "components" not in meta:
+        return None
+    value = meta["components"]
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if not 1 <= count <= m:
+        raise BundleError(
+            f"{meta_path}: components={value!r} is not an integer in 1..{m}"
+        )
+    return count
+
+
 def read_bundle(path) -> CompositeProblem:
     """Reconstruct a problem from a bundle directory."""
     meta_path = os.path.join(path, "meta")
     if not os.path.isfile(meta_path):
         raise BundleError(f"{path}: missing meta file")
-    meta = _read_meta(meta_path)
+    meta = read_key_values(meta_path)
     kind = meta.get("kind")
     try:
         lam = float(meta["lambda"])
@@ -183,7 +211,7 @@ def read_bundle(path) -> CompositeProblem:
     if kind in ("lasso", "qc-lasso"):
         A = read_matrix(os.path.join(path, "A.txt"))
         b = read_vector(os.path.join(path, "b.txt"))
-        components = int(meta["components"]) if "components" in meta else None
+        components = _component_count(meta_path, meta, A.shape[0])
         xstar, ustar = _read_ground_truth(path, meta, vector=True)
         extra = {"kind": kind}
         if "degenerate" in meta:

@@ -10,8 +10,16 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .asynchronous import DelayModel
-from .bundles import BundleError, read_bundle, read_vector, write_bundle
+from .bundles import (
+    BundleError,
+    read_bundle,
+    read_key_values,
+    read_vector,
+    write_bundle,
+)
 from .exploit import SubspaceSamplerConfig
 from .identification import analyze_trace, report_text, safe_screen_l1
 from .problems import gen_lasso, gen_lowrank_matrix_problem, gen_qc_lasso
@@ -26,20 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _read_config(path):
-    conf = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line {line!r}")
-            key, _, value = line.partition("=")
-            conf[key.strip()] = value.strip()
-    return conf
 
 
 def _setting(args, conf, name, cast, fallback):
@@ -162,7 +156,7 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    conf = _read_config(args.config) if args.config else {}
+    conf = read_key_values(args.config) if args.config else {}
     seed = _resolve_seed(args, conf)
     config = SolverConfig(
         gamma=_setting(args, conf, "gamma", float, None),
@@ -194,6 +188,10 @@ def cmd_solve(args):
             seed=seed,
         )
     point, trace = run_solver(args.solver, problem, config, **kwargs)
+    # the last finite iterate of a diverged run can overflow the objective;
+    # the report then says objective=inf and status=diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = problem.objective(point.point)
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
     trace_to_csv(trace, os.path.join(out, "trace.csv"))
@@ -204,14 +202,14 @@ def cmd_solve(args):
         fh.write(f"status={trace.status}\n")
         fh.write(f"iterations={trace.iterations}\n")
         fh.write(f"gamma={trace.gamma!r}\n")
-        fh.write(f"objective={problem.objective(point.point)!r}\n")
+        fh.write(f"objective={objective!r}\n")
     print(os.path.join(out, "trace.csv"))
     print(os.path.join(out, "report.txt"))
     return 0 if trace.converged else 2
 
 
 def cmd_replicate(args):
-    conf = _read_config(args.config) if args.config else {}
+    conf = read_key_values(args.config) if args.config else {}
     seed = _resolve_seed(args, conf)
     os.makedirs(args.outdir, exist_ok=True)
     if args.figure == "fig1":

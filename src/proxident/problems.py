@@ -7,6 +7,7 @@ Generators can attach a certified optimal pair (xstar, ustar) so that
 identification claims can be checked against ground truth.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +39,12 @@ def power_lam_max(gram_matvec, dim, tol=1e-10, max_iter=10_000):
     """
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))  # np.linalg.norm's bytes, without its dispatch
     lam = 0.0
     for _ in range(max_iter):
         w = gram_matvec(v)
         lam_new = float(v @ w)
-        norm_w = np.linalg.norm(w)
+        norm_w = math.sqrt(w.dot(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
@@ -58,6 +59,9 @@ class SmoothOracle:
 
     components, when present, is a list of oracles f^j with
     f = (1/m) * sum_j f^j (checked by the test suite on random points).
+    Here lipschitz, strong_convexity and components are plain attributes,
+    fixed at construction; LeastSquaresOracle computes the last two on
+    first read instead.
     """
 
     def __init__(self, value, gradient, lipschitz, strong_convexity=0.0,
@@ -82,37 +86,81 @@ class SmoothOracle:
         return type(self).prox is not SmoothOracle.prox
 
 
+def _check_component_count(n_components, m):
+    if not 1 <= n_components <= m:
+        raise ValueError("component count must be in 1..m")
+
+
 class LeastSquaresOracle(SmoothOracle):
     """f(x) = 0.5 * ||A x - b||^2 with cached Gram matrix.
 
     The gradient Lipschitz constant is the top eigenvalue of A^T A from
-    power iteration; the strong convexity modulus comes from power iteration
-    on the deflated operator lam_max * I - A^T A (clamped to 0 when the
-    matrix is numerically rank deficient).
+    power iteration, computed at construction. The strong convexity modulus
+    comes from power iteration on the deflated operator lam_max * I - A^T A
+    (clamped to 0 when the matrix is numerically rank deficient); it is
+    computed on the first read of strong_convexity and cached, since only
+    the solvers that need mu pay for it.
+
+    With components=k the oracle is also the finite sum of k row blocks
+    (see split); the blocks are built on the first read of components and
+    cached. components=None (the default) means no finite-sum view. An
+    assignment to strong_convexity or components replaces the cached value.
 
     prox solves (I + gamma A^T A) x = v + gamma A^T b via a Cholesky
     factorization cached per gamma.
     """
 
-    def __init__(self, A, b):
+    def __init__(self, A, b, components=None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
             raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+        if components is not None:
+            _check_component_count(components, A.shape[0])
         self.A = A
         self.b = b
         self.gram = A.T @ A
         self.Atb = A.T @ b
-        n = A.shape[1]
-        lam_max = power_lam_max(lambda v: self.gram @ v, n)
-        deflated = power_lam_max(lambda v: lam_max * v - self.gram @ v, n)
-        mu = lam_max - deflated
-        # the deflated iteration stalls at ~1e-8 relative accuracy, so treat
-        # anything below that as numerical rank deficiency
-        if mu <= 1e-7 * max(lam_max, 1.0):
-            mu = 0.0
-        super().__init__(self._ls_value, self._ls_gradient, lam_max, mu)
+        lam_max = power_lam_max(lambda v: self.gram @ v, A.shape[1])
+        super().__init__(self._ls_value, self._ls_gradient, lam_max)
+        # the base stored mu = 0 and no components through the setters;
+        # replace both by the state the lazy getters fill in
+        self._mu = None
+        self._n_components = components
         self._prox_cache = {}
+
+    @property
+    def strong_convexity(self) -> float:
+        if self._mu is None:
+            lam_max = self.lipschitz
+            deflated = power_lam_max(lambda v: lam_max * v - self.gram @ v,
+                                     self.gram.shape[0])
+            mu = lam_max - deflated
+            # the deflated iteration stalls at ~1e-8 relative accuracy, so
+            # treat anything below that as numerical rank deficiency
+            self._mu = 0.0 if mu <= 1e-7 * max(lam_max, 1.0) else mu
+        return self._mu
+
+    @strong_convexity.setter
+    def strong_convexity(self, value):
+        self._mu = float(value)
+
+    @property
+    def components(self):
+        if self._components is None and self._n_components is not None:
+            self._components = self.split(self._n_components)
+        return self._components
+
+    @components.setter
+    def components(self, value):
+        self._components = value
+        self._n_components = len(value) if value else None
+
+    @property
+    def component_count(self):
+        """Number of finite-sum components (None without them), known
+        without building the blocks."""
+        return self._n_components
 
     def _ls_value(self, x):
         r = self.A @ x - self.b
@@ -134,11 +182,12 @@ class LeastSquaresOracle(SmoothOracle):
         """Row-partition into k blocks f^j with f = (1/k) sum_j f^j.
 
         Each block is itself a least-squares oracle on sqrt(k)-scaled data so
-        that averaging the components reproduces f exactly.
+        that averaging the components reproduces f exactly. The blocks are
+        built here, each computing its Lipschitz constant; their own
+        strong_convexity is computed on first read.
         """
         m = self.A.shape[0]
-        if not 1 <= n_components <= m:
-            raise ValueError("component count must be in 1..m")
+        _check_component_count(n_components, m)
         scale = np.sqrt(n_components)
         rows = np.array_split(np.arange(m), n_components)
         return [
@@ -148,11 +197,12 @@ class LeastSquaresOracle(SmoothOracle):
 
 
 def least_squares_oracle(A, b, components=None) -> LeastSquaresOracle:
-    """Least-squares smooth term, optionally with row-partitioned components."""
-    oracle = LeastSquaresOracle(A, b)
-    if components is not None:
-        oracle.components = oracle.split(components)
-    return oracle
+    """Least-squares smooth term, optionally with row-partitioned components.
+
+    L is computed here; mu and the components (when a count is given) on
+    their first read. A component count outside 1..m raises ValueError here.
+    """
+    return LeastSquaresOracle(A, b, components)
 
 
 class MatrixLSOracle(SmoothOracle):

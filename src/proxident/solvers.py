@@ -7,7 +7,9 @@ exact structure pattern of the iterate. Runs stop when the u-step
 return the final structured point together with a list of trace records.
 The u-step is computed before the prox call; when it is not finite the run
 stops there as diverged, returning the last finite iterate and the trace so
-far (``trace.status`` is "converged", "max_iter" or "diverged").
+far (``trace.status`` is "converged", "max_iter" or "diverged"). Each run
+holds numpy's overflow and invalid-value warnings off, so a diverging run
+ends with that status and no RuntimeWarning.
 
 Default stepsizes are taken from the oracle constants: gamma = 1/L for the
 proximal gradient and its accelerated variant, 1/(3*L_max) for SAGA
@@ -21,6 +23,7 @@ logical clock -- simulated seconds for the asynchronous solver, zero for the
 synchronous ones -- so that identical runs emit byte-identical files.
 """
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -153,6 +156,17 @@ def _step_norm(a, b) -> float:
     return math.sqrt(d.dot(d))
 
 
+def _quiet_divergence(run):
+    """Run a solver inside one np.errstate(over="ignore", invalid="ignore"):
+    a diverging run overflows in its last iterations, and its status, not a
+    RuntimeWarning, reports that."""
+    @functools.wraps(run)
+    def quiet_run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(*args, **kwargs)
+    return quiet_run
+
+
 class _Tracer:
     """Applies the trace cadence and records how the run ended."""
 
@@ -198,6 +212,7 @@ def _start_point(problem, x0):
     return x0.copy()
 
 
+@_quiet_divergence
 def run_pg(problem, config=None, x0=None):
     """Proximal gradient: u_{k+1} = x_k - gamma * grad f(x_k)."""
     config = config or SolverConfig()
@@ -223,6 +238,7 @@ def run_pg(problem, config=None, x0=None):
     return tracer.finish(x, pattern, MAX_ITER)
 
 
+@_quiet_divergence
 def run_apg(problem, config=None, x0=None):
     """Accelerated proximal gradient with momentum (k-1)/(k+3).
 
@@ -255,6 +271,7 @@ def run_apg(problem, config=None, x0=None):
     return tracer.finish(x, pattern, MAX_ITER)
 
 
+@_quiet_divergence
 def run_dr(problem, config=None, x0=None):
     """Douglas-Rachford splitting; needs a prox for the smooth part.
 
@@ -286,6 +303,7 @@ def run_dr(problem, config=None, x0=None):
     return tracer.finish(x, pattern, MAX_ITER)
 
 
+@_quiet_divergence
 def run_saga(problem, config=None, x0=None):
     """SAGA over the oracle's components with a stored-gradient table.
 

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import write_matrix_reference
 from proxident.bundles import (
     BundleError,
     read_bundle,
@@ -20,6 +24,28 @@ def test_matrix_roundtrip(tmp_path):
     write_matrix(path, a)
     assert path.read_text().splitlines()[0] == "7 3"
     assert np.array_equal(read_matrix(path), a)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e-310, 1e308, -1e308, 1.7976931348623157e308, 1.0, -3.0,
+               2.0 ** 53, 1e16, 123456789.0, 0.1, 1 / 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(
+    np.float64,
+    st.one_of(st.just((1, 1)), st.tuples(st.integers(1, 8), st.just(1)),
+              st.tuples(st.integers(1, 6), st.integers(1, 6))),
+    elements=st.one_of(st.sampled_from(EDGE_VALUES),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-10 ** 6, 10 ** 6).map(float)),
+))
+def test_write_matrix_matches_per_value_writer(tmp_path_factory, arr):
+    d = tmp_path_factory.mktemp("w")
+    write_matrix(d / "new.txt", arr)
+    write_matrix_reference(d / "old.txt", arr)
+    assert (d / "new.txt").read_bytes() == (d / "old.txt").read_bytes()
+    assert np.array_equal(read_matrix(d / "new.txt"), arr)
 
 
 def test_vector_roundtrip(tmp_path):
@@ -103,4 +129,15 @@ def test_non_finite_lowrank_target_rejected(tmp_path):
     write_bundle(tmp_path / "b", gen_lowrank_matrix_problem(size=4, rank=2))
     _replace_entry(tmp_path / "b" / "A.txt", "nan")
     with pytest.raises(BundleError, match="A.txt: non-finite entry nan"):
+        read_bundle(tmp_path / "b")
+
+
+@pytest.mark.parametrize("value", ["ten", "2.5", "0", "-1", "21"])
+def test_bad_component_count_rejected(tmp_path, value):
+    write_bundle(tmp_path / "b", gen_lasso(20, 8, seed=3, components=4))
+    meta = tmp_path / "b" / "meta"
+    meta.write_text(meta.read_text().replace("components=4",
+                                             f"components={value}"))
+    with pytest.raises(BundleError, match=rf"meta: components='{value}' "
+                                          r"is not an integer in 1\.\.20"):
         read_bundle(tmp_path / "b")

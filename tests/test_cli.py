@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import proxident
 from proxident.bundles import read_bundle, write_vector
 from proxident.cli import main
 from proxident.prox import prox_l1
@@ -92,6 +97,17 @@ def test_config_file_with_flag_override(qc_bundle, tmp_path):
                  "--max-iter", "100000", "--stop-tol", "1e-8"]) == 0
 
 
+@pytest.mark.parametrize("command", [["solve", "pg", "BUNDLE"],
+                                     ["replicate", "fig1"]])
+def test_malformed_config_line_exits_1(qc_bundle, tmp_path, capsys, command):
+    conf = tmp_path / "conf"
+    conf.write_text("# defaults\nmax-iter=4\nstop-tol 1e-15\n")
+    argv = [str(qc_bundle) if a == "BUNDLE" else a for a in command]
+    assert main(argv + ["--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert f"{conf}: line 3: expected key=value, got 'stop-tol 1e-15'" in err
+
+
 def test_env_seed_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PROXIDENT_SEED", "77")
     out = tmp_path / "via-env"
@@ -159,10 +175,19 @@ def test_diverging_run_exits_2_with_status(tmp_path):
     path = tmp_path / "qc"
     assert main(["gen", "qc-lasso", "--n", "20", "--s", "5", "--delta", "0.5",
                  "--seed", "7008", "--out", str(path)]) == 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["solve", "dave-pg", str(path), "--delay", "uniform:0:3",
-                     "--stop-tol", "1e-9", "--seed", "7008"])
-    assert code == 2
+    # a fresh interpreter, so that numpy warnings reach stderr as they would
+    # for a user instead of pytest's warning capture
+    src = os.path.dirname(os.path.dirname(proxident.__file__))
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    done = subprocess.run(
+        [sys.executable, "-m", "proxident.cli", "solve", "dave-pg", str(path),
+         "--delay", "uniform:0:3", "--stop-tol", "1e-9", "--seed", "7008"],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2
+    assert "RuntimeWarning" not in done.stderr
     report = (path / "report.txt").read_text()
     assert "converged=0\n" in report and "status=diverged\n" in report
     assert len((path / "trace.csv").read_text().splitlines()) > 1

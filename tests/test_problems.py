@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import proxident.problems as problems
+from oracles import least_squares_constants_reference
+from proxident.bundles import read_bundle, write_bundle
 from proxident.manifolds import pattern_of
 from proxident.problems import (
+    LeastSquaresOracle,
     gen_lasso,
     gen_lowrank_matrix_problem,
     gen_qc_lasso,
@@ -83,6 +87,95 @@ class TestLeastSquaresOracle:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             least_squares_oracle(np.eye(3), np.ones(2))
+
+    @pytest.mark.parametrize("count", [0, -1, 13])
+    def test_bad_component_count_raises_at_construction(self, count):
+        rng = np.random.default_rng(8)
+        A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
+        with pytest.raises(ValueError, match="component count"):
+            least_squares_oracle(A, b, components=count)
+
+
+@pytest.fixture
+def count_power_iterations(monkeypatch):
+    """Count calls of problems.power_lam_max (one per spectral estimate)."""
+    calls = []
+    original = problems.power_lam_max
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(problems, "power_lam_max", counted)
+    return calls
+
+
+@pytest.fixture
+def count_splits(monkeypatch):
+    calls = []
+    original = LeastSquaresOracle.split
+
+    def counted(oracle, n_components):
+        calls.append(n_components)
+        return original(oracle, n_components)
+    monkeypatch.setattr(LeastSquaresOracle, "split", counted)
+    return calls
+
+
+class TestLazyConstants:
+    """L is computed at construction; mu and the components on first read."""
+
+    @staticmethod
+    def data(seed=9, m=40, n=12):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, n)), rng.standard_normal(m)
+
+    def test_construction_computes_only_lipschitz(self, count_power_iterations,
+                                                  count_splits):
+        least_squares_oracle(*self.data(), components=10)
+        assert count_power_iterations == [12]
+        assert count_splits == []
+
+    def test_bundle_read_computes_only_lipschitz(self, tmp_path,
+                                                 count_power_iterations,
+                                                 count_splits):
+        write_bundle(tmp_path / "b", gen_lasso(40, 12, seed=1, components=10))
+        del count_power_iterations[:]
+        problem = read_bundle(tmp_path / "b")
+        assert count_power_iterations == [12]
+        assert count_splits == []
+        assert problem.smooth.component_count == 10
+
+    def test_strong_convexity_computed_once(self, count_power_iterations):
+        o = least_squares_oracle(*self.data())
+        del count_power_iterations[:]
+        mu = o.strong_convexity
+        assert count_power_iterations == [12]
+        assert o.strong_convexity == mu
+        assert count_power_iterations == [12]
+
+    def test_components_split_once(self, count_splits):
+        o = least_squares_oracle(*self.data(), components=10)
+        comps = o.components
+        assert count_splits == [10]
+        assert o.components is comps and len(comps) == 10
+        assert count_splits == [10]
+
+    def test_no_components_without_a_count(self, count_splits):
+        o = least_squares_oracle(*self.data())
+        assert o.components is None and o.component_count is None
+        assert count_splits == []
+
+    @pytest.mark.parametrize("shape,k", [((40, 12), 10), ((5, 10), 2),
+                                         ((7, 3), 7), ((30, 30), 1)])
+    def test_constants_equal_eager_reference(self, shape, k):
+        A, b = self.data(seed=shape[0], m=shape[0], n=shape[1])
+        lam, mu, blocks = least_squares_constants_reference(A, b, k)
+        o = least_squares_oracle(A, b, components=k)
+        assert o.lipschitz == lam and o.strong_convexity == mu
+        assert len(o.components) == len(blocks)
+        for comp, (block_lam, block_gram) in zip(o.components, blocks):
+            assert comp.lipschitz == block_lam
+            assert comp.gram.tobytes() == block_gram.tobytes()
 
 
 class TestProxF:

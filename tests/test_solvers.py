@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,7 +338,8 @@ class TestRunStatus:
                                       "pg-adaptive", "predictor-corrector",
                                       "random-subspace"])
     def test_divergence_ends_with_status(self, name):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the run
             point, log = run_solver(name, overshooting_problem(),
                                     SolverConfig(max_iter=100_000))
         assert log.status == "diverged" and not log.converged
