@@ -59,9 +59,9 @@ class SmoothOracle:
 
     components, when present, is a list of oracles f^j with
     f = (1/m) * sum_j f^j (checked by the test suite on random points).
-    Here lipschitz, strong_convexity and components are plain attributes,
-    fixed at construction; LeastSquaresOracle computes the last two on
-    first read instead.
+    On this class lipschitz, strong_convexity and components are plain
+    attributes fixed at construction; LeastSquaresOracle computes the last
+    two on their first read instead.
     """
 
     def __init__(self, value, gradient, lipschitz, strong_convexity=0.0,
