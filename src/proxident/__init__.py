@@ -3,13 +3,10 @@ identification analysis, and experiment tooling built on them."""
 
 from .asynchronous import DelayModel, run_dave_pg
 from .exploit import (
-    SparseMessage,
     SubspaceSamplerConfig,
     run_pg_adaptive_inertia,
     run_predictor_corrector,
     run_random_subspace,
-    sparse_decode,
-    sparse_encode,
 )
 from .identification import (
     IdentificationReport,

@@ -31,21 +31,16 @@ the simulated event time.
 """
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .solvers import (
-    CONVERGED,
-    DIVERGED,
-    MAX_ITER,
     SolverConfig,
-    _quiet_divergence,
+    _advance,
+    _iterate,
     _resolve_gamma,
     _start_point,
-    _step_norm,
-    _Tracer,
 )
 
 __all__ = ["DelayModel", "run_dave_pg"]
@@ -105,7 +100,6 @@ class DelayModel:
         return float(rng.geometric(self.a) - 1)
 
 
-@_quiet_divergence
 def run_dave_pg(problem, config=None, workers=None,
                 delay_model=DelayModel.constant(0.0), encoding="dense",
                 x0=None):
@@ -142,25 +136,26 @@ def run_dave_pg(problem, config=None, workers=None,
     def msg_cost(vec):
         return n if encoding == "dense" else int(np.count_nonzero(vec))
 
-    # synchronous round zero: contributions at x0, x0 broadcast to everyone;
-    # row j of contrib is worker j's latest contribution
-    contrib = np.empty((m,) + x.shape)
-    for j in range(m):
-        contrib[j] = x - gamma * comps[j].gradient(x)
-    base = [x.copy() for _ in range(m)]
-    comm = m * msg_cost(x)
+    contrib = np.empty((m,) + x.shape)  # row j: worker j's contribution
+    base = [x.copy() for _ in range(m)]  # the iterate each worker holds
     events = []
-    seq = 0
-    for j in range(m):
-        heapq.heappush(events, (1.0 + delay_model.sample(rng), seq, j))
-        seq += 1
-
-    u_prev = contrib.mean(axis=0)
-    tracer = _Tracer(problem, config, gamma)
-    pattern = None
+    seq = comm = 0
     quiet = 0  # consecutive batches with a small u-step
     deliveries = np.zeros(m, dtype=np.int64)
-    for k in range(1, config.max_iter + 1):
+
+    def step(k, x, pattern, u_prev):
+        nonlocal seq, comm
+        if k == 1:
+            # synchronous round zero (here, inside the run's errstate):
+            # contributions at x0, x0 broadcast to everyone, and the first
+            # task of every worker starts there
+            for j in range(m):
+                contrib[j] = x - gamma * comps[j].gradient(x)
+            comm = m * msg_cost(x)
+            for j in range(m):
+                heapq.heappush(events, (1.0 + delay_model.sample(rng), seq, j))
+                seq += 1
+            u_prev = contrib.mean(axis=0)
         t, _, j = heapq.heappop(events)
         batch = [j]
         while events and events[0][0] == t:
@@ -169,23 +164,21 @@ def run_dave_pg(problem, config=None, workers=None,
             contrib[j] = base[j] - gamma * comps[j].gradient(base[j])
             deliveries[j] += 1
         u = contrib.mean(axis=0)
-        u_step = _step_norm(u, u_prev)
-        if not math.isfinite(u_step):
-            return tracer.finish(x, pattern, DIVERGED)
-        res = g.prox(u, gamma)
-        x, pattern = res.point, res.pattern
+        u_step, res = _advance(g, u, u_prev, gamma)
         for j in batch:
-            base[j] = x
-            comm += msg_cost(x)
+            base[j] = res.point
+            comm += msg_cost(res.point)
             heapq.heappush(events, (t + 1.0 + delay_model.sample(rng), seq, j))
             seq += 1
-        u_prev = u
-        tracer.record(k, x, pattern, u, u_step, comm=comm, clock=t)
+        return u, u_step, res, {"comm_coords": comm, "wallclock": t}
+
+    def stop(k, u_step, x):
         # a single small arrival can be a coincidence (the first deliveries
         # repeat the round-zero contributions exactly): require one quiet
         # sweep over the workers, all of which must have re-reported since
         # receiving a post-round-zero iterate
+        nonlocal quiet
         quiet = quiet + 1 if u_step <= config.stop_tol else 0
-        if quiet >= m and int(deliveries.min()) >= 2:
-            return tracer.finish(x, pattern, CONVERGED)
-    return tracer.finish(x, pattern, MAX_ITER)
+        return quiet >= m and int(deliveries.min()) >= 2
+
+    return _iterate(problem, config, gamma, step, x, stop=stop)

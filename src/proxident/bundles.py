@@ -7,6 +7,8 @@ file of key=value lines (kind, lambda, seed, components, and for certified
 instances gamma, delta, and the ground-truth file references).
 """
 
+import functools
+import math
 import os
 
 import numpy as np
@@ -162,20 +164,30 @@ def _read_ground_truth(path, meta, vector):
     return xstar, ustar
 
 
-def _component_count(meta_path, meta, m):
-    """The meta file's components entry, checked to be an integer in 1..m."""
-    if "components" not in meta:
+# meta entry kinds: (cast, check, what a valid value is)
+_POSITIVE = (float, lambda v: math.isfinite(v) and v > 0,
+             "a finite positive number")
+_COUNT = (int, lambda v: v >= 0, "a nonnegative integer")
+_FLAG = (int, lambda v: v in (0, 1), "0 or 1")
+
+
+def _meta_entry(meta_path, meta, key, spec, required=False):
+    """The meta file's key parsed by spec, or None when absent; a value that
+    does not parse or fails the check raises BundleError naming file and
+    key."""
+    if key not in meta:
+        if required:
+            raise BundleError(f"{meta_path}: missing {key}")
         return None
-    value = meta["components"]
+    cast, check, expected = spec
+    value = meta[key]
     try:
-        count = int(value)
+        parsed = cast(value)
     except ValueError:
-        count = 0
-    if not 1 <= count <= m:
-        raise BundleError(
-            f"{meta_path}: components={value!r} is not an integer in 1..{m}"
-        )
-    return count
+        parsed = None
+    if parsed is None or not check(parsed):
+        raise BundleError(f"{meta_path}: {key}={value!r} is not {expected}")
+    return parsed
 
 
 def read_bundle(path) -> CompositeProblem:
@@ -185,23 +197,22 @@ def read_bundle(path) -> CompositeProblem:
         raise BundleError(f"{path}: missing meta file")
     meta = read_key_values(meta_path)
     kind = meta.get("kind")
-    try:
-        lam = float(meta["lambda"])
-    except (KeyError, ValueError) as exc:
-        raise BundleError(f"{path}: missing or bad lambda") from exc
-    seed = int(meta["seed"]) if "seed" in meta else None
-    gamma = float(meta["gamma"]) if "gamma" in meta else None
-    delta = float(meta["delta"]) if "delta" in meta else None
+    entry = functools.partial(_meta_entry, meta_path, meta)
+    lam = entry("lambda", _POSITIVE, required=True)
+    seed = entry("seed", _COUNT)
+    gamma = entry("gamma", _POSITIVE)
+    delta = entry("delta", _POSITIVE)
+    degenerate = entry("degenerate", _FLAG)
+    extra = {"kind": kind}
+    if degenerate is not None:
+        extra["degenerate"] = bool(degenerate)
 
     if kind == "lowrank":
         target = read_matrix(os.path.join(path, "A.txt"))
         xstar, ustar = _read_ground_truth(path, meta, vector=False)
-        extra = {"kind": kind}
         for key, name in (("rank", "rank"), ("expected-rank", "expected_rank")):
             if key in meta:
-                extra[name] = int(meta[key])
-        if "degenerate" in meta:
-            extra["degenerate"] = bool(int(meta["degenerate"]))
+                extra[name] = entry(key, _COUNT)
         return CompositeProblem(
             smooth=matrix_ls_oracle(target),
             reg=Regularizer.nuclear(*target.shape, lam=lam),
@@ -211,11 +222,10 @@ def read_bundle(path) -> CompositeProblem:
     if kind in ("lasso", "qc-lasso"):
         A = read_matrix(os.path.join(path, "A.txt"))
         b = read_vector(os.path.join(path, "b.txt"))
-        components = _component_count(meta_path, meta, A.shape[0])
+        m = A.shape[0]
+        components = entry("components", (int, lambda v: 1 <= v <= m,
+                                          f"an integer in 1..{m}"))
         xstar, ustar = _read_ground_truth(path, meta, vector=True)
-        extra = {"kind": kind}
-        if "degenerate" in meta:
-            extra["degenerate"] = bool(int(meta["degenerate"]))
         return CompositeProblem(
             smooth=least_squares_oracle(A, b, components=components),
             reg=Regularizer.l1(A.shape[1], lam),

@@ -29,7 +29,7 @@ from .problems import (
     least_squares_oracle,
 )
 from .prox import Regularizer
-from .solvers import SolverConfig, run_pg
+from .solvers import SolverConfig, _fmt, run_pg
 
 __all__ = ["replicate_fig1", "replicate_fig2", "replicate_fig3"]
 
@@ -47,10 +47,6 @@ FIG2_GAMMA = 0.15
 FIG3_SHAPE = (200, 100)
 FIG3_WORKERS = 10
 FIG3_DELAYS = DelayModel.uniform(0.0, 3.0)
-
-
-def _fmt(v):
-    return repr(float(v))
 
 
 def _write_csv(path, header, rows):

@@ -2,14 +2,22 @@
 
 Every solver follows the same template: an update step produces u_{k+1},
 then x_{k+1} = prox_{gamma*g}(u_{k+1}) with the prox module supplying the
-exact structure pattern of the iterate. Runs stop when the u-step
-||u_{k+1} - u_k|| falls below stop_tol or when max_iter is reached, and
-return the final structured point together with a list of trace records.
-The u-step is computed before the prox call; when it is not finite the run
-stops there as diverged, returning the last finite iterate and the trace so
-far (``trace.status`` is "converged", "max_iter" or "diverged"). Each run
-holds numpy's overflow and invalid-value warnings off, so a diverging run
-ends with that status and no RuntimeWarning.
+exact structure pattern of the iterate. The solvers differ only in how they
+compute u, so they share one iteration loop, ``_iterate``. Each ``run_*``
+validates its arguments, resolves gamma and hands ``_iterate`` a ``step``
+closure, step(k, x_{k-1}, pattern_{k-1}, u_{k-1}) -> (u_k, u_step, prox
+result, extra trace fields), usually through ``_advance``, which takes the
+u-step ||u_k - u_{k-1}|| and then the prox. The loop records iteration k
+at the trace cadence (with a copy of u_k under keep_u), then asks the stop
+rule: by default k > 1 and u_step <= stop_tol; SAGA, DAve-PG,
+predictor-corrector and random subspace descent pass their own ``stop``
+closure, stop(k, u_step, x_k). The run ends "converged" when the rule
+holds, "max_iter" when the iterations run out, and "diverged" when a step
+or stop rule raises ``_Diverged``: ``_advance`` does so when the u-step is
+not finite, before the prox, so the run returns the last finite iterate
+and the trace so far (``trace.status`` says which). Each run holds numpy's
+overflow and invalid-value warnings off, so a diverging run ends with that
+status and no RuntimeWarning.
 
 Default stepsizes are taken from the oracle constants: gamma = 1/L for the
 proximal gradient and its accelerated variant, 1/(3*L_max) for SAGA
@@ -23,7 +31,6 @@ logical clock -- simulated seconds for the asynchronous solver, zero for the
 synchronous ones -- so that identical runs emit byte-identical files.
 """
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -156,50 +163,58 @@ def _step_norm(a, b) -> float:
     return math.sqrt(d.dot(d))
 
 
-def _quiet_divergence(run):
-    """Run a solver inside one np.errstate(over="ignore", invalid="ignore"):
-    a diverging run overflows in its last iterations, and its status, not a
-    RuntimeWarning, reports that."""
-    @functools.wraps(run)
-    def quiet_run(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return run(*args, **kwargs)
-    return quiet_run
+class _Diverged(Exception):
+    """Raised inside a run when it leaves the finite range; the driver ends
+    the run there with status DIVERGED."""
 
 
-class _Tracer:
-    """Applies the trace cadence and records how the run ended."""
+def _advance(g, u, u_prev, gamma):
+    """(||u - u_prev||, prox_{gamma g}(u)); raises _Diverged before the prox
+    when the u-step is not finite."""
+    u_step = _step_norm(u, u_prev)
+    if not math.isfinite(u_step):
+        raise _Diverged
+    return u_step, g.prox(u, gamma)
 
-    def __init__(self, problem, config, gamma):
-        self.problem = problem
-        self.every = config.trace_every
-        self.keep_u = config.keep_u
-        self.structure_count = problem.reg.collection.structure_count
-        self.log = TraceLog(gamma, config.seed)
 
-    def record(self, k, x, pattern, u, u_step, comm=0, clock=0.0,
-               accel=None, enforced=None):
-        self.log.iterations = k
-        if (k - 1) % self.every == 0:
-            self.log.append(
-                TraceRecord(
-                    k=k,
-                    objective=self.problem.objective(x),
-                    pattern=pattern,
-                    nnz=self.structure_count(pattern),
-                    u_step=u_step,
-                    comm_coords=comm,
-                    wallclock=clock,
-                    accel_active=accel,
-                    enforced_count=enforced,
-                    u=u.copy() if self.keep_u else None,
-                )
-            )
+def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
+             stop=None):
+    """The iteration loop every solver runs; returns (StructuredPoint, log).
 
-    def finish(self, x, pattern, status):
-        self.log.status = status
-        self.log.converged = status == CONVERGED
-        return StructuredPoint(np.asarray(x), pattern, "prox"), self.log
+    step(k, x, pattern, u_prev) -> (u, u_step, res, extras) computes
+    iteration k from the previous iterate: res is the prox result holding
+    x_k and its pattern, extras the solver's extra TraceRecord fields.
+    stop(k, u_step, x_k), asked after iteration k is recorded, defaults to
+    k > 1 and u_step <= stop_tol. Either may raise _Diverged.
+    """
+    log = TraceLog(gamma, config.seed)
+    objective = problem.objective
+    structure_count = problem.reg.collection.structure_count
+    every, keep_u, tol = config.trace_every, config.keep_u, config.stop_tol
+    if u_prev is None:
+        u_prev = x
+    status = MAX_ITER
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k in range(1, config.max_iter + 1):
+                u, u_step, res, extras = step(k, x, pattern, u_prev)
+                x, pattern, u_prev = res.point, res.pattern, u
+                log.iterations = k
+                if (k - 1) % every == 0:
+                    log.append(TraceRecord(
+                        k=k, objective=objective(x), pattern=pattern,
+                        nnz=structure_count(pattern), u_step=u_step,
+                        u=u.copy() if keep_u else None, **extras,
+                    ))
+                if (stop(k, u_step, x) if stop is not None
+                        else k > 1 and u_step <= tol):
+                    status = CONVERGED
+                    break
+        except _Diverged:
+            status = DIVERGED
+    log.status = status
+    log.converged = status == CONVERGED
+    return StructuredPoint(np.asarray(x), pattern, "prox"), log
 
 
 def _start_point(problem, x0):
@@ -212,7 +227,6 @@ def _start_point(problem, x0):
     return x0.copy()
 
 
-@_quiet_divergence
 def run_pg(problem, config=None, x0=None):
     """Proximal gradient: u_{k+1} = x_k - gamma * grad f(x_k)."""
     config = config or SolverConfig()
@@ -220,25 +234,15 @@ def run_pg(problem, config=None, x0=None):
     gamma = _resolve_gamma(
         config, 1.0 / f.lipschitz, 0.0, 2.0 / f.lipschitz, False, "pg"
     )
-    x = _start_point(problem, x0)
-    u_prev = x
-    tracer = _Tracer(problem, config, gamma)
-    pattern = None
-    for k in range(1, config.max_iter + 1):
+
+    def step(k, x, pattern, u_prev):
         u = x - gamma * f.gradient(x)
-        u_step = _step_norm(u, u_prev)
-        if not math.isfinite(u_step):
-            return tracer.finish(x, pattern, DIVERGED)
-        res = g.prox(u, gamma)
-        x, pattern = res.point, res.pattern
-        u_prev = u
-        tracer.record(k, x, pattern, u, u_step)
-        if k > 1 and u_step <= config.stop_tol:
-            return tracer.finish(x, pattern, CONVERGED)
-    return tracer.finish(x, pattern, MAX_ITER)
+        u_step, res = _advance(g, u, u_prev, gamma)
+        return u, u_step, res, {}
+
+    return _iterate(problem, config, gamma, step, _start_point(problem, x0))
 
 
-@_quiet_divergence
 def run_apg(problem, config=None, x0=None):
     """Accelerated proximal gradient with momentum (k-1)/(k+3).
 
@@ -250,28 +254,20 @@ def run_apg(problem, config=None, x0=None):
     gamma = _resolve_gamma(
         config, 1.0 / f.lipschitz, 0.0, 1.0 / f.lipschitz, True, "apg"
     )
-    x = _start_point(problem, x0)
-    x_prev = x
-    u_prev = x
-    tracer = _Tracer(problem, config, gamma)
-    pattern = None
-    for k in range(1, config.max_iter + 1):
+    x_prev = _start_point(problem, x0)
+
+    def step(k, x, pattern, u_prev):
+        nonlocal x_prev
         alpha = (k - 1.0) / (k + 3.0)
         y = x + alpha * (x - x_prev)
         u = y - gamma * f.gradient(y)
-        u_step = _step_norm(u, u_prev)
-        if not math.isfinite(u_step):
-            return tracer.finish(x, pattern, DIVERGED)
-        res = g.prox(u, gamma)
-        x_prev, x, pattern = x, res.point, res.pattern
-        u_prev = u
-        tracer.record(k, x, pattern, u, u_step)
-        if k > 1 and u_step <= config.stop_tol:
-            return tracer.finish(x, pattern, CONVERGED)
-    return tracer.finish(x, pattern, MAX_ITER)
+        x_prev = x
+        u_step, res = _advance(g, u, u_prev, gamma)
+        return u, u_step, res, {}
+
+    return _iterate(problem, config, gamma, step, x_prev)
 
 
-@_quiet_divergence
 def run_dr(problem, config=None, x0=None):
     """Douglas-Rachford splitting; needs a prox for the smooth part.
 
@@ -285,25 +281,18 @@ def run_dr(problem, config=None, x0=None):
         raise ValueError("douglas-rachford needs a smooth term with a prox")
     default = 1.0 / f.lipschitz if f.lipschitz > 0 else 1.0
     gamma = _resolve_gamma(config, default, 0.0, np.inf, False, "dr")
-    u = _start_point(problem, x0)
-    res = g.prox(u, gamma)
-    x, pattern = res.point, res.pattern
-    tracer = _Tracer(problem, config, gamma)
-    for k in range(1, config.max_iter + 1):
-        u_new = f.prox(2.0 * x - u, gamma) + u - x
-        u_step = _step_norm(u_new, u)
-        if not math.isfinite(u_step):
-            return tracer.finish(x, pattern, DIVERGED)
-        res = g.prox(u_new, gamma)
-        x, pattern = res.point, res.pattern
-        u = u_new
-        tracer.record(k, x, pattern, u, u_step)
-        if k > 1 and u_step <= config.stop_tol:
-            return tracer.finish(x, pattern, CONVERGED)
-    return tracer.finish(x, pattern, MAX_ITER)
+    u0 = _start_point(problem, x0)
+    res = g.prox(u0, gamma)
+
+    def step(k, x, pattern, u_prev):
+        u = f.prox(2.0 * x - u_prev, gamma) + u_prev - x
+        u_step, res = _advance(g, u, u_prev, gamma)
+        return u, u_step, res, {}
+
+    return _iterate(problem, config, gamma, step, res.point, u_prev=u0,
+                    pattern=res.pattern)
 
 
-@_quiet_divergence
 def run_saga(problem, config=None, x0=None):
     """SAGA over the oracle's components with a stored-gradient table.
 
@@ -324,35 +313,33 @@ def run_saga(problem, config=None, x0=None):
         config, 1.0 / (3.0 * l_max), 0.0, 1.0 / (3.0 * l_max), True, "saga"
     )
     rng = np.random.default_rng(config.seed)
-    x = _start_point(problem, x0)
-    table = [c.gradient(x) for c in comps]
-    table_mean = np.mean(table, axis=0)
-    u_prev = x
+    table = table_mean = None
     window = max(20, 2 * m)
     recent = deque(maxlen=window)
-    tracer = _Tracer(problem, config, gamma)
-    pattern = None
-    for k in range(1, config.max_iter + 1):
+
+    def step(k, x, pattern, u_prev):
+        nonlocal table, table_mean
+        if k == 1:  # the table starts at x_0, filled inside the run's errstate
+            table = [c.gradient(x) for c in comps]
+            table_mean = np.mean(table, axis=0)
         i = int(rng.integers(m))
         grad_i = comps[i].gradient(x)
         u = x - gamma * (grad_i - table[i] + table_mean)
-        u_step = _step_norm(u, u_prev)
-        if not math.isfinite(u_step):
-            return tracer.finish(x, pattern, DIVERGED)
+        u_step, res = _advance(g, u, u_prev, gamma)
         table_mean = table_mean + (grad_i - table[i]) / m
         table[i] = grad_i
-        res = g.prox(u, gamma)
-        x, pattern = res.point, res.pattern
-        u_prev = u
         recent.append(u_step)
-        tracer.record(k, x, pattern, u, u_step)
-        if (
+        return u, u_step, res, {}
+
+    def stop(k, u_step, x):
+        return (
             k > window
             and sum(recent) / len(recent) <= config.stop_tol
             and u_step <= 3.0 * config.stop_tol
-        ):
-            return tracer.finish(x, pattern, CONVERGED)
-    return tracer.finish(x, pattern, MAX_ITER)
+        )
+
+    return _iterate(problem, config, gamma, step, _start_point(problem, x0),
+                    stop=stop)
 
 
 def fixed_point_residual(problem, x, gamma) -> float:

@@ -141,3 +141,41 @@ def test_bad_component_count_rejected(tmp_path, value):
     with pytest.raises(BundleError, match=rf"meta: components='{value}' "
                                           r"is not an integer in 1\.\.20"):
         read_bundle(tmp_path / "b")
+
+
+@pytest.mark.parametrize("kind,key,value,expected", [
+    ("qc", "seed", "abc", "a nonnegative integer"),
+    ("qc", "seed", "-3", "a nonnegative integer"),
+    ("qc", "lambda", "0", "a finite positive number"),
+    ("qc", "lambda", "-1", "a finite positive number"),
+    ("qc", "lambda", "inf", "a finite positive number"),
+    ("qc", "lambda", "nan", "a finite positive number"),
+    ("qc", "lambda", "one", "a finite positive number"),
+    ("qc", "gamma", "x", "a finite positive number"),
+    ("qc", "delta", "inf", "a finite positive number"),
+    ("qc", "degenerate", "2", "0 or 1"),
+    ("lowrank", "rank", "abc", "a nonnegative integer"),
+    ("lowrank", "expected-rank", "4.5", "a nonnegative integer"),
+    ("lowrank", "degenerate", "yes", "0 or 1"),
+])
+def test_bad_meta_value_rejected(tmp_path, kind, key, value, expected):
+    problem = (gen_qc_lasso(n=6, s=2, delta=0.5, seed=1) if kind == "qc"
+               else gen_lowrank_matrix_problem(size=4, rank=2))
+    write_bundle(tmp_path / "b", problem)
+    meta = tmp_path / "b" / "meta"
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in meta.read_text().splitlines()]
+    assert f"{key}={value}" in lines
+    meta.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BundleError, match=rf"meta: {key}='{value}' is not "
+                                          f"{expected}"):
+        read_bundle(tmp_path / "b")
+
+
+def test_missing_lambda_rejected(tmp_path):
+    write_bundle(tmp_path / "b", gen_lasso(20, 8, seed=3))
+    meta = tmp_path / "b" / "meta"
+    meta.write_text("".join(line for line in meta.read_text().splitlines(True)
+                            if not line.startswith("lambda=")))
+    with pytest.raises(BundleError, match="meta: missing lambda"):
+        read_bundle(tmp_path / "b")

@@ -13,7 +13,7 @@ from proxident.problems import (
     least_squares_oracle,
 )
 from proxident.prox import ProxResult, Regularizer
-from proxident.registry import run_solver
+from proxident.registry import SOLVERS, run_solver
 from proxident.solvers import (
     SolverConfig,
     fixed_point_residual,
@@ -317,6 +317,18 @@ class TestDRDegenerateSmooth:
         assert np.allclose(pt.point, 0.0)
 
 
+class SpyL1(Regularizer):
+    """l1 regularizer that keeps every array its prox is called on."""
+
+    def __init__(self, n, lam):
+        super().__init__("l1", lam, coordinate_zeros(n))
+        self.inputs = []
+
+    def prox(self, u, gamma):
+        self.inputs.append(u)
+        return super().prox(u, gamma)
+
+
 def overshooting_problem(n=4):
     """f(x) = 5 * ||x - 1||^2 advertising L = mu = 1 (and two identical
     components), so every default step overshoots and the run diverges."""
@@ -347,10 +359,27 @@ class TestRunStatus:
         assert np.isfinite(point.point).all()
 
     def test_converged_and_max_iter(self):
+        # a qc instance with components, so that saga and dave-pg run too
         p = gen_qc_lasso(n=10, s=3, delta=0.5, seed=2)
-        for name in ("pg", "apg", "dr", "saga"):
+        for name in SOLVERS:
             _, log = run_solver(name, p, SolverConfig(stop_tol=1e-9))
-            assert (log.status, log.converged) == ("converged", True)
+            assert (log.status, log.converged) == ("converged", True), name
             _, log = run_solver(name, p, SolverConfig(max_iter=3))
-            assert (log.status, log.converged) == ("max_iter", False)
+            assert (log.status, log.converged) == ("max_iter", False), name
             assert log.iterations == 3
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_trace_cadence_and_u_copies(self, name):
+        p = gen_qc_lasso(n=10, s=3, delta=0.5, seed=2)
+        reg = SpyL1(10, p.reg.lam)
+        config = SolverConfig(stop_tol=0.0, max_iter=10, trace_every=3,
+                              keep_u=True)
+        _, log = run_solver(name, CompositeProblem(p.smooth, reg), config)
+        assert [r.k for r in log] == [1, 4, 7, 10]
+        assert (log.status, log.iterations) == ("max_iter", 10)
+        # each kept u is a copy: it shares memory with no array the solver
+        # handed to the prox
+        kept = [r.u for r in log]
+        assert all(u is not None for u in kept)
+        assert not any(np.shares_memory(u, v)
+                       for u in kept for v in reg.inputs)

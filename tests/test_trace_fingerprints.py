@@ -1,0 +1,27 @@
+"""tools/trace_fingerprints.py: its cases are well formed and repeatable."""
+
+import importlib.util
+import os
+import re
+
+from proxident.registry import SOLVERS
+
+TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                    "tools", "trace_fingerprints.py")
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("trace_fingerprints", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_qc_case_lines_are_well_formed_and_repeatable():
+    tool = load_tool()
+    lines = tool.qc_case(3)
+    assert lines == tool.qc_case(3)
+    assert all(re.fullmatch(r"qc-3,[a-z-]+,[0-9a-f]{64}", line)
+               for line in lines)
+    assert [line.split(",")[1] for line in lines] == list(SOLVERS)
+    assert len({line.split(",")[2] for line in lines}) == len(SOLVERS)

@@ -1,0 +1,197 @@
+"""Fingerprint every run output the package emits, to compare two checkouts.
+
+Usage (from the root of a checkout, no flags):
+
+    python tools/trace_fingerprints.py > fingerprints.txt
+
+and ``diff`` the files of two checkouts. Each line is ``case,solver,sha256``;
+the hash covers a run's trace CSV, final point, final pattern, status,
+iteration count, convergence flag, gamma and seed, plus the ``keep_u``
+vectors where kept. Cases:
+
+* ``qc-<seed>``: the acceptance gate's 100 certified instances x 8 solvers,
+  with the gate's configuration (and ``keep_u`` on);
+* ``lasso-every3``: a 60x120 lasso at ``trace_every=3``;
+* ``diverge-*``: the seed-7008 DAve-PG run and an overshooting problem;
+* ``lowrank``, ``rank``, ``tv1d``, ``potts1d``, ``l0``: the other prox kinds;
+* ``replicate-fig<N>``: one line per emitted file, keyed by file name;
+* ``cli-lasso``: ``proxident gen lasso`` then ``solve`` (exit code,
+  trace.csv and report.txt).
+
+A solver that rejects a problem fingerprints its error message. The BLAS
+thread count changes trace bytes, so it is pinned to 1 unless
+OPENBLAS_NUM_THREADS is already set.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    sys.path.insert(0, os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+import numpy as np  # noqa: E402
+
+from proxident import cli  # noqa: E402
+from proxident.asynchronous import DelayModel  # noqa: E402
+from proxident.exploit import SubspaceSamplerConfig  # noqa: E402
+from proxident.problems import (  # noqa: E402
+    CompositeProblem,
+    SmoothOracle,
+    gen_lasso,
+    gen_lowrank_matrix_problem,
+    gen_qc_lasso,
+)
+from proxident.prox import Regularizer  # noqa: E402
+from proxident.registry import SOLVERS, run_solver  # noqa: E402
+from proxident.replicate import (  # noqa: E402
+    replicate_fig1,
+    replicate_fig2,
+    replicate_fig3,
+)
+from proxident.solvers import SolverConfig, trace_csv_text  # noqa: E402
+
+QC_INSTANCES = 100
+QC_SHAPE = dict(n=20, s=5, delta=0.5)
+
+
+def _sha(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _array_bytes(a):
+    a = np.asarray(a, dtype=float)
+    return repr(a.shape).encode() + np.ascontiguousarray(a).tobytes()
+
+
+def run_digest(point, trace):
+    """sha256 of everything a run returns."""
+    pattern = point.pattern.packed_hex() if point.pattern is not None else "-"
+    parts = [trace_csv_text(trace), _array_bytes(point.point), pattern,
+             trace.status, trace.iterations, trace.converged,
+             repr(trace.gamma), trace.seed]
+    parts += [_array_bytes(r.u) for r in trace if r.u is not None]
+    return _sha(parts)
+
+
+def solver_lines(case, problem, config, names=None, kwargs=None):
+    """One line per solver; a rejected problem hashes its error message."""
+    lines = []
+    for name in names or SOLVERS:
+        try:
+            digest = run_digest(*run_solver(name, problem, config,
+                                            **(kwargs or {}).get(name, {})))
+        except ValueError as exc:
+            digest = _sha(["error", exc])
+        lines.append(f"{case},{name},{digest}")
+    return lines
+
+
+def qc_case(seed):
+    """The acceptance gate's runs on certified instance ``seed``."""
+    problem = gen_qc_lasso(seed=seed, **QC_SHAPE)
+    lines = []
+    for name in SOLVERS:
+        tol = 1e-9 if name in ("saga", "dave-pg", "random-subspace") else 1e-10
+        config = SolverConfig(stop_tol=tol, max_iter=500_000, seed=seed,
+                              keep_u=True)
+        kwargs = {"dave-pg": {"delay_model": DelayModel.uniform(0.0, 3.0)},
+                  "random-subspace": {
+                      "sampler": SubspaceSamplerConfig(seed=seed)}}
+        lines += solver_lines(f"qc-{seed}", problem, config, [name], kwargs)
+    return lines
+
+
+def _overshooting_problem(n=4):
+    """f(x) = 5 * ||x - 1||^2 advertising L = mu = 1: default steps
+    overshoot, and every solver but DR (which needs a prox of f) diverges."""
+    def value(x):
+        return 5.0 * float(np.sum((x - 1.0) ** 2))
+
+    def gradient(x):
+        return 10.0 * (x - 1.0)
+
+    part = SmoothOracle(value, gradient, 1.0, 1.0)
+    return CompositeProblem(
+        SmoothOracle(value, gradient, 1.0, 1.0, components=[part, part]),
+        Regularizer.l1(n, 1e-3),
+    )
+
+
+def other_cases():
+    lines = solver_lines(
+        "lasso-every3", gen_lasso(60, 120, seed=1, components=6),
+        SolverConfig(stop_tol=1e-9, max_iter=3000, trace_every=3, keep_u=True))
+    lines += solver_lines(
+        "diverge-7008", gen_qc_lasso(seed=7008, **QC_SHAPE),
+        SolverConfig(stop_tol=1e-9, max_iter=500_000, seed=7008), ["dave-pg"],
+        {"dave-pg": {"delay_model": DelayModel.uniform(0.0, 3.0)}})
+    lines += solver_lines("diverge-overshoot", _overshooting_problem(),
+                          SolverConfig(max_iter=100_000, keep_u=True))
+    config = SolverConfig(stop_tol=1e-9, max_iter=2000, keep_u=True)
+    lowrank = gen_lowrank_matrix_problem(size=15, rank=3, seed=4)
+    lines += solver_lines("lowrank", lowrank, config)
+    lines += solver_lines("rank", CompositeProblem(
+        lowrank.smooth, Regularizer.rank(15, 15, 0.5)), config)
+    base = gen_lasso(40, 30, seed=2, components=4)
+    for kind, lam in (("tv1d", 0.5), ("potts1d", 0.05), ("l0", 0.01)):
+        reg = getattr(Regularizer, kind)(30, lam)
+        lines += solver_lines(kind, CompositeProblem(base.smooth, reg), config)
+    return lines
+
+
+def _file_lines(case, directory):
+    lines = []
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            lines.append(f"{case},{name},{_sha([fh.read()])}")
+    return lines
+
+
+def replicate_lines():
+    lines = []
+    for figure, run in (("fig1", replicate_fig1), ("fig2", replicate_fig2),
+                        ("fig3", replicate_fig3)):
+        with tempfile.TemporaryDirectory() as out:
+            run(seed=0, outdir=out)
+            lines += _file_lines(f"replicate-{figure}", out)
+    return lines
+
+
+def cli_lines():
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "lasso")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["gen", "lasso", "--m", "80", "--n", "40", "--seed", "3",
+                      "--out", bundle])
+        for name in SOLVERS:
+            out = os.path.join(tmp, name)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["solve", name, bundle, "--stop-tol", "1e-9",
+                                 "--max-iter", "20000", "--out", out])
+            parts = [code]
+            for fname in ("trace.csv", "report.txt"):
+                with open(os.path.join(out, fname), "rb") as fh:
+                    parts.append(fh.read())
+            lines.append(f"cli-lasso,{name},{_sha(parts)}")
+    return lines
+
+
+def main():
+    for seed in range(QC_INSTANCES):
+        print("\n".join(qc_case(seed)))
+    print("\n".join(other_cases() + replicate_lines() + cli_lines()))
+
+
+if __name__ == "__main__":
+    main()
