@@ -19,7 +19,6 @@ from .identification import (
 )
 from .manifolds import (
     ManifoldCollection,
-    ManifoldSpec,
     SparsityPattern,
     StructuredPoint,
     adjacent_pairs,

@@ -153,15 +153,24 @@ def write_bundle(path, problem: CompositeProblem):
     _write_meta(os.path.join(path, "meta"), meta)
 
 
-def _read_ground_truth(path, meta, vector):
-    xstar = ustar = None
-    if "xstar-file" in meta:
-        m = read_matrix(os.path.join(path, meta["xstar-file"]))
-        xstar = m[:, 0] if vector else m
-    if "ustar-file" in meta:
-        m = read_matrix(os.path.join(path, meta["ustar-file"]))
-        ustar = m[:, 0] if vector else m
-    return xstar, ustar
+def _read_shaped(path, shape):
+    """read_matrix checked against shape; a vector shape (n,) is stored as
+    an n x 1 matrix. A mismatch raises BundleError naming the file."""
+    m = read_matrix(path)
+    stored = shape if len(shape) == 2 else (shape[0], 1)
+    if m.shape != stored:
+        raise BundleError(f"{path}: expected {stored[0]}x{stored[1]}, "
+                          f"found {m.shape[0]}x{m.shape[1]}")
+    return m.reshape(shape)
+
+
+def _read_ground_truth(path, meta, shape):
+    """(xstar, ustar) of the given shape, None where the meta names no file."""
+    return tuple(
+        _read_shaped(os.path.join(path, meta[key]), shape)
+        if key in meta else None
+        for key in ("xstar-file", "ustar-file")
+    )
 
 
 # meta entry kinds: (cast, check, what a valid value is)
@@ -209,7 +218,7 @@ def read_bundle(path) -> CompositeProblem:
 
     if kind == "lowrank":
         target = read_matrix(os.path.join(path, "A.txt"))
-        xstar, ustar = _read_ground_truth(path, meta, vector=False)
+        xstar, ustar = _read_ground_truth(path, meta, target.shape)
         for key, name in (("rank", "rank"), ("expected-rank", "expected_rank")):
             if key in meta:
                 extra[name] = entry(key, _COUNT)
@@ -221,14 +230,14 @@ def read_bundle(path) -> CompositeProblem:
         )
     if kind in ("lasso", "qc-lasso"):
         A = read_matrix(os.path.join(path, "A.txt"))
-        b = read_vector(os.path.join(path, "b.txt"))
-        m = A.shape[0]
+        m, n = A.shape
+        b = _read_shaped(os.path.join(path, "b.txt"), (m,))
         components = entry("components", (int, lambda v: 1 <= v <= m,
                                           f"an integer in 1..{m}"))
-        xstar, ustar = _read_ground_truth(path, meta, vector=True)
+        xstar, ustar = _read_ground_truth(path, meta, (n,))
         return CompositeProblem(
             smooth=least_squares_oracle(A, b, components=components),
-            reg=Regularizer.l1(A.shape[1], lam),
+            reg=Regularizer.l1(n, lam),
             xstar=xstar, ustar=ustar, cert_gamma=gamma, delta=delta,
             seed=seed, meta=extra,
         )

@@ -3,23 +3,25 @@
 A collection is an ordered, finite list of closed sets ("manifolds") encoding
 a structural prior: coordinate hyperplanes for sparsity, adjacent-equality
 hyperplanes for piecewise-constant signals, and rank level sets for matrices.
-The membership pattern of a point is a bit vector with 0 marking the sets the
-point belongs to.
+A collection holds one family and is described by its (kind, ambient) pair
+alone: set i is {x : x_i = 0} for "coordinate_zero" over R^n,
+{x : x_{i+1} = x_i} for "adjacent_equal" over R^n, and {X : rank(X) = i}
+for "rank_level" over (rows, cols) matrices. The membership pattern of a
+point is a bit vector with 0 marking the sets the point belongs to.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "ManifoldSpec",
     "ManifoldCollection",
     "SparsityPattern",
     "StructuredPoint",
     "coordinate_zeros",
     "adjacent_pairs",
     "rank_levels",
+    "numeric_rank",
     "pattern_of",
     "project",
     "pattern_leq",
@@ -33,25 +35,6 @@ RANK_LEVEL = "rank_level"
 # out of a proximal operator carry exact branch information instead.
 DEFAULT_COORD_TOL = 1e-12
 DEFAULT_RANK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ManifoldSpec:
-    """One structure set.
-
-    kind = "coordinate_zero": {x : x[index] = 0}, 0 <= index < n.
-    kind = "adjacent_equal":  {x : x[index] = x[index-1]}, 1 <= index < n.
-    kind = "rank_level":      {X : rank(X) = index}, 0 <= index <= min(shape).
-    """
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in (COORDINATE_ZERO, ADJACENT_EQUAL, RANK_LEVEL):
-            raise ValueError(f"unknown manifold kind: {self.kind!r}")
-        if self.index < 0:
-            raise ValueError("manifold index must be nonnegative")
 
 
 class SparsityPattern:
@@ -104,64 +87,45 @@ def pattern_leq(a: SparsityPattern, b: SparsityPattern) -> bool:
 
 
 class ManifoldCollection:
-    """Ordered finite list of compatible structure sets over one ambient space.
+    """The ordered sets of one structure family over one ambient space.
 
     Parameters
     ----------
-    specs : sequence of ManifoldSpec
-        Nonempty, duplicate-free. Vector kinds (coordinate_zero,
-        adjacent_equal) may be mixed; rank_level specs cannot be mixed with
-        vector kinds.
+    kind : "coordinate_zero", "adjacent_equal" or "rank_level"
+        Set i is {x : x_i = 0} (i = 0..n-1), {x : x_{i+1} = x_i}
+        (i = 0..n-2), or {X : rank(X) = i} (i = 0..min(rows, cols)).
     ambient : int or (rows, cols)
-        Vector dimension, or matrix shape for rank collections.
+        Vector dimension n, or matrix shape for rank collections.
     """
 
-    def __init__(self, specs, ambient):
-        specs = tuple(specs)
-        if not specs:
-            raise ValueError("collection must be nonempty")
-        if len(set(specs)) != len(specs):
-            raise ValueError("duplicate specs in collection")
-        kinds = {s.kind for s in specs}
-        if RANK_LEVEL in kinds:
-            if kinds != {RANK_LEVEL}:
-                raise ValueError("rank sets cannot be mixed with vector sets")
-            if not (isinstance(ambient, tuple) and len(ambient) == 2):
+    def __init__(self, kind, ambient):
+        if kind not in (COORDINATE_ZERO, ADJACENT_EQUAL, RANK_LEVEL):
+            raise ValueError(f"unknown manifold kind: {kind!r}")
+        if kind == RANK_LEVEL:
+            if not (isinstance(ambient, tuple) and len(ambient) == 2
+                    and min(ambient) >= 0):
                 raise ValueError("rank collection needs a (rows, cols) ambient")
-            rows, cols = ambient
-            for s in specs:
-                if s.index > min(rows, cols):
-                    raise ValueError(f"rank level {s.index} exceeds min{ambient}")
-            self.ambient = (int(rows), int(cols))
+            self.ambient = (int(ambient[0]), int(ambient[1]))
+            self._size = min(self.ambient) + 1
         else:
             n = int(ambient)
+            if kind == ADJACENT_EQUAL and n < 2:
+                raise ValueError("adjacent-equal collection needs n >= 2")
             if n < 1:
                 raise ValueError("ambient dimension must be positive")
-            for s in specs:
-                if s.kind == COORDINATE_ZERO and not 0 <= s.index < n:
-                    raise ValueError(f"coordinate index {s.index} out of range")
-                if s.kind == ADJACENT_EQUAL and not 1 <= s.index < n:
-                    raise ValueError(f"adjacent index {s.index} out of range")
             self.ambient = n
-        self.specs = specs
-
-    @cached_property
-    def _spec_arrays(self):
-        """(index, adjacent): every spec's index, and whether it is an
-        adjacent equality, as arrays; built on the first project call."""
-        index = np.array([s.index for s in self.specs], dtype=np.intp)
-        adjacent = np.array([s.kind == ADJACENT_EQUAL for s in self.specs])
-        return index, adjacent
+            self._size = n - 1 if kind == ADJACENT_EQUAL else n
+        self.kind = kind
 
     @property
     def is_matrix(self) -> bool:
-        return isinstance(self.ambient, tuple)
+        return self.kind == RANK_LEVEL
 
     def __len__(self):
-        return len(self.specs)
+        return self._size
 
     def __repr__(self):
-        return f"ManifoldCollection({len(self.specs)} specs, ambient={self.ambient})"
+        return f"ManifoldCollection({self.kind!r}, ambient={self.ambient})"
 
     def _check_point(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float)
@@ -176,38 +140,35 @@ class ManifoldCollection:
     def structure_count(self, pattern: SparsityPattern) -> int:
         """Scalar trace statistic: nnz / jump count for vector collections,
         the rank level carrying the 0 bit for rank collections."""
-        if len(pattern) != len(self.specs):
+        if len(pattern) != len(self):
             raise ValueError("pattern length does not match collection")
         if self.is_matrix:
             zero = np.flatnonzero(pattern.bits == 0)
             if zero.size != 1:
                 raise ValueError("rank pattern must have exactly one 0 bit")
-            return self.specs[int(zero[0])].index
+            return int(zero[0])
         return pattern.count_ones()
 
 
 def coordinate_zeros(n: int) -> ManifoldCollection:
     """The n coordinate hyperplanes {x : x_i = 0} in order."""
-    return ManifoldCollection(
-        [ManifoldSpec(COORDINATE_ZERO, i) for i in range(n)], n
-    )
+    return ManifoldCollection(COORDINATE_ZERO, n)
 
 
 def adjacent_pairs(n: int) -> ManifoldCollection:
-    """The n-1 hyperplanes {x : x_i = x_{i-1}}, i = 1..n-1."""
-    if n < 2:
-        raise ValueError("adjacent-equal collection needs n >= 2")
-    return ManifoldCollection(
-        [ManifoldSpec(ADJACENT_EQUAL, i) for i in range(1, n)], n
-    )
+    """The n-1 hyperplanes {x : x_{i+1} = x_i}, i = 0..n-2."""
+    return ManifoldCollection(ADJACENT_EQUAL, n)
 
 
 def rank_levels(rows: int, cols: int) -> ManifoldCollection:
     """Rank level sets {rank = r} for r = 0..min(rows, cols)."""
-    return ManifoldCollection(
-        [ManifoldSpec(RANK_LEVEL, r) for r in range(min(rows, cols) + 1)],
-        (rows, cols),
-    )
+    return ManifoldCollection(RANK_LEVEL, (rows, cols))
+
+
+def numeric_rank(sigma, rtol=DEFAULT_RANK_RTOL) -> int:
+    """Number of singular values above rtol * sigma_max."""
+    cut = rtol * (sigma[0] if sigma.size else 0.0)
+    return int(np.sum(sigma > cut))
 
 
 def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPattern:
@@ -221,11 +182,11 @@ def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPatte
         differences; singular values below 1e-10 * sigma_max count as zero).
         A float is used as an absolute tolerance everywhere.
 
-    Rank membership is decided against the exact-rank sets {rank = r}, so at
-    most one bit of the result is 0 for a rank collection.
+    Rank membership is decided against the exact-rank sets {rank = r}, so
+    exactly one bit of the result is 0 for a rank collection. A NaN entry
+    (or difference) belongs to no set.
     """
     point = collection._check_point(point)
-    bits = np.ones(len(collection), dtype=np.uint8)
     if collection.is_matrix:
         if tol is None:
             raise ValueError(
@@ -234,36 +195,30 @@ def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPatte
             )
         sigma = np.linalg.svd(point, compute_uv=False)
         if tol == "auto":
-            cut = DEFAULT_RANK_RTOL * (sigma[0] if sigma.size else 0.0)
+            rank = numeric_rank(sigma)
         else:
-            cut = float(tol)
-        rank = int(np.sum(sigma > cut))
-        for i, spec in enumerate(collection.specs):
-            if spec.index == rank:
-                bits[i] = 0
+            rank = int(np.sum(sigma > float(tol)))
+        bits = np.ones(len(collection), dtype=np.uint8)
+        bits[rank] = 0
         return SparsityPattern(bits)
 
+    values = point if collection.kind == COORDINATE_ZERO else np.diff(point)
+    if tol is None:
+        return SparsityPattern(~(values == 0.0))
     if tol == "auto":
         tol = DEFAULT_COORD_TOL
-    for i, spec in enumerate(collection.specs):
-        if spec.kind == COORDINATE_ZERO:
-            value = point[spec.index]
-        else:
-            value = point[spec.index] - point[spec.index - 1]
-        if (value == 0.0) if tol is None else (abs(value) <= tol):
-            bits[i] = 0
-    return SparsityPattern(bits)
+    return SparsityPattern(~(np.abs(values) <= tol))
 
 
 def project(collection: ManifoldCollection, indices, point) -> np.ndarray:
     """Euclidean projection onto the intersection of the selected sets.
 
-    ``indices`` selects positions into ``collection.specs``. For vector
-    collections the intersection is an affine subspace: selected coordinates
-    are zeroed and each chain of selected adjacent equalities is replaced by
-    its mean (a chain touching a zeroed coordinate collapses to zero). For a
-    rank collection the subset must be a single level r and the projection
-    truncates the singular value decomposition to the r leading values.
+    ``indices`` selects sets of the collection by position. For a coordinate
+    collection the selected coordinates are zeroed; for an adjacent-equality
+    collection each chain of selected equalities is replaced by its mean.
+    For a rank collection the subset must be a single level r and the
+    projection truncates the singular value decomposition to the r leading
+    values.
     """
     point = collection._check_point(point)
     if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"):
@@ -280,21 +235,24 @@ def project(collection: ManifoldCollection, indices, point) -> np.ndarray:
         levels = np.unique(indices)
         if levels.size != 1:
             raise ValueError("rank projection needs exactly one rank level")
-        r = collection.specs[levels[0]].index
+        r = int(levels[0])
         if r == 0:
             return np.zeros_like(point)
         u, s, vt = np.linalg.svd(point, full_matrices=False)
         s[r:] = 0.0
         return (u * s) @ vt
 
-    spec_index, spec_adjacent = collection._spec_arrays
-    adjacent = spec_adjacent[indices]
-    positions = spec_index[indices]
+    if collection.kind == COORDINATE_ZERO:
+        # + 0.0 copies and maps -0.0 to +0.0, as the mean of one element does
+        out = point + 0.0
+        out[indices] = 0.0
+        return out
+
     n = point.size
     # coordinate j joins the group of j-1 when x_j = x_{j-1} is selected, so
     # groups are runs of consecutive coordinates starting where no link is
     link = np.zeros(n, dtype=bool)
-    link[positions[adjacent]] = True
+    link[indices + 1] = True
     starts = np.flatnonzero(~link)
     group = np.cumsum(~link) - 1  # group number of each coordinate
     lengths = np.diff(np.append(starts, n))
@@ -307,7 +265,6 @@ def project(collection: ManifoldCollection, indices, point) -> np.ndarray:
         rows = np.flatnonzero(lengths == length)
         members = starts[rows, None] + np.arange(length)
         values[rows] = point[members].mean(axis=1)
-    values[group[positions[~adjacent]]] = 0.0
     return values[group]
 
 

@@ -33,10 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import (
+    ADJACENT_EQUAL,
+    COORDINATE_ZERO,
+    RANK_LEVEL,
     ManifoldCollection,
     SparsityPattern,
     adjacent_pairs,
     coordinate_zeros,
+    numeric_rank,
     rank_levels,
 )
 
@@ -53,15 +57,14 @@ __all__ = [
 ]
 
 CONVEX_KINDS = ("l1", "tv1d", "nuclear")
-NONCONVEX_KINDS = ("l0", "potts1d", "rank")
 
 _KIND_COLLECTION = {
-    "l1": "coordinate",
-    "l0": "coordinate",
-    "tv1d": "adjacent",
-    "potts1d": "adjacent",
-    "nuclear": "rank",
-    "rank": "rank",
+    "l1": COORDINATE_ZERO,
+    "l0": COORDINATE_ZERO,
+    "tv1d": ADJACENT_EQUAL,
+    "potts1d": ADJACENT_EQUAL,
+    "nuclear": RANK_LEVEL,
+    "rank": RANK_LEVEL,
 }
 
 
@@ -165,9 +168,7 @@ def _segments_to_result(segs, n):
         x[start:end] = value
         bits[start:end - 1] = 0
     # same-valued neighbours across a segment boundary are still members
-    for i in range(1, n):
-        if x[i] == x[i - 1]:
-            bits[i - 1] = 0
+    bits[x[1:] == x[:-1]] = 0
     return ProxResult(x, SparsityPattern(bits))
 
 
@@ -226,11 +227,11 @@ def _svd_fixed_signs(a):
     """SVD with a deterministic sign convention: the largest-magnitude entry
     of each left singular vector is nonnegative."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    if u.size:
+        top = np.argmax(np.abs(u), axis=0)  # first maximum, as a loop finds
+        flip = u[top, np.arange(u.shape[1])] < 0
+        u[:, flip] = -u[:, flip]
+        vt[flip] = -vt[flip]
     return u, s, vt
 
 
@@ -283,15 +284,10 @@ class Regularizer:
             raise ValueError(f"unknown regularizer kind {kind!r}")
         if not lam > 0:
             raise ValueError("lam must be positive")
-        family = _KIND_COLLECTION[kind]
-        kinds = {s.kind for s in collection.specs}
-        expected = {
-            "coordinate": {"coordinate_zero"},
-            "adjacent": {"adjacent_equal"},
-            "rank": {"rank_level"},
-        }[family]
-        if kinds != expected:
-            raise ValueError(f"collection kinds {kinds} do not match {kind!r}")
+        if collection.kind != _KIND_COLLECTION[kind]:
+            raise ValueError(
+                f"collection kind {collection.kind!r} does not match {kind!r}"
+            )
         self.kind = kind
         self.lam = float(lam)
         self.collection = collection
@@ -320,10 +316,6 @@ class Regularizer:
     def rank(cls, rows, cols, lam=1.0):
         return cls("rank", lam, rank_levels(rows, cols))
 
-    @property
-    def is_convex(self) -> bool:
-        return self.kind in CONVEX_KINDS
-
     def value(self, x) -> float:
         """g(x) = lam * r(x). Counting kinds (l0, potts1d) use exact zero
         tests; the rank value uses a relative singular-value cutoff."""
@@ -339,8 +331,7 @@ class Regularizer:
         s = np.linalg.svd(x, compute_uv=False)
         if self.kind == "nuclear":
             return self.lam * float(s.sum())
-        cut = 1e-10 * (s[0] if s.size else 0.0)
-        return self.lam * float(np.sum(s > cut))
+        return self.lam * float(numeric_rank(s))
 
     def prox(self, u, gamma) -> ProxResult:
         return _PROX[self.kind](u, gamma, self.lam)
@@ -397,8 +388,7 @@ def prox_optimality_residual(reg: Regularizer, u, gamma, x) -> float:
 
     # nuclear
     w, s, vt = np.linalg.svd(x, full_matrices=False)
-    cut = 1e-12 * (s[0] if s.size else 0.0)
-    r = int(np.sum(s > cut))
+    r = numeric_rank(s, 1e-12)
     wr, vtr = w[:, :r], vt[:r, :]
     inner = grad - (grad - wr @ (wr.T @ grad)) @ (
         np.eye(x.shape[1]) - vtr.T @ vtr

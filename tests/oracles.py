@@ -7,6 +7,8 @@ form; the Potts oracle enumerates all 2^(n-1) breakpoint masks.
 
 import numpy as np
 
+from proxident.manifolds import SparsityPattern
+
 
 def tv1d_bruteforce(u, step):
     """Exact TV prox for small n by first-order-condition enumeration.
@@ -71,6 +73,46 @@ def potts1d_bruteforce(u, step):
     return best_x
 
 
+def _set_index(collection, i):
+    """Set i's index: the coordinate of x_i = 0, the right end i + 1 of
+    x_{i+1} = x_i, or the level of rank = i."""
+    return i + 1 if collection.kind == "adjacent_equal" else i
+
+
+def pattern_of_reference(point, collection, tol=None):
+    """Per-set loop implementation of ``manifolds.pattern_of``."""
+    point = collection._check_point(point)
+    bits = np.ones(len(collection), dtype=np.uint8)
+    if collection.is_matrix:
+        if tol is None:
+            raise ValueError(
+                "exact rank membership is undecidable in floating point; "
+                "pass tol='auto' or an absolute threshold"
+            )
+        sigma = np.linalg.svd(point, compute_uv=False)
+        if tol == "auto":
+            cut = 1e-10 * (sigma[0] if sigma.size else 0.0)
+        else:
+            cut = float(tol)
+        rank = int(np.sum(sigma > cut))
+        for i in range(len(collection)):
+            if _set_index(collection, i) == rank:
+                bits[i] = 0
+        return SparsityPattern(bits)
+
+    if tol == "auto":
+        tol = 1e-12
+    for i in range(len(collection)):
+        index = _set_index(collection, i)
+        if collection.kind == "coordinate_zero":
+            value = point[index]
+        else:
+            value = point[index] - point[index - 1]
+        if (value == 0.0) if tol is None else (abs(value) <= tol):
+            bits[i] = 0
+    return SparsityPattern(bits)
+
+
 def project_reference(collection, indices, point):
     """Loop implementation of ``manifolds.project``, kept to pin its bytes.
 
@@ -86,7 +128,7 @@ def project_reference(collection, indices, point):
     if collection.is_matrix:
         if len(indices) != 1:
             raise ValueError("rank projection needs exactly one rank level")
-        r = collection.specs[indices[0]].index
+        r = _set_index(collection, indices[0])
         if r == 0:
             return np.zeros_like(point)
         u, s, vt = np.linalg.svd(point, full_matrices=False)
@@ -96,22 +138,34 @@ def project_reference(collection, indices, point):
     n = point.size
     group = np.arange(n)
     for i in indices:
-        spec = collection.specs[i]
-        if spec.kind == "adjacent_equal":
-            group[spec.index] = group[spec.index - 1]
+        index = _set_index(collection, i)
+        if collection.kind == "adjacent_equal":
+            group[index] = group[index - 1]
     # group ids are "leftmost member" and nondecreasing, so one pass suffices
     for j in range(1, n):
         group[j] = group[group[j]]
     zeroed = set()
     for i in indices:
-        spec = collection.specs[i]
-        if spec.kind == "coordinate_zero":
-            zeroed.add(group[spec.index])
+        index = _set_index(collection, i)
+        if collection.kind == "coordinate_zero":
+            zeroed.add(group[index])
     out = np.empty(n)
     for g in np.unique(group):
         members = group == g
         out[members] = 0.0 if g in zeroed else point[members].mean()
     return out
+
+
+def svd_fixed_signs_reference(a):
+    """Per-column loop version of ``prox._svd_fixed_signs``: the
+    largest-magnitude entry of each left singular vector is nonnegative."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    for j in range(u.shape[1]):
+        i = int(np.argmax(np.abs(u[:, j])))
+        if u[i, j] < 0:
+            u[:, j] = -u[:, j]
+            vt[j, :] = -vt[j, :]
+    return u, s, vt
 
 
 def _power_lam_max_reference(gram_matvec, dim, tol=1e-10, max_iter=10_000):

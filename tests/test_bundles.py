@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import write_matrix_reference
+from proxident import cli
 from proxident.bundles import (
     BundleError,
     read_bundle,
@@ -179,3 +180,58 @@ def test_missing_lambda_rejected(tmp_path):
                             if not line.startswith("lambda=")))
     with pytest.raises(BundleError, match="meta: missing lambda"):
         read_bundle(tmp_path / "b")
+
+
+def _qc_bundle(tmp_path):
+    write_bundle(tmp_path / "b", gen_qc_lasso(n=6, s=2, delta=0.5, seed=1))
+    return tmp_path / "b"
+
+
+def _lowrank_bundle(tmp_path):
+    write_bundle(tmp_path / "b", gen_lowrank_matrix_problem(size=4, rank=2))
+    return tmp_path / "b"
+
+
+def _lasso_bundle_with_truth(tmp_path):
+    # gen_lasso plants no ground truth: attach an xstar file by hand
+    write_bundle(tmp_path / "b", gen_lasso(20, 8, seed=3))
+    write_vector(tmp_path / "b" / "xstar.txt", np.ones(8))
+    with open(tmp_path / "b" / "meta", "a") as fh:
+        fh.write("xstar-file=xstar.txt\n")
+    read_bundle(tmp_path / "b")
+    return tmp_path / "b"
+
+
+def _reshape_file(path, edit):
+    write_matrix(path, edit(read_matrix(path)))
+
+
+@pytest.mark.parametrize("make,name,edit,expected,found", [
+    (_qc_bundle, "b.txt", lambda m: m[:-1], "12x1", "11x1"),
+    (_qc_bundle, "b.txt", lambda m: np.hstack([m, m]), "12x1", "12x2"),
+    (_qc_bundle, "xstar.txt", lambda m: m[:-2], "6x1", "4x1"),
+    (_qc_bundle, "xstar.txt", lambda m: np.vstack([m, m]), "6x1", "12x1"),
+    (_qc_bundle, "ustar.txt", lambda m: np.hstack([m, m]), "6x1", "6x2"),
+    (_qc_bundle, "ustar.txt", lambda m: m.T, "6x1", "1x6"),
+    (_lasso_bundle_with_truth, "b.txt", lambda m: m[:-3], "20x1", "17x1"),
+    (_lasso_bundle_with_truth, "xstar.txt", lambda m: m[:-1], "8x1", "7x1"),
+    (_lowrank_bundle, "xstar.txt", lambda m: m[:, :-1], "4x4", "4x3"),
+    (_lowrank_bundle, "ustar.txt", lambda m: m[:-1], "4x4", "3x4"),
+])
+def test_shape_mismatch_rejected(tmp_path, make, name, edit, expected, found):
+    bundle = make(tmp_path)
+    _reshape_file(bundle / name, edit)
+    with pytest.raises(BundleError,
+                       match=rf"{name}: expected {expected}, found {found}"):
+        read_bundle(bundle)
+
+
+def test_truncated_ground_truth_fails_the_cli(tmp_path, capsys):
+    bundle = _qc_bundle(tmp_path)
+    _reshape_file(bundle / "xstar.txt", lambda m: m[:-2])
+    code = cli.main(["solve", "pg", str(bundle), "--out",
+                     str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("proxident: bundle error: ")
+    assert "xstar.txt: expected 6x1, found 4x1" in err

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import project_reference
+from oracles import pattern_of_reference, project_reference
 from proxident.manifolds import (
     ManifoldCollection,
-    ManifoldSpec,
     SparsityPattern,
     StructuredPoint,
     adjacent_pairs,
@@ -16,6 +15,7 @@ from proxident.manifolds import (
     project,
     rank_levels,
 )
+from proxident.prox import Regularizer
 
 
 class TestPatternOf:
@@ -48,6 +48,63 @@ class TestPatternOf:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pattern_of([1.0, 2.0, 3.0], coordinate_zeros(2))
+
+
+_edge_values = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 1e-310, 1e-13,
+                     -1e-12, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_tols = st.one_of(st.none(), st.just("auto"),
+                  st.sampled_from([0.0, 1e-12, 1e-310, 0.5]),
+                  st.floats(0.0, 10.0))
+
+
+def _same_outcome(got, want):
+    """Both calls return equal patterns, or raise the same error."""
+    try:
+        expected = want()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            got()
+        assert str(raised.value) == str(exc)
+    else:
+        actual = got()
+        assert actual == expected
+        assert actual.packed_hex() == expected.packed_hex()
+
+
+class TestPatternOfMatchesLoop:
+    """The array pattern_of equals the per-set loop in tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_vector_collections(self, data):
+        n = data.draw(st.integers(2, 20))
+        coll = data.draw(st.sampled_from([coordinate_zeros, adjacent_pairs]))(n)
+        x = np.array(data.draw(st.lists(_edge_values, min_size=n, max_size=n)))
+        tol = data.draw(_tols)
+        _same_outcome(lambda: pattern_of(x, coll, tol),
+                      lambda: pattern_of_reference(x, coll, tol))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rank_collections(self, data):
+        rows, cols, rank = (data.draw(st.integers(1, 5)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+        x *= data.draw(st.sampled_from([1.0, 1e-310, 0.0, -0.0]))
+        coll = rank_levels(rows, cols)
+        tol = data.draw(_tols)
+        _same_outcome(lambda: pattern_of(x, coll, tol),
+                      lambda: pattern_of_reference(x, coll, tol))
+
+    def test_nan_and_signed_zero_bits(self):
+        x = [np.nan, -0.0, 0.0, 5e-324]
+        assert pattern_of(x, coordinate_zeros(4)) == SparsityPattern([1, 0, 0, 1])
+        assert pattern_of(x, coordinate_zeros(4), "auto") == (
+            SparsityPattern([1, 0, 0, 0]))
+        assert pattern_of(x, adjacent_pairs(4), 1.0) == SparsityPattern([1, 0, 0])
 
 
 class TestProject:
@@ -89,41 +146,18 @@ class TestProject:
 
     def test_idempotent_and_membership(self):
         rng = np.random.default_rng(1)
-        coll = ManifoldCollection(
-            [ManifoldSpec("coordinate_zero", 0),
-             ManifoldSpec("adjacent_equal", 2),
-             ManifoldSpec("adjacent_equal", 3),
-             ManifoldSpec("coordinate_zero", 4)],
-            5,
-        )
-        for _ in range(20):
-            x = rng.standard_normal(5)
-            idx = [i for i in range(4) if rng.random() < 0.6]
-            p1 = project(coll, idx, x)
-            p2 = project(coll, idx, p1)
-            assert np.allclose(p1, p2, atol=1e-12)
-            pat = pattern_of(p2, coll, tol=1e-10)
-            assert all(pat.bits[i] == 0 for i in idx)
-
-    def test_chain_touching_zero_collapses(self):
-        coll = ManifoldCollection(
-            [ManifoldSpec("coordinate_zero", 1),
-             ManifoldSpec("adjacent_equal", 1)],
-            3,
-        )
-        got = project(coll, [0, 1], np.array([5.0, 6.0, 7.0]))
-        assert np.array_equal(got, [0.0, 0.0, 7.0])
+        for coll in (coordinate_zeros(5), adjacent_pairs(5)):
+            for _ in range(20):
+                x = rng.standard_normal(5)
+                idx = [i for i in range(len(coll)) if rng.random() < 0.6]
+                p1 = project(coll, idx, x)
+                p2 = project(coll, idx, p1)
+                assert np.allclose(p1, p2, atol=1e-12)
+                pat = pattern_of(p2, coll, tol=1e-10)
+                assert all(pat.bits[i] == 0 for i in idx)
 
 
-def _vector_collection(n, layout, rng):
-    """coordinate / adjacent / mixed specs over R^n in a shuffled order."""
-    specs = []
-    if layout in ("coordinate", "mixed"):
-        specs += [ManifoldSpec("coordinate_zero", i) for i in range(n)]
-    if layout in ("adjacent", "mixed"):
-        specs += [ManifoldSpec("adjacent_equal", i) for i in range(1, n)]
-    order = rng.permutation(len(specs))
-    return ManifoldCollection([specs[i] for i in order], n)
+_VECTOR_KINDS = {"coordinate": coordinate_zeros, "adjacent": adjacent_pairs}
 
 
 def _assert_same_bytes(coll, indices, x):
@@ -148,12 +182,7 @@ class TestProjectMatchesLoop:
     @given(st.data())
     def test_small_collections(self, data):
         n = data.draw(st.integers(2, 24))
-        layout = data.draw(
-            st.sampled_from(["coordinate", "adjacent", "mixed"])
-        )
-        coll = _vector_collection(
-            n, layout, np.random.default_rng(data.draw(st.integers(0, 99)))
-        )
+        coll = _VECTOR_KINDS[data.draw(st.sampled_from(sorted(_VECTOR_KINDS)))](n)
         indices = data.draw(st.lists(st.integers(0, len(coll) - 1),
                                      max_size=2 * len(coll)))
         x = np.array(data.draw(st.lists(_values, min_size=n, max_size=n)))
@@ -161,16 +190,13 @@ class TestProjectMatchesLoop:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(9, 400),
-           st.floats(0.5, 1.0), st.floats(0.0, 0.05))
-    def test_long_chains(self, seed, n, p_link, p_zero):
+           st.sampled_from(sorted(_VECTOR_KINDS)), st.floats(0.5, 1.0))
+    def test_long_chains(self, seed, n, kind, p_keep):
         # long runs of selected equalities: groups past numpy's 8-wide
         # unrolled and 128-element blocked pairwise summation
         rng = np.random.default_rng(seed)
-        coll = _vector_collection(n, "mixed", rng)
-        keep = np.array([
-            rng.random() < (p_link if s.kind == "adjacent_equal" else p_zero)
-            for s in coll.specs
-        ])
+        coll = _VECTOR_KINDS[kind](n)
+        keep = rng.random(len(coll)) < p_keep
         indices = rng.permutation(np.flatnonzero(keep))
         indices = np.concatenate([indices, indices[: indices.size // 3]])
         x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, size=n)
@@ -188,7 +214,7 @@ class TestProjectMatchesLoop:
     @given(st.data())
     def test_same_range_errors(self, data):
         n = data.draw(st.integers(2, 12))
-        coll = _vector_collection(n, "mixed", np.random.default_rng(n))
+        coll = _VECTOR_KINDS[data.draw(st.sampled_from(sorted(_VECTOR_KINDS)))](n)
         indices = data.draw(st.lists(st.integers(-5, len(coll) + 5),
                                      min_size=1, max_size=8))
         x = np.ones(n)
@@ -242,27 +268,52 @@ class TestPatternOrder:
 
 
 class TestCollections:
-    def test_no_duplicates(self):
-        with pytest.raises(ValueError):
-            ManifoldCollection(
-                [ManifoldSpec("coordinate_zero", 0)] * 2, 3
-            )
+    @pytest.mark.parametrize("kind,ambient,message", [
+        ("coordinate", 3, "unknown manifold kind: 'coordinate'"),
+        ("coordinate_zero", 0, "ambient dimension must be positive"),
+        ("coordinate_zero", -2, "ambient dimension must be positive"),
+        ("adjacent_equal", 1, r"adjacent-equal collection needs n >= 2"),
+        ("adjacent_equal", 0, r"adjacent-equal collection needs n >= 2"),
+        ("rank_level", 3, r"rank collection needs a \(rows, cols\) ambient"),
+        ("rank_level", (3,), r"rank collection needs a \(rows, cols\) ambient"),
+        ("rank_level", (3, 3, 3), r"rank collection needs a \(rows, cols\)"),
+        ("rank_level", [3, 3], r"rank collection needs a \(rows, cols\)"),
+        ("rank_level", (-1, 3), r"rank collection needs a \(rows, cols\)"),
+    ])
+    def test_constructor_validation(self, kind, ambient, message):
+        with pytest.raises(ValueError, match=message):
+            ManifoldCollection(kind, ambient)
+
+    def test_descriptor(self):
+        for coll, kind, ambient, size in (
+            (coordinate_zeros(4), "coordinate_zero", 4, 4),
+            (adjacent_pairs(4), "adjacent_equal", 4, 3),
+            (rank_levels(3, 5), "rank_level", (3, 5), 4),
+        ):
+            assert (coll.kind, coll.ambient, len(coll)) == (kind, ambient, size)
+            assert coll.is_matrix == (kind == "rank_level")
+        assert pattern_of([1.0, 1.0, 2.0, 2.0], adjacent_pairs(4)) == (
+            SparsityPattern([0, 1, 0])
+        )
 
     def test_no_kind_mixing_with_rank(self):
-        with pytest.raises(ValueError):
-            ManifoldCollection(
-                [ManifoldSpec("rank_level", 1),
-                 ManifoldSpec("coordinate_zero", 0)],
-                (3, 3),
-            )
+        # a collection holds one family; a regularizer takes only its own
+        with pytest.raises(ValueError, match="does not match 'nuclear'"):
+            Regularizer("nuclear", 1.0, coordinate_zeros(3))
+        with pytest.raises(ValueError, match="does not match 'l1'"):
+            Regularizer("l1", 1.0, rank_levels(3, 3))
 
     def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            ManifoldCollection([ManifoldSpec("coordinate_zero", 5)], 3)
-        with pytest.raises(ValueError):
-            ManifoldCollection([ManifoldSpec("adjacent_equal", 0)], 3)
-        with pytest.raises(ValueError):
-            ManifoldCollection([ManifoldSpec("rank_level", 4)], (3, 3))
+        # set indices run over 0..len-1 of each family
+        for coll, x in ((coordinate_zeros(3), np.ones(3)),
+                        (adjacent_pairs(3), np.ones(3)),
+                        (rank_levels(3, 3), np.eye(3))):
+            with pytest.raises(ValueError,
+                               match=f"spec index {len(coll)} out of range"):
+                project(coll, [len(coll)], x)
+            with pytest.raises(ValueError, match="spec index -1 out of range"):
+                project(coll, [-1], x)
+            project(coll, [len(coll) - 1], x)
 
     def test_structure_count(self):
         coll = coordinate_zeros(4)

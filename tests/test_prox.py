@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import potts1d_bruteforce, tv1d_bruteforce
+from oracles import potts1d_bruteforce, svd_fixed_signs_reference, tv1d_bruteforce
 from proxident.manifolds import pattern_of
 from proxident.prox import (
     Regularizer,
+    _svd_fixed_signs,
     prox_l0,
     prox_l1,
     prox_nuclear,
@@ -158,6 +159,32 @@ class TestNuclearAndRank:
         a = prox_nuclear(u, 0.5)
         b = prox_nuclear(u.copy(), 0.5)
         assert np.array_equal(a.point, b.point)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (5, 6), (20, 20), (50, 50),
+                                       (1, 4), (4, 1), (0, 3), (3, 0)])
+    def test_svd_signs_match_loop(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        for got, want in zip(_svd_fixed_signs(a), svd_fixed_signs_reference(a)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_svd_signs_tied_magnitudes_match_loop(self, monkeypatch):
+        # the first entry of largest magnitude decides, as in the loop:
+        # ties led by a negative entry, by a positive one, zeros, -0.0
+        u = np.array([[-0.5, 0.5, 0.0, -0.0, 0.25],
+                      [0.5, -0.5, 0.0, 0.0, -1.0],
+                      [0.5, 0.5, 0.0, -0.0, 1.0],
+                      [-0.5, -0.5, 0.0, 0.0, 0.0]])
+        s = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        vt = np.arange(25.0).reshape(5, 5) - 12.0
+        monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: (
+            u.copy(), s.copy(), vt.copy()))
+        got = _svd_fixed_signs(np.zeros((4, 5)))
+        want = svd_fixed_signs_reference(np.zeros((4, 5)))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert np.array_equal(got[0][:, 0], -u[:, 0])
+        assert np.array_equal(got[0][:, 1], u[:, 1])
+        assert np.array_equal(got[0][:, 4], -u[:, 4])
 
     def test_rank_stability_weyl(self):
         # singular values move by at most the spectral norm of the edit

@@ -25,3 +25,14 @@ def test_qc_case_lines_are_well_formed_and_repeatable():
                for line in lines)
     assert [line.split(",")[1] for line in lines] == list(SOLVERS)
     assert len({line.split(",")[2] for line in lines}) == len(SOLVERS)
+
+
+def test_collection_lines_are_well_formed_and_repeatable():
+    tool = load_tool()
+    lines = tool.collection_lines()
+    assert lines == tool.collection_lines()
+    assert len(lines) == len(tool.COLLECTIONS)
+    assert all(re.fullmatch(
+        r"collections,(coordinate_zeros|adjacent_pairs|rank_levels)"
+        r"-[0-9x]+,[0-9a-f]{64}", line) for line in lines)
+    assert len({line.split(",")[2] for line in lines}) == len(lines)

@@ -16,7 +16,12 @@ vectors where kept. Cases:
 * ``lowrank``, ``rank``, ``tv1d``, ``potts1d``, ``l0``: the other prox kinds;
 * ``replicate-fig<N>``: one line per emitted file, keyed by file name;
 * ``cli-lasso``: ``proxident gen lasso`` then ``solve`` (exit code,
-  trace.csv and report.txt).
+  trace.csv and report.txt);
+* ``collections``: one line per structure collection built by
+  ``coordinate_zeros``, ``adjacent_pairs`` or ``rank_levels``, hashing
+  ``pattern_of`` (tol None, "auto" and a float) and ``project`` (seeded
+  selections with duplicates) on seeded points with signed zeros, tiny,
+  subnormal and NaN entries.
 
 A solver that rejects a problem fingerprints its error message. The BLAS
 thread count changes trace bytes, so it is pinned to 1 unless
@@ -40,6 +45,13 @@ import numpy as np  # noqa: E402
 from proxident import cli  # noqa: E402
 from proxident.asynchronous import DelayModel  # noqa: E402
 from proxident.exploit import SubspaceSamplerConfig  # noqa: E402
+from proxident.manifolds import (  # noqa: E402
+    adjacent_pairs,
+    coordinate_zeros,
+    pattern_of,
+    project,
+    rank_levels,
+)
 from proxident.problems import (  # noqa: E402
     CompositeProblem,
     SmoothOracle,
@@ -187,10 +199,76 @@ def cli_lines():
     return lines
 
 
+COLLECTIONS = (
+    (coordinate_zeros, (1,)), (coordinate_zeros, (7,)),
+    (coordinate_zeros, (300,)), (adjacent_pairs, (2,)),
+    (adjacent_pairs, (9,)), (adjacent_pairs, (300,)),
+    (rank_levels, (1, 1)), (rank_levels, (4, 3)), (rank_levels, (6, 6)),
+    (rank_levels, (2, 7)),
+)
+
+
+def _outcome(call, *args):
+    """A pattern's or an array's bytes, or the error message raised."""
+    try:
+        out = call(*args)
+    except ValueError as exc:
+        return f"error {exc}"
+    return out.packed_hex() if hasattr(out, "packed_hex") else _array_bytes(out)
+
+
+def _vector_points(rng, n):
+    """Half-integers (zeros, equal neighbours) with signed zeros, then the
+    same with tiny, subnormal and NaN entries mixed in."""
+    x = np.round(2.0 * rng.standard_normal(n)) / 2.0
+    x[rng.random(n) < 0.2] = -0.0
+    y = x.copy()
+    y[rng.random(n) < 0.3] = rng.choice([1e-13, -1e-13, 5e-324, -5e-324, 1e-310])
+    y[rng.random(n) < 0.1] = np.nan
+    return [x, y, -x]
+
+
+def _matrix_points(rng, rows, cols):
+    """Exact products of every rank, a subnormal one, a signed zero, and a
+    diagonal with a singular value just above the 1e-10 relative cut."""
+    points = [rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+              for r in range(min(rows, cols) + 1)]
+    diagonal = np.zeros((rows, cols))
+    np.fill_diagonal(diagonal, 1.5e-10 ** np.arange(min(rows, cols)))
+    return points + [points[-1] * 1e-310, -np.zeros((rows, cols)), diagonal]
+
+
+def collection_lines():
+    """One line per collection: its patterns and projections."""
+    lines = []
+    for number, (build, dims) in enumerate(COLLECTIONS):
+        rng = np.random.default_rng(number)
+        coll = build(*dims)
+        size = len(coll)
+        if len(dims) == 2:
+            points = _matrix_points(rng, *dims)
+            selections = [[r] for r in range(size)]
+            selections += [[size - 1] * 3, [], [0, size - 1], [size]]
+        else:
+            points = _vector_points(rng, dims[0])
+            selections = [rng.integers(0, size, size=rng.integers(0, 2 * size))
+                          for _ in range(4)]
+            selections += [list(selections[0]), [size], [-1]]
+        parts = [size]
+        for x in points:
+            parts += [_outcome(pattern_of, x, coll, tol)
+                      for tol in (None, "auto", 1e-8)]
+            parts += [_outcome(project, coll, sel, x) for sel in selections]
+        name = "x".join(map(str, dims))
+        lines.append(f"collections,{build.__name__}-{name},{_sha(parts)}")
+    return lines
+
+
 def main():
     for seed in range(QC_INSTANCES):
         print("\n".join(qc_case(seed)))
-    print("\n".join(other_cases() + replicate_lines() + cli_lines()))
+    print("\n".join(other_cases() + replicate_lines() + cli_lines()
+                    + collection_lines()))
 
 
 if __name__ == "__main__":
