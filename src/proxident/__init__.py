@@ -13,7 +13,6 @@ from .identification import (
     analyze_trace,
     enlarged_bound_l1,
     enlarged_bound_sampled,
-    identification_time_estimate,
     qc_check,
     safe_screen_l1,
 )

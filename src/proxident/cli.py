@@ -7,6 +7,7 @@ file, then the PROXIDENT_SEED environment variable, then 0.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -15,9 +16,9 @@ import numpy as np
 from .asynchronous import DelayModel
 from .bundles import (
     BundleError,
+    _read_shaped,
     read_bundle,
     read_key_values,
-    read_vector,
     write_bundle,
 )
 from .exploit import SubspaceSamplerConfig
@@ -231,11 +232,13 @@ def cmd_replicate(args):
 
 
 def cmd_screen(args):
+    if args.gamma is not None and not 0 < args.gamma < math.inf:
+        raise ValueError(f"--gamma must be finite and > 0, got {args.gamma!r}")
     problem = read_bundle(args.bundle)
     if problem.reg.kind != "l1":
         raise ValueError("screening is defined for l1 bundles")
-    center = read_vector(args.center_file)
-    gamma = args.gamma if args.gamma else 1.0 / problem.smooth.lipschitz
+    center = _read_shaped(args.center_file, problem.zero_point().shape)
+    gamma = 1.0 / problem.smooth.lipschitz if args.gamma is None else args.gamma
     screened = safe_screen_l1(center, args.radius, gamma * problem.reg.lam)
     for idx in sorted(screened):
         print(idx)

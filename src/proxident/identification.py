@@ -9,7 +9,6 @@ identification exact, and screen coordinates that are provably zero at the
 optimum given a certified region.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "enlarged_bound_sampled",
     "qc_check",
     "safe_screen_l1",
-    "identification_time_estimate",
     "report_text",
 ]
 
@@ -160,30 +158,10 @@ def safe_screen_l1(center, radius, step) -> set:
     zero by the prox for all candidate u, hence zero at the optimum.
     Region construction (e.g. from duality gaps) is the caller's business.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not radius >= 0:  # NaN fails this too
+        raise ValueError(f"radius must be nonnegative, got {radius!r}")
     center = np.asarray(center, dtype=float)
     return set(np.flatnonzero(np.abs(center) + radius <= step).tolist())
-
-
-def identification_time_estimate(c, eps, kind="inverse", rho=None) -> int:
-    """Heuristic iteration count after which the pattern should be optimal.
-
-    kind="inverse": smallest k with c/k <= eps (rate O(1/k)).
-    kind="linear":  smallest k with c * rho**k <= eps (linear rate rho).
-    Floored at 1.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if c <= 0:
-        raise ValueError("rate constant must be positive")
-    if kind == "inverse":
-        return max(1, math.ceil(c / eps))
-    if kind == "linear":
-        if rho is None or not 0 < rho < 1:
-            raise ValueError("linear kind needs rho in (0, 1)")
-        return max(1, math.ceil(math.log(eps / c) / math.log(rho)))
-    raise ValueError(f"unknown rate kind {kind!r}")
 
 
 def report_text(report: IdentificationReport) -> str:

@@ -7,7 +7,7 @@ Generators can attach a certified optimal pair (xstar, ustar) so that
 identification claims can be checked against ground truth.
 """
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,33 +25,7 @@ __all__ = [
     "gen_lasso",
     "gen_qc_lasso",
     "gen_lowrank_matrix_problem",
-    "power_lam_max",
 ]
-
-_POWER_SEED = 0x5EED  # fixed so spectral estimates are reproducible
-
-
-def power_lam_max(gram_matvec, dim, tol=1e-10, max_iter=10_000):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
-
-    Stops when the Rayleigh quotient changes by at most tol (relative),
-    capped at max_iter applications of the operator.
-    """
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(dim)
-    v /= math.sqrt(v.dot(v))  # np.linalg.norm's bytes, without its dispatch
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram_matvec(v)
-        lam_new = float(v @ w)
-        norm_w = math.sqrt(w.dot(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
 
 
 class SmoothOracle:
@@ -60,8 +34,9 @@ class SmoothOracle:
     components, when present, is a list of oracles f^j with
     f = (1/m) * sum_j f^j (checked by the test suite on random points).
     On this class lipschitz, strong_convexity and components are plain
-    attributes fixed at construction; LeastSquaresOracle computes the last
-    two on their first read instead.
+    attributes given at construction. LeastSquaresOracle computes all three
+    on their first read instead: L and mu exactly, from one eigendecomposition
+    of its Gram matrix.
     """
 
     def __init__(self, value, gradient, lipschitz, strong_convexity=0.0,
@@ -94,22 +69,23 @@ def _check_component_count(n_components, m):
 class LeastSquaresOracle(SmoothOracle):
     """f(x) = 0.5 * ||A x - b||^2 with cached Gram matrix.
 
-    The gradient Lipschitz constant is the top eigenvalue of A^T A from
-    power iteration, computed at construction. The strong convexity modulus
-    comes from power iteration on the deflated operator lam_max * I - A^T A
-    (clamped to 0 when the matrix is numerically rank deficient); it is
-    computed on the first read of strong_convexity and cached, since only
-    the solvers that need mu pay for it.
+    Both constants come from one np.linalg.eigvalsh of the Gram A^T A, run
+    on the first read of lipschitz or strong_convexity and cached: L is the
+    top eigenvalue and mu the bottom one, or 0 when the bottom eigenvalue is
+    at most n * eps * L with n the column count (numpy's matrix_rank cutoff
+    for the Gram), so wide and rank-deficient designs have mu = 0.
+    Construction computes no spectrum.
 
     With components=k the oracle is also the finite sum of k row blocks
     (see split); the blocks are built on the first read of components and
-    cached. components=None (the default) means no finite-sum view. An
-    assignment to strong_convexity or components replaces the cached value.
+    cached. components=None (the default) means no finite-sum view.
 
     prox solves (I + gamma A^T A) x = v + gamma A^T b via a Cholesky
     factorization cached per gamma.
     """
 
+    # SmoothOracle.__init__ is not called: its attributes are this class's
+    # _value/_gradient methods and lazy properties
     def __init__(self, A, b, components=None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -121,29 +97,25 @@ class LeastSquaresOracle(SmoothOracle):
         self.b = b
         self.gram = A.T @ A
         self.Atb = A.T @ b
-        lam_max = power_lam_max(lambda v: self.gram @ v, A.shape[1])
-        super().__init__(self._ls_value, self._ls_gradient, lam_max)
-        # the base stored mu = 0 and no components through the setters;
-        # replace both by the state the lazy getters fill in
-        self._mu = None
+        self._components = None
         self._n_components = components
         self._prox_cache = {}
 
+    @functools.cached_property
+    def _spectrum(self):
+        """(L, mu) from the Gram's eigenvalues, computed on first read."""
+        eigs = np.linalg.eigvalsh(self.gram)
+        top, bottom = float(eigs[-1]), float(eigs[0])
+        cutoff = eigs.size * np.finfo(float).eps * top
+        return top, bottom if bottom > cutoff else 0.0
+
+    @property
+    def lipschitz(self) -> float:
+        return self._spectrum[0]
+
     @property
     def strong_convexity(self) -> float:
-        if self._mu is None:
-            lam_max = self.lipschitz
-            deflated = power_lam_max(lambda v: lam_max * v - self.gram @ v,
-                                     self.gram.shape[0])
-            mu = lam_max - deflated
-            # the deflated iteration stalls at ~1e-8 relative accuracy, so
-            # treat anything below that as numerical rank deficiency
-            self._mu = 0.0 if mu <= 1e-7 * max(lam_max, 1.0) else mu
-        return self._mu
-
-    @strong_convexity.setter
-    def strong_convexity(self, value):
-        self._mu = float(value)
+        return self._spectrum[1]
 
     @property
     def components(self):
@@ -151,22 +123,17 @@ class LeastSquaresOracle(SmoothOracle):
             self._components = self.split(self._n_components)
         return self._components
 
-    @components.setter
-    def components(self, value):
-        self._components = value
-        self._n_components = len(value) if value else None
-
     @property
     def component_count(self):
         """Number of finite-sum components (None without them), known
         without building the blocks."""
         return self._n_components
 
-    def _ls_value(self, x):
+    def _value(self, x):
         r = self.A @ x - self.b
         return 0.5 * float(r @ r)
 
-    def _ls_gradient(self, x):
+    def _gradient(self, x):
         return self.gram @ x - self.Atb
 
     def prox(self, v, gamma):
@@ -183,8 +150,8 @@ class LeastSquaresOracle(SmoothOracle):
 
         Each block is itself a least-squares oracle on sqrt(k)-scaled data so
         that averaging the components reproduces f exactly. The blocks are
-        built here, each computing its Lipschitz constant; their own
-        strong_convexity is computed on first read.
+        built here with their Grams; like any LeastSquaresOracle, each
+        computes its own L and mu from one eigvalsh on first read.
         """
         m = self.A.shape[0]
         _check_component_count(n_components, m)
@@ -199,8 +166,10 @@ class LeastSquaresOracle(SmoothOracle):
 def least_squares_oracle(A, b, components=None) -> LeastSquaresOracle:
     """Least-squares smooth term, optionally with row-partitioned components.
 
-    L is computed here; mu and the components (when a count is given) on
-    their first read. A component count outside 1..m raises ValueError here.
+    Nothing spectral is computed here: L and mu come from one eigvalsh of
+    the Gram on the first read of either, and the components (when a count
+    is given) are built on their first read. A component count outside 1..m
+    raises ValueError here.
     """
     return LeastSquaresOracle(A, b, components)
 

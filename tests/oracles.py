@@ -168,54 +168,6 @@ def svd_fixed_signs_reference(a):
     return u, s, vt
 
 
-def _power_lam_max_reference(gram_matvec, dim, tol=1e-10, max_iter=10_000):
-    """``problems.power_lam_max`` with ``np.linalg.norm`` for the norms."""
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram_matvec(v)
-        lam_new = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-def least_squares_constants_reference(A, b, components):
-    """Eager least-squares constants, kept to pin the lazy oracle's bytes.
-
-    Returns (L, mu, [(L_j, gram_j) for each row block]) computed as the
-    oracle once did at construction: L and the deflated mu of A^T A, then
-    the same for every sqrt(k)-scaled block of array_split rows.
-    """
-    def lam_mu(A):
-        gram = A.T @ A
-        n = A.shape[1]
-        lam_max = _power_lam_max_reference(lambda v: gram @ v, n)
-        deflated = _power_lam_max_reference(
-            lambda v: lam_max * v - gram @ v, n)
-        mu = lam_max - deflated
-        if mu <= 1e-7 * max(lam_max, 1.0):
-            mu = 0.0
-        return lam_max, mu, gram
-
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lam_max, mu, _ = lam_mu(A)
-    scale = np.sqrt(components)
-    blocks = []
-    for idx in np.array_split(np.arange(A.shape[0]), components):
-        block_lam, _, block_gram = lam_mu(scale * A[idx])
-        blocks.append((block_lam, block_gram))
-    return lam_max, mu, blocks
-
-
 def write_matrix_reference(path, arr):
     """The per-value ``bundles.write_matrix``, kept to pin its bytes."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))

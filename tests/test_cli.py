@@ -130,6 +130,27 @@ def test_screen_command(qc_bundle, tmp_path, capsys):
         assert problem.xstar[i] == 0.0
 
 
+@pytest.mark.parametrize("center_size,flags,error", [
+    (4, [], "bundle error: {center}: expected 10x1, found 4x1"),
+    (10, ["--gamma", "0"], "error: --gamma must be finite and > 0, got 0.0"),
+    (10, ["--gamma", "-1"], "error: --gamma must be finite and > 0, got -1.0"),
+    (10, ["--gamma", "inf"], "error: --gamma must be finite and > 0, got inf"),
+    (10, ["--gamma", "nan"], "error: --gamma must be finite and > 0, got nan"),
+    (10, ["--radius", "-0.1"], "error: radius must be nonnegative, got -0.1"),
+    (10, ["--radius", "nan"], "error: radius must be nonnegative, got nan"),
+], ids=["short-center", "gamma-0", "gamma-negative", "gamma-inf", "gamma-nan",
+        "radius-negative", "radius-nan"])
+def test_screen_rejects_bad_input(qc_bundle, tmp_path, capsys, center_size,
+                                  flags, error):
+    center = tmp_path / "center.txt"
+    write_vector(center, np.zeros(center_size))
+    code = main(["screen", str(qc_bundle), "--center-file", str(center),
+                 "--radius", "0.01"] + flags)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "proxident: " + error.format(center=center) in captured.err
+
+
 def test_replicate_fig1(tmp_path, capsys):
     code = main(["replicate", "fig1", "--seed", "5", "--outdir",
                  str(tmp_path)])

@@ -5,7 +5,6 @@ from proxident.identification import (
     analyze_trace,
     enlarged_bound_l1,
     enlarged_bound_sampled,
-    identification_time_estimate,
     qc_check,
     report_text,
     safe_screen_l1,
@@ -170,25 +169,6 @@ class TestScreening:
             center = p.ustar + (rho * 0.9 / np.linalg.norm(direction)) * direction
             for i in safe_screen_l1(center, rho, step):
                 assert p.xstar[i] == 0.0
-
-
-class TestTimeEstimate:
-    def test_inverse(self):
-        assert identification_time_estimate(100.0, 1.0) == 100
-        assert identification_time_estimate(1.0, 1e9) == 1
-
-    def test_linear(self):
-        assert identification_time_estimate(1.0, 0.25, kind="linear", rho=0.5) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            identification_time_estimate(1.0, 0.0)
-        with pytest.raises(ValueError):
-            identification_time_estimate(0.0, 1.0)
-        with pytest.raises(ValueError):
-            identification_time_estimate(1.0, 0.5, kind="linear", rho=1.5)
-        with pytest.raises(ValueError):
-            identification_time_estimate(1.0, 0.5, kind="sublinear")
 
 
 class TestSandwich:

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-import proxident.problems as problems
-from oracles import least_squares_constants_reference
 from proxident.bundles import read_bundle, write_bundle
 from proxident.manifolds import pattern_of
 from proxident.problems import (
@@ -14,6 +12,10 @@ from proxident.problems import (
     matrix_ls_oracle,
 )
 from proxident.prox import prox_l1
+from proxident.solvers import SolverConfig, run_apg
+
+GATE_SEEDS = range(100)  # the acceptance gate's certified instances
+GATE_SHAPE = dict(n=20, s=5, delta=0.5)
 
 
 def central_diff(fn, x, h=1e-6):
@@ -39,20 +41,25 @@ class TestLeastSquaresOracle:
         o = least_squares_oracle(np.diag([2.0, 1.0]), np.zeros(2))
         assert o.lipschitz == pytest.approx(4.0, abs=1e-8)
         assert o.strong_convexity == pytest.approx(1.0, abs=1e-8)
+        # ill-conditioned but nonsingular: mu = 1e-10 * L is kept
+        o = least_squares_oracle(np.diag([1.0, 1e-5]), np.zeros(2))
+        assert o.strong_convexity == pytest.approx(1e-10, rel=1e-12)
 
-    def test_power_iteration_matches_dense_eig(self):
+    def test_constants_match_dense_eig(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((50, 20))
         o = least_squares_oracle(A, rng.standard_normal(50))
         ev = np.linalg.eigvalsh(A.T @ A)
-        assert abs(o.lipschitz - ev[-1]) <= 1e-6 * max(1, ev[-1])
-        assert abs(o.strong_convexity - ev[0]) <= 1e-6 * max(1, ev[-1])
+        assert o.lipschitz == ev[-1] and o.strong_convexity == ev[0]
 
     def test_rank_deficient_mu_is_zero(self):
         rng = np.random.default_rng(1)
-        A = rng.standard_normal((5, 10))  # wide: A^T A singular
-        o = least_squares_oracle(A, rng.standard_normal(5))
-        assert o.strong_convexity == 0.0
+        wide = rng.standard_normal((5, 10))
+        tall = rng.standard_normal((40, 12))
+        tall[:, 7] = tall[:, 2]  # a duplicated column
+        for A in (wide, tall):  # A^T A singular
+            o = least_squares_oracle(A, rng.standard_normal(A.shape[0]))
+            assert o.strong_convexity == 0.0 and o.lipschitz > 0.0
 
     def test_gradient_lipschitz_sampled(self):
         rng = np.random.default_rng(2)
@@ -97,15 +104,15 @@ class TestLeastSquaresOracle:
 
 
 @pytest.fixture
-def count_power_iterations(monkeypatch):
-    """Count calls of problems.power_lam_max (one per spectral estimate)."""
+def count_spectra(monkeypatch):
+    """Count np.linalg.eigvalsh calls (one per spectrum computed)."""
     calls = []
-    original = problems.power_lam_max
+    original = np.linalg.eigvalsh
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-    monkeypatch.setattr(problems, "power_lam_max", counted)
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
 
 
@@ -121,61 +128,106 @@ def count_splits(monkeypatch):
     return calls
 
 
+def data(seed=9, m=40, n=12):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, n)), rng.standard_normal(m)
+
+
 class TestLazyConstants:
-    """L is computed at construction; mu and the components on first read."""
+    """L and mu come from one eigvalsh on first read; the components are
+    built on first read."""
 
-    @staticmethod
-    def data(seed=9, m=40, n=12):
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((m, n)), rng.standard_normal(m)
-
-    def test_construction_computes_only_lipschitz(self, count_power_iterations,
-                                                  count_splits):
-        least_squares_oracle(*self.data(), components=10)
-        assert count_power_iterations == [12]
+    def test_construction_computes_no_spectrum(self, count_spectra,
+                                               count_splits):
+        o = least_squares_oracle(*data(), components=10)
+        assert count_spectra == []
         assert count_splits == []
+        o.lipschitz  # the spectrum is computed now, not before
+        assert count_spectra == [12]
+        o.components
+        assert count_spectra == [12] and count_splits == [10]
 
-    def test_bundle_read_computes_only_lipschitz(self, tmp_path,
-                                                 count_power_iterations,
-                                                 count_splits):
+    def test_bundle_read_computes_no_spectrum(self, tmp_path, count_spectra,
+                                              count_splits):
         write_bundle(tmp_path / "b", gen_lasso(40, 12, seed=1, components=10))
-        del count_power_iterations[:]
         problem = read_bundle(tmp_path / "b")
-        assert count_power_iterations == [12]
+        assert count_spectra == []
         assert count_splits == []
         assert problem.smooth.component_count == 10
+        problem.smooth.strong_convexity
+        assert count_spectra == [12]
 
-    def test_strong_convexity_computed_once(self, count_power_iterations):
-        o = least_squares_oracle(*self.data())
-        del count_power_iterations[:]
-        mu = o.strong_convexity
-        assert count_power_iterations == [12]
-        assert o.strong_convexity == mu
-        assert count_power_iterations == [12]
+    def test_strong_convexity_computed_once(self, count_spectra):
+        # either constant's first read computes both from one spectrum
+        for first, second in (("strong_convexity", "lipschitz"),
+                              ("lipschitz", "strong_convexity")):
+            o = least_squares_oracle(*data())
+            del count_spectra[:]
+            value = getattr(o, first)
+            assert count_spectra == [12]
+            assert getattr(o, first) == value
+            getattr(o, second)
+            assert count_spectra == [12]
 
     def test_components_split_once(self, count_splits):
-        o = least_squares_oracle(*self.data(), components=10)
+        o = least_squares_oracle(*data(), components=10)
         comps = o.components
         assert count_splits == [10]
         assert o.components is comps and len(comps) == 10
         assert count_splits == [10]
 
     def test_no_components_without_a_count(self, count_splits):
-        o = least_squares_oracle(*self.data())
+        o = least_squares_oracle(*data())
         assert o.components is None and o.component_count is None
         assert count_splits == []
 
+    def test_constants_are_read_only(self):
+        o = least_squares_oracle(*data(), components=2)
+        for name in ("lipschitz", "strong_convexity", "components"):
+            with pytest.raises(AttributeError):
+                setattr(o, name, None)
+
+
+def assert_exact_constants(o, A):
+    """L and mu are eigvalsh's extremes of A^T A (mu = 0 below numpy's
+    matrix_rank cutoff) and lie within 1e-12 * L of the squared singular
+    values of A."""
+    ev = np.linalg.eigvalsh(A.T @ A)
+    assert o.lipschitz == ev[-1]
+    singular = ev[0] <= A.shape[1] * np.finfo(float).eps * ev[-1]
+    assert o.strong_convexity == (0.0 if singular else ev[0])
+    sigma = np.linalg.svd(A, compute_uv=False)
+    assert abs(o.lipschitz - sigma[0] ** 2) <= 1e-12 * o.lipschitz
+    sigma_min = sigma[-1] if A.shape[0] >= A.shape[1] else 0.0
+    assert abs(o.strong_convexity - sigma_min ** 2) <= 1e-12 * o.lipschitz
+
+
+class TestExactConstants:
     @pytest.mark.parametrize("shape,k", [((40, 12), 10), ((5, 10), 2),
                                          ((7, 3), 7), ((30, 30), 1)])
-    def test_constants_equal_eager_reference(self, shape, k):
-        A, b = self.data(seed=shape[0], m=shape[0], n=shape[1])
-        lam, mu, blocks = least_squares_constants_reference(A, b, k)
+    def test_constants_and_components_are_exact(self, shape, k):
+        A, b = data(seed=shape[0], m=shape[0], n=shape[1])
         o = least_squares_oracle(A, b, components=k)
-        assert o.lipschitz == lam and o.strong_convexity == mu
-        assert len(o.components) == len(blocks)
-        for comp, (block_lam, block_gram) in zip(o.components, blocks):
-            assert comp.lipschitz == block_lam
-            assert comp.gram.tobytes() == block_gram.tobytes()
+        assert_exact_constants(o, A)
+        rows = np.array_split(np.arange(shape[0]), k)
+        assert len(o.components) == k
+        for comp, idx in zip(o.components, rows):
+            block = np.sqrt(k) * A[idx]
+            assert comp.gram.tobytes() == (block.T @ block).tobytes()
+            assert_exact_constants(comp, block)
+
+    def test_gate_instances(self):
+        for seed in GATE_SEEDS:
+            p = gen_qc_lasso(seed=seed, **GATE_SHAPE)
+            assert_exact_constants(p.smooth, p.smooth.A)
+
+    def test_default_apg_step_within_its_bound(self):
+        # apg's admissible range is gamma <= 1/L, L = sigma_max(A)^2
+        for seed in GATE_SEEDS:
+            p = gen_qc_lasso(seed=seed, **GATE_SHAPE)
+            _, trace = run_apg(p, SolverConfig(max_iter=1))
+            sigma_max = np.linalg.svd(p.smooth.A, compute_uv=False)[0]
+            assert trace.gamma * sigma_max ** 2 <= 1.0 + 1e-14
 
 
 class TestProxF:

@@ -27,6 +27,21 @@ def test_qc_case_lines_are_well_formed_and_repeatable():
     assert len({line.split(",")[2] for line in lines}) == len(SOLVERS)
 
 
+def test_outcomes_line_is_well_formed_and_repeatable():
+    tool = load_tool()
+    outcomes, again = [], []
+    lines = tool.qc_case(3, outcomes)
+    assert lines == tool.qc_case(3, again) and outcomes == again
+    assert [o.split(",")[:2] for o in outcomes] == [["qc-3", name]
+                                                    for name in SOLVERS]
+    assert all(re.fullmatch(r"qc-3,[a-z-]+,(converged|max_iter|diverged),"
+                            r"[0-9]+,[0-9a-f]+", o) for o in outcomes)
+    line = tool.outcomes_line(outcomes)
+    assert re.fullmatch(r"qc-outcomes,all,[0-9a-f]{64}", line)
+    assert line == tool.outcomes_line(again)
+    assert line != tool.outcomes_line(outcomes[:-1])
+
+
 def test_collection_lines_are_well_formed_and_repeatable():
     tool = load_tool()
     lines = tool.collection_lines()

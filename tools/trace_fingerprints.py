@@ -11,6 +11,9 @@ vectors where kept. Cases:
 
 * ``qc-<seed>``: the acceptance gate's 100 certified instances x 8 solvers,
   with the gate's configuration (and ``keep_u`` on);
+* ``qc-outcomes``: one line hashing (seed, solver, status, iterations, final
+  pattern) of those 800 runs, which stays equal when only step sizes' last
+  bits move a trace;
 * ``lasso-every3``: a 60x120 lasso at ``trace_every=3``;
 * ``diverge-*``: the seed-7008 DAve-PG run and an overshooting problem;
 * ``lowrank``, ``rank``, ``tv1d``, ``potts1d``, ``l0``: the other prox kinds;
@@ -85,31 +88,46 @@ def _array_bytes(a):
     return repr(a.shape).encode() + np.ascontiguousarray(a).tobytes()
 
 
+def _pattern_hex(point):
+    return point.pattern.packed_hex() if point.pattern is not None else "-"
+
+
 def run_digest(point, trace):
     """sha256 of everything a run returns."""
-    pattern = point.pattern.packed_hex() if point.pattern is not None else "-"
-    parts = [trace_csv_text(trace), _array_bytes(point.point), pattern,
+    parts = [trace_csv_text(trace), _array_bytes(point.point),
+             _pattern_hex(point),
              trace.status, trace.iterations, trace.converged,
              repr(trace.gamma), trace.seed]
     parts += [_array_bytes(r.u) for r in trace if r.u is not None]
     return _sha(parts)
 
 
-def solver_lines(case, problem, config, names=None, kwargs=None):
-    """One line per solver; a rejected problem hashes its error message."""
+def solver_lines(case, problem, config, names=None, kwargs=None,
+                 outcomes=None):
+    """One line per solver; a rejected problem hashes its error message.
+
+    When outcomes is a list, each run also appends
+    ``case,solver,status,iterations,pattern`` (or its error) to it."""
     lines = []
     for name in names or SOLVERS:
         try:
-            digest = run_digest(*run_solver(name, problem, config,
-                                            **(kwargs or {}).get(name, {})))
+            point, trace = run_solver(name, problem, config,
+                                      **(kwargs or {}).get(name, {}))
+            digest = run_digest(point, trace)
+            outcome = (f"{trace.status},{trace.iterations},"
+                       f"{_pattern_hex(point)}")
         except ValueError as exc:
             digest = _sha(["error", exc])
+            outcome = f"error {exc}"
         lines.append(f"{case},{name},{digest}")
+        if outcomes is not None:
+            outcomes.append(f"{case},{name},{outcome}")
     return lines
 
 
-def qc_case(seed):
-    """The acceptance gate's runs on certified instance ``seed``."""
+def qc_case(seed, outcomes=None):
+    """The acceptance gate's runs on certified instance ``seed``; their
+    outcomes go to the outcomes list when one is given."""
     problem = gen_qc_lasso(seed=seed, **QC_SHAPE)
     lines = []
     for name in SOLVERS:
@@ -119,8 +137,14 @@ def qc_case(seed):
         kwargs = {"dave-pg": {"delay_model": DelayModel.uniform(0.0, 3.0)},
                   "random-subspace": {
                       "sampler": SubspaceSamplerConfig(seed=seed)}}
-        lines += solver_lines(f"qc-{seed}", problem, config, [name], kwargs)
+        lines += solver_lines(f"qc-{seed}", problem, config, [name], kwargs,
+                              outcomes)
     return lines
+
+
+def outcomes_line(outcomes):
+    """The ``qc-outcomes`` line over the outcomes qc_case collected."""
+    return f"qc-outcomes,all,{_sha(outcomes)}"
 
 
 def _overshooting_problem(n=4):
@@ -265,8 +289,10 @@ def collection_lines():
 
 
 def main():
+    outcomes = []
     for seed in range(QC_INSTANCES):
-        print("\n".join(qc_case(seed)))
+        print("\n".join(qc_case(seed, outcomes)))
+    print(outcomes_line(outcomes))
     print("\n".join(other_cases() + replicate_lines() + cli_lines()
                     + collection_lines()))
 
