@@ -202,7 +202,11 @@ def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPatte
         bits[rank] = 0
         return SparsityPattern(bits)
 
-    values = point if collection.kind == COORDINATE_ZERO else np.diff(point)
+    if collection.kind == COORDINATE_ZERO:
+        values = point
+    else:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN: no set
+            values = np.diff(point)
     if tol is None:
         return SparsityPattern(~(values == 0.0))
     if tol == "auto":

@@ -119,11 +119,17 @@ def prox_l0(u, gamma, lam=1.0) -> ProxResult:
 
 
 def _tv1d_segments(y, step):
-    """Segments (start, end, value) of the exact TV prox, end exclusive."""
+    """Segments (start, end, value) of the exact TV prox, end exclusive.
+
+    The scan runs on Python floats: the tube bounds r_k +- step of the
+    running sums r_k are converted to lists once per call, and each quotient
+    and comparison below is the same IEEE operation as on numpy scalars.
+    """
     n = y.size
-    if n == 1:
-        return [(0, 1, float(y[0]))]
     r = np.cumsum(y)
+    r_n = r[-1].item()
+    rp = (r + step).tolist()
+    rm = (r - step).tolist()
     segs = []
     a = 0  # anchor: string position, value s_a
     s_a = 0.0
@@ -134,19 +140,19 @@ def _tv1d_segments(y, step):
         j = a + 1
         while True:
             if j == n:
-                up = lo = (r[n - 1] - s_a) / (j - a)
+                up = lo = (r_n - s_a) / (j - a)
             else:
-                up = (r[j - 1] + step - s_a) / (j - a)
-                lo = (r[j - 1] - step - s_a) / (j - a)
+                up = (rp[j - 1] - s_a) / (j - a)
+                lo = (rm[j - 1] - s_a) / (j - a)
             if lo > m_hi:
                 # no straight line fits: the string bends at the upper bound
                 segs.append((a, k_hi, m_hi))
-                s_a = r[k_hi - 1] + step
+                s_a = rp[k_hi - 1]
                 a = k_hi
                 break
             if up < m_lo:
                 segs.append((a, k_lo, m_lo))
-                s_a = r[k_lo - 1] - step
+                s_a = rm[k_lo - 1]
                 a = k_lo
                 break
             if up <= m_hi:
@@ -162,18 +168,23 @@ def _tv1d_segments(y, step):
 
 
 def _segments_to_result(segs, n):
-    x = np.empty(n)
-    bits = np.ones(n - 1, dtype=np.uint8)
-    for start, end, value in segs:
-        x[start:end] = value
-        bits[start:end - 1] = 0
+    starts, ends, values = zip(*segs)
+    x = np.repeat(np.array(values, dtype=float), np.subtract(ends, starts))
+    bits = np.zeros(n - 1, dtype=np.uint8)
+    bits[np.array(ends[:-1], dtype=np.intp) - 1] = 1
     # same-valued neighbours across a segment boundary are still members
     bits[x[1:] == x[:-1]] = 0
     return ProxResult(x, SparsityPattern(bits))
 
 
 def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
-    """Exact prox of the 1-D total variation, with exact segment flags."""
+    """Exact prox of the 1-D total variation, with exact segment flags.
+
+    Cost: the length of the taut-string scan. Each segment is scanned from
+    its anchor to the index where the tube forces a bend, and the string
+    restarts at the bend, so the cost is O(n) when segments end close to
+    where the bend is detected and O(n^2) at worst.
+    """
     u = _check_input(u, gamma)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("tv1d needs a vector of length >= 2")
@@ -185,37 +196,48 @@ def _potts_segments(y, step):
     """Optimal segmentation for step*(#jumps) + 0.5*||y - x||^2.
 
     O(n^2) dynamic program over the last breakpoint; per-segment values are
-    the segment means. Ties prefer fewer segments.
+    the segment means. Ties prefer fewer segments, then the first
+    breakpoint.
     """
     n = y.size
     c1 = np.concatenate(([0.0], np.cumsum(y)))
     c2 = np.concatenate(([0.0], np.cumsum(y * y)))
+    c1l = c1.tolist()
+    c2l = c2.tolist()
+    lengths = np.arange(n, 0, -1.0)  # lengths[n - r:] is r - l for l < r
+    jump = step * (np.arange(n) > 0)
     best = np.empty(n + 1)
     best[0] = 0.0
-    nseg = np.zeros(n + 1, dtype=np.int64)
-    back = np.zeros(n + 1, dtype=np.int64)
+    nseg = [0] * (n + 1)
+    back = [0] * (n + 1)
     for r in range(1, n + 1):
-        ls = np.arange(r)
-        length = r - ls
-        seg_cost = 0.5 * ((c2[r] - c2[ls]) - (c1[r] - c1[ls]) ** 2 / length)
-        total = best[:r] + seg_cost + step * (ls > 0)
-        tied = np.flatnonzero(total == total.min())
-        l = tied[np.argmin(nseg[tied])]
+        seg_cost = 0.5 * ((c2l[r] - c2[:r])
+                          - (c1l[r] - c1[:r]) ** 2 / lengths[n - r:])
+        total = (best[:r] + seg_cost) + jump[:r]
+        tied = (total == total.min()).nonzero()[0]
+        if tied.size == 1:
+            l = int(tied[0])
+        else:  # the first tied breakpoint with the fewest segments
+            l = min(tied.tolist(), key=nseg.__getitem__)
         best[r] = total[l]
         nseg[r] = nseg[l] + 1
         back[r] = l
     segs = []
     r = n
     while r > 0:
-        l = int(back[r])
-        segs.append((l, r, (c1[r] - c1[l]) / (r - l)))
+        l = back[r]
+        segs.append((l, r, (c1l[r] - c1l[l]) / (r - l)))
         r = l
     segs.reverse()
     return segs
 
 
 def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
-    """Exact prox of the jump-count penalty (piecewise-constant fits)."""
+    """Exact prox of the jump-count penalty (piecewise-constant fits).
+
+    Cost: O(n^2) arithmetic in n vector steps, one per right end r, each on
+    slices of length r of precomputed vectors; the extra memory is O(n).
+    """
     u = _check_input(u, gamma)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("potts1d needs a vector of length >= 2")

@@ -73,6 +73,90 @@ def potts1d_bruteforce(u, step):
     return best_x
 
 
+def tv1d_segments_reference(y, step):
+    """The numpy-scalar taut string that ``prox._tv1d_segments`` replaced,
+    kept to pin its bytes: segments (start, end, value), end exclusive."""
+    n = y.size
+    r = np.cumsum(y)
+    segs = []
+    a = 0  # anchor: string position, value s_a
+    s_a = 0.0
+    while a < n:
+        m_hi = np.inf
+        m_lo = -np.inf
+        k_hi = k_lo = a
+        j = a + 1
+        while True:
+            if j == n:
+                up = lo = (r[n - 1] - s_a) / (j - a)
+            else:
+                up = (r[j - 1] + step - s_a) / (j - a)
+                lo = (r[j - 1] - step - s_a) / (j - a)
+            if lo > m_hi:
+                segs.append((a, k_hi, m_hi))
+                s_a = r[k_hi - 1] + step
+                a = k_hi
+                break
+            if up < m_lo:
+                segs.append((a, k_lo, m_lo))
+                s_a = r[k_lo - 1] - step
+                a = k_lo
+                break
+            if up <= m_hi:
+                m_hi, k_hi = up, j
+            if lo >= m_lo:
+                m_lo, k_lo = lo, j
+            if j == n:
+                segs.append((a, n, up))
+                a = n
+                break
+            j += 1
+    return segs
+
+
+def potts_segments_reference(y, step):
+    """The fancy-indexing Potts DP that ``prox._potts_segments`` replaced,
+    kept to pin its bytes; ties prefer fewer segments, then the first
+    breakpoint."""
+    n = y.size
+    c1 = np.concatenate(([0.0], np.cumsum(y)))
+    c2 = np.concatenate(([0.0], np.cumsum(y * y)))
+    best = np.empty(n + 1)
+    best[0] = 0.0
+    nseg = np.zeros(n + 1, dtype=np.int64)
+    back = np.zeros(n + 1, dtype=np.int64)
+    for r in range(1, n + 1):
+        ls = np.arange(r)
+        length = r - ls
+        seg_cost = 0.5 * ((c2[r] - c2[ls]) - (c1[r] - c1[ls]) ** 2 / length)
+        total = best[:r] + seg_cost + step * (ls > 0)
+        tied = np.flatnonzero(total == total.min())
+        l = tied[np.argmin(nseg[tied])]
+        best[r] = total[l]
+        nseg[r] = nseg[l] + 1
+        back[r] = l
+    segs = []
+    r = n
+    while r > 0:
+        l = int(back[r])
+        segs.append((l, r, (c1[r] - c1[l]) / (r - l)))
+        r = l
+    segs.reverse()
+    return segs
+
+
+def segments_to_result_reference(segs, n):
+    """The per-segment slice loop that ``prox._segments_to_result``
+    replaced: the output point and its adjacent-equality bits."""
+    x = np.empty(n)
+    bits = np.ones(n - 1, dtype=np.uint8)
+    for start, end, value in segs:
+        x[start:end] = value
+        bits[start:end - 1] = 0
+    bits[x[1:] == x[:-1]] = 0
+    return x, SparsityPattern(bits)
+
+
 def _set_index(collection, i):
     """Set i's index: the coordinate of x_i = 0, the right end i + 1 of
     x_{i+1} = x_i, or the level of rank = i."""
@@ -107,7 +191,8 @@ def pattern_of_reference(point, collection, tol=None):
         if collection.kind == "coordinate_zero":
             value = point[index]
         else:
-            value = point[index] - point[index - 1]
+            with np.errstate(invalid="ignore"):
+                value = point[index] - point[index - 1]
         if (value == 0.0) if tol is None else (abs(value) <= tol):
             bits[i] = 0
     return SparsityPattern(bits)

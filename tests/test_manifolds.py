@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,17 @@ class TestPatternOfMatchesLoop:
         tol = data.draw(_tols)
         _same_outcome(lambda: pattern_of(x, coll, tol),
                       lambda: pattern_of_reference(x, coll, tol))
+
+    @pytest.mark.parametrize("x", [[np.inf, np.inf], [-np.inf, np.inf],
+                                   [np.nan, 1.0]])
+    def test_nan_difference_is_quiet(self, x):
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tol in (None, "auto", 1e-8):
+                got = pattern_of(x, adjacent_pairs(2), tol)
+                assert got == SparsityPattern([1])
+                assert got == pattern_of_reference(x, adjacent_pairs(2), tol)
 
     def test_nan_and_signed_zero_bits(self):
         x = [np.nan, -0.0, 0.0, 5e-324]

@@ -3,11 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import potts1d_bruteforce, svd_fixed_signs_reference, tv1d_bruteforce
+from oracles import (
+    potts1d_bruteforce,
+    potts_segments_reference,
+    segments_to_result_reference,
+    svd_fixed_signs_reference,
+    tv1d_bruteforce,
+    tv1d_segments_reference,
+)
 from proxident.manifolds import pattern_of
 from proxident.prox import (
     Regularizer,
+    _potts_segments,
     _svd_fixed_signs,
+    _tv1d_segments,
     prox_l0,
     prox_l1,
     prox_nuclear,
@@ -119,6 +128,70 @@ class TestPotts:
                 prox_potts1d(u, step).point, potts1d_bruteforce(u, step),
                 atol=1e-9,
             )
+
+
+    def test_tie_prefers_fewer_segments(self):
+        # Both fits below cost exactly 3.0 at step 1; the DP meets them as
+        # the breakpoints 3 and 4 of its last step, and the first of the two
+        # ends a three-segment prefix.
+        u = np.array([2.0, 0.0, 0.0, 2.0, 4.0])
+        fewer = np.array([1.0, 1.0, 1.0, 1.0, 4.0])
+        more = np.array([2.0, 0.0, 0.0, 3.0, 3.0])
+        reg = Regularizer.potts1d(5, 1.0)
+        for x in (fewer, more):
+            assert reg.value(x) + 0.5 * np.sum((x - u) ** 2) == 3.0
+        res = prox_potts1d(u, 1.0)
+        assert np.array_equal(res.point, fewer)
+        assert list(res.pattern.bits) == [0, 0, 0, 1]
+        assert np.array_equal(potts1d_bruteforce(u, 1.0), fewer)
+
+
+@st.composite
+def _signals(draw):
+    """Gaussian, integer-valued, or runs of repeated half-integers; the
+    last two give exact ties in both kernels."""
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["gaussian", "integers", "runs"]))
+    if kind == "integers":
+        values = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return np.array(values, dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        return rng.standard_normal(n) * draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    levels = rng.integers(-4, 5, n) / 2.0
+    return np.repeat(levels, rng.integers(1, 20, n))[:n]
+
+
+_steps = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                   st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e))
+
+
+def _hex_segments(segs):
+    return [(start, end, float(value).hex()) for start, end, value in segs]
+
+
+class TestKernelsMatchReferenceLoops:
+    """The 1-D kernels give the bytes of the loops kept in tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signals(), _steps)
+    def test_tv1d_segments(self, u, step):
+        segs = _tv1d_segments(u, step)
+        assert _hex_segments(segs) == _hex_segments(
+            tv1d_segments_reference(u, step))
+        x, pattern = segments_to_result_reference(segs, u.size)
+        res = prox_tv1d(u, step)
+        assert res.point.tobytes() == x.tobytes() and res.pattern == pattern
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signals(), _steps)
+    def test_potts_segments(self, u, step):
+        segs = _potts_segments(u, step)
+        assert _hex_segments(segs) == _hex_segments(
+            potts_segments_reference(u, step))
+        x, pattern = segments_to_result_reference(segs, u.size)
+        res = prox_potts1d(u, step)
+        assert res.point.tobytes() == x.tobytes() and res.pattern == pattern
 
 
 class TestNuclearAndRank:

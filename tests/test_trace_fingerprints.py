@@ -51,3 +51,15 @@ def test_collection_lines_are_well_formed_and_repeatable():
         r"collections,(coordinate_zeros|adjacent_pairs|rank_levels)"
         r"-[0-9x]+,[0-9a-f]{64}", line) for line in lines)
     assert len({line.split(",")[2] for line in lines}) == len(lines)
+
+
+def test_kernel_lines_are_well_formed_and_repeatable():
+    tool = load_tool()
+    lines = tool.kernel_lines()
+    assert lines == tool.kernel_lines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"kernels-1d,{kind}-{n}" for n in tool.KERNEL_SIZES
+        for kind in ("tv1d", "potts1d")]
+    assert all(re.fullmatch(r"kernels-1d,(tv1d|potts1d)-[0-9]+,[0-9a-f]{64}",
+                            line) for line in lines)
+    assert len({line.split(",")[2] for line in lines}) == len(lines)

@@ -24,7 +24,11 @@ vectors where kept. Cases:
   ``coordinate_zeros``, ``adjacent_pairs`` or ``rank_levels``, hashing
   ``pattern_of`` (tol None, "auto" and a float) and ``project`` (seeded
   selections with duplicates) on seeded points with signed zeros, tiny,
-  subnormal and NaN entries.
+  subnormal and NaN entries;
+* ``kernels-1d``: one line per 1-D prox kernel and size n in {2, 50, 200,
+  2000}, hashing ``prox_tv1d`` and ``prox_potts1d`` outputs (point bytes and
+  ``packed_hex``) on seeded Gaussian, integer-valued and piecewise-constant
+  plus noise inputs at steps from 1e-12 to 1e6.
 
 A solver that rejects a problem fingerprints its error message. The BLAS
 thread count changes trace bytes, so it is pinned to 1 unless
@@ -62,7 +66,7 @@ from proxident.problems import (  # noqa: E402
     gen_lowrank_matrix_problem,
     gen_qc_lasso,
 )
-from proxident.prox import Regularizer  # noqa: E402
+from proxident.prox import Regularizer, prox_potts1d, prox_tv1d  # noqa: E402
 from proxident.registry import SOLVERS, run_solver  # noqa: E402
 from proxident.replicate import (  # noqa: E402
     replicate_fig1,
@@ -288,13 +292,41 @@ def collection_lines():
     return lines
 
 
+KERNEL_SIZES = (2, 50, 200, 2000)
+KERNEL_STEPS = (1e-12, 0.05, 0.5, 2.0, 1e6)
+
+
+def _signals_1d(rng, n):
+    """Gaussian, integer-valued (exact ties), and piecewise-constant plus
+    noise inputs of length n."""
+    runs = np.repeat(rng.integers(-3, 4, n // 10 + 1), 10)[:n]
+    return [rng.standard_normal(n), rng.integers(-3, 4, n).astype(float),
+            runs + 0.1 * rng.standard_normal(n)]
+
+
+def kernel_lines():
+    """One line per 1-D kernel and size: its points and patterns."""
+    lines = []
+    for n in KERNEL_SIZES:
+        signals = _signals_1d(np.random.default_rng(n), n)
+        for name, prox in (("tv1d", prox_tv1d), ("potts1d", prox_potts1d)):
+            parts = []
+            for u in signals:
+                for step in KERNEL_STEPS:
+                    res = prox(u, step)
+                    parts += [_array_bytes(res.point),
+                              res.pattern.packed_hex()]
+            lines.append(f"kernels-1d,{name}-{n},{_sha(parts)}")
+    return lines
+
+
 def main():
     outcomes = []
     for seed in range(QC_INSTANCES):
         print("\n".join(qc_case(seed, outcomes)))
     print(outcomes_line(outcomes))
     print("\n".join(other_cases() + replicate_lines() + cli_lines()
-                    + collection_lines()))
+                    + collection_lines() + kernel_lines()))
 
 
 if __name__ == "__main__":
