@@ -26,9 +26,24 @@ Hard-thresholding boundaries: minimizing gamma*lam*||y||_0 + ||y-u||^2/2
 coordinate-wise keeps u_i iff |u_i| > sqrt(2*gamma*lam); ties go to the zero
 branch (more structure). The same rule applies to singular values for the
 rank regularizer.
+
+The branch that gives the pattern also gives the value g(x) = lam * r(x) of
+the output, reported as ``ProxResult.value``: lam times the sum of the
+shrunk singular values (nuclear), the kept rank (rank), the kept count (l0)
+or the jump count (potts1d). For l1 and tv1d it is ``Regularizer.value``'s
+expression on the point, computed on first read, so a prox result whose
+value nobody reads costs nothing more. The solvers' objective column is
+f(x_k) plus this value, so an SVD-based iteration makes one SVD, not two.
+
+The SVD-based kinds use the singular vectors exactly as LAPACK returns
+them, with no sign convention: flipping column j of U and row j of V^T
+together leaves (U * s) @ V^T bit for bit the same (negation is exact and
+each product keeps its sign), and nothing else reads the vectors.
+
+Every operator rejects non-finite input with a ValueError.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -68,17 +83,41 @@ _KIND_COLLECTION = {
 }
 
 
-@dataclass
 class ProxResult:
-    """Prox output plus its exact structure pattern."""
+    """Prox output, its exact structure pattern, and g at the output.
 
-    point: np.ndarray
-    pattern: SparsityPattern
+    value is lam * r(point), taken from the branch the prox took (see the
+    module docstring). For l1, l0, tv1d and potts1d it equals
+    ``Regularizer.value(point)`` bit for bit; for nuclear it differs from
+    that SVD of the point in the last bits only; for rank it is the exact
+    kept rank, which ``Regularizer.value``'s relative cut (1e-10 * sigma_max)
+    undercounts when a kept singular value lies below that cut.
+
+    value may be given as a zero-argument callable, called on the first
+    read and its result kept. A result built without a value reports None;
+    the solvers then call ``Regularizer.value`` on the point.
+    """
+
+    __slots__ = ("point", "pattern", "_value")
+
+    def __init__(self, point, pattern, value=None):
+        self.point = point
+        self.pattern = pattern
+        self._value = value
+
+    @property
+    def value(self):
+        if callable(self._value):
+            self._value = self._value()
+        return self._value
 
 
 def _check_input(u, gamma):
     u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
+    # one BLAS call: a finite sum of squares proves every entry finite; a
+    # sum that overflows (|u_i| above about 1e154) falls back to the scan.
+    # vdot, unlike dot, does not report the overflow as a RuntimeWarning.
+    if not math.isfinite(np.vdot(u, u)) and not np.isfinite(u).all():
         raise ValueError("prox input must be finite")
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -95,7 +134,8 @@ def prox_l1(u, gamma, lam=1.0) -> ProxResult:
     t = gamma * lam
     keep = np.abs(u) > t
     x = np.where(keep, u - t * np.sign(u), 0.0)
-    return ProxResult(x, SparsityPattern(keep))
+    return ProxResult(x, SparsityPattern(keep),
+                      lambda: lam * float(np.abs(x).sum()))
 
 
 def prox_l0(u, gamma, lam=1.0) -> ProxResult:
@@ -104,7 +144,8 @@ def prox_l0(u, gamma, lam=1.0) -> ProxResult:
     thr = np.sqrt(2.0 * gamma * lam)
     keep = np.abs(u) > thr
     x = np.where(keep, u, 0.0)
-    return ProxResult(x, SparsityPattern(keep))
+    return ProxResult(x, SparsityPattern(keep),
+                      lam * float(np.count_nonzero(keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +169,8 @@ def _tv1d_segments(y, step):
     n = y.size
     r = np.cumsum(y)
     r_n = r[-1].item()
+    if not math.isfinite(r_n):  # an overflowed sum stays inf or nan
+        raise ValueError("tv1d input too large: its running sums overflow")
     rp = (r + step).tolist()
     rm = (r - step).tolist()
     segs = []
@@ -168,13 +211,14 @@ def _tv1d_segments(y, step):
 
 
 def _segments_to_result(segs, n):
+    """(point, pattern) of a segmentation; bit i is 1 iff x[i] != x[i+1]."""
     starts, ends, values = zip(*segs)
     x = np.repeat(np.array(values, dtype=float), np.subtract(ends, starts))
     bits = np.zeros(n - 1, dtype=np.uint8)
     bits[np.array(ends[:-1], dtype=np.intp) - 1] = 1
     # same-valued neighbours across a segment boundary are still members
     bits[x[1:] == x[:-1]] = 0
-    return ProxResult(x, SparsityPattern(bits))
+    return x, SparsityPattern(bits)
 
 
 def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
@@ -183,13 +227,14 @@ def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
     Cost: the length of the taut-string scan. Each segment is scanned from
     its anchor to the index where the tube forces a bend, and the string
     restarts at the bend, so the cost is O(n) when segments end close to
-    where the bend is detected and O(n^2) at worst.
+    where the bend is detected and O(n^2) at worst. An input whose running
+    sums overflow is rejected with a ValueError.
     """
     u = _check_input(u, gamma)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("tv1d needs a vector of length >= 2")
-    segs = _tv1d_segments(u, gamma * lam)
-    return _segments_to_result(segs, u.size)
+    x, pattern = _segments_to_result(_tv1d_segments(u, gamma * lam), u.size)
+    return ProxResult(x, pattern, lambda: lam * float(np.abs(np.diff(x)).sum()))
 
 
 def _potts_segments(y, step):
@@ -204,6 +249,11 @@ def _potts_segments(y, step):
     c2 = np.concatenate(([0.0], np.cumsum(y * y)))
     c1l = c1.tolist()
     c2l = c2.tolist()
+    # an overflowed sum stays inf or nan; n * sum(y*y) bounds every squared
+    # segment sum (c1[r] - c1[l])**2 below
+    if not (math.isfinite(c1l[n]) and math.isfinite(n * c2l[n])):
+        raise ValueError("potts1d input too large: its running sums of y "
+                         "or n times those of y*y overflow")
     lengths = np.arange(n, 0, -1.0)  # lengths[n - r:] is r - l for l < r
     jump = step * (np.arange(n) > 0)
     best = np.empty(n + 1)
@@ -237,24 +287,14 @@ def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
 
     Cost: O(n^2) arithmetic in n vector steps, one per right end r, each on
     slices of length r of precomputed vectors; the extra memory is O(n).
+    An input whose running sums, or n times those of its squares, overflow
+    is rejected with a ValueError.
     """
     u = _check_input(u, gamma)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("potts1d needs a vector of length >= 2")
-    segs = _potts_segments(u, gamma * lam)
-    return _segments_to_result(segs, u.size)
-
-
-def _svd_fixed_signs(a):
-    """SVD with a deterministic sign convention: the largest-magnitude entry
-    of each left singular vector is nonnegative."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if u.size:
-        top = np.argmax(np.abs(u), axis=0)  # first maximum, as a loop finds
-        flip = u[top, np.arange(u.shape[1])] < 0
-        u[:, flip] = -u[:, flip]
-        vt[flip] = -vt[flip]
-    return u, s, vt
+    x, pattern = _segments_to_result(_potts_segments(u, gamma * lam), u.size)
+    return ProxResult(x, pattern, lam * float(pattern.count_ones()))
 
 
 def _rank_pattern(rows, cols, rank):
@@ -272,12 +312,13 @@ def prox_nuclear(u, gamma, lam=1.0) -> ProxResult:
     u = _check_input(u, gamma)
     if u.ndim != 2:
         raise ValueError("nuclear prox expects a matrix")
-    w, s, vt = _svd_fixed_signs(u)
+    w, s, vt = np.linalg.svd(u, full_matrices=False)
     t = gamma * lam
     kept = s > t
     s_new = np.where(kept, s - t, 0.0)
     x = (w * s_new) @ vt
-    return ProxResult(x, _rank_pattern(*u.shape, rank=int(kept.sum())))
+    return ProxResult(x, _rank_pattern(*u.shape, rank=int(kept.sum())),
+                      lam * float(s_new.sum()))
 
 
 def prox_rank(u, gamma, lam=1.0) -> ProxResult:
@@ -285,12 +326,14 @@ def prox_rank(u, gamma, lam=1.0) -> ProxResult:
     u = _check_input(u, gamma)
     if u.ndim != 2:
         raise ValueError("rank prox expects a matrix")
-    w, s, vt = _svd_fixed_signs(u)
+    w, s, vt = np.linalg.svd(u, full_matrices=False)
     thr = np.sqrt(2.0 * gamma * lam)
     kept = s > thr
     s_new = np.where(kept, s, 0.0)
     x = (w * s_new) @ vt
-    return ProxResult(x, _rank_pattern(*u.shape, rank=int(kept.sum())))
+    rank = int(kept.sum())
+    return ProxResult(x, _rank_pattern(*u.shape, rank=rank),
+                      lam * float(rank))
 
 
 class Regularizer:
@@ -340,7 +383,8 @@ class Regularizer:
 
     def value(self, x) -> float:
         """g(x) = lam * r(x). Counting kinds (l0, potts1d) use exact zero
-        tests; the rank value uses a relative singular-value cutoff."""
+        tests; the rank value uses a relative singular-value cutoff. A
+        prox result carries this value for its own point (``value``)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "l1":
             return self.lam * float(np.abs(x).sum())

@@ -8,7 +8,10 @@ validates its arguments, resolves gamma and hands ``_iterate`` a ``step``
 closure, step(k, x_{k-1}, pattern_{k-1}, u_{k-1}) -> (u_k, u_step, prox
 result, extra trace fields), usually through ``_advance``, which takes the
 u-step ||u_k - u_{k-1}|| and then the prox. The loop records iteration k
-at the trace cadence (with a copy of u_k under keep_u), then asks the stop
+at the trace cadence (with a copy of u_k under keep_u); the recorded
+objective is f(x_k) plus the value g(x_k) the prox reported
+(``ProxResult.value``), or ``reg.value(x_k)`` when it reported none, so
+the regularizer is never evaluated twice on a point. Then it asks the stop
 rule: by default k > 1 and u_step <= stop_tol; SAGA, DAve-PG,
 predictor-corrector and random subspace descent pass their own ``stop``
 closure, stop(k, u_step, x_k). The run ends "converged" when the rule
@@ -188,8 +191,8 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
     k > 1 and u_step <= stop_tol. Either may raise _Diverged.
     """
     log = TraceLog(gamma, config.seed)
-    objective = problem.objective
-    structure_count = problem.reg.collection.structure_count
+    f_value, reg = problem.smooth.value, problem.reg
+    structure_count = reg.collection.structure_count
     every, keep_u, tol = config.trace_every, config.keep_u, config.stop_tol
     if u_prev is None:
         u_prev = x
@@ -201,8 +204,11 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
                 x, pattern, u_prev = res.point, res.pattern, u
                 log.iterations = k
                 if (k - 1) % every == 0:
+                    g_value = res.value
+                    if g_value is None:
+                        g_value = reg.value(x)
                     log.append(TraceRecord(
-                        k=k, objective=objective(x), pattern=pattern,
+                        k=k, objective=f_value(x) + g_value, pattern=pattern,
                         nnz=structure_count(pattern), u_step=u_step,
                         u=u.copy() if keep_u else None, **extras,
                     ))

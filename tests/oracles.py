@@ -242,8 +242,11 @@ def project_reference(collection, indices, point):
 
 
 def svd_fixed_signs_reference(a):
-    """Per-column loop version of ``prox._svd_fixed_signs``: the
-    largest-magnitude entry of each left singular vector is nonnegative."""
+    """SVD whose largest-magnitude entry of each left singular vector is
+    made nonnegative, column by column: the sign convention the nuclear and
+    rank proxes once applied. Their outputs are pinned to the same
+    computation on these vectors, which shows the convention never reached
+    an output."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     for j in range(u.shape[1]):
         i = int(np.argmax(np.abs(u[:, j])))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,10 @@ from oracles import (
 )
 from proxident.manifolds import pattern_of
 from proxident.prox import (
+    ProxResult,
     Regularizer,
+    _check_input,
     _potts_segments,
-    _svd_fixed_signs,
     _tv1d_segments,
     prox_l0,
     prox_l1,
@@ -194,6 +197,140 @@ class TestKernelsMatchReferenceLoops:
         assert res.point.tobytes() == x.tobytes() and res.pattern == pattern
 
 
+def _assert_prox_ignores_svd_signs(a, t):
+    """prox_nuclear at threshold t, and prox_rank with gamma * lam = t**2 / 2
+    (threshold sqrt(2 * gamma * lam) = t), give the bytes of the same
+    computation on loop-signed singular vectors."""
+    w, s, vt = svd_fixed_signs_reference(a)
+    kept = s > t
+    for prox, s_new in ((prox_nuclear, np.where(kept, s - t, 0.0)),
+                        (prox_rank, np.where(kept, s, 0.0))):
+        res = prox(a, 1.0, t if prox is prox_nuclear else t * t / 2.0)
+        want = (w * s_new) @ vt
+        assert res.point.tobytes() == want.tobytes()
+        assert res.pattern.packed_hex() == _rank_pattern_hex(a.shape, kept)
+
+
+def _rank_pattern_hex(shape, kept):
+    bits = np.ones(min(shape) + 1, dtype=np.uint8)
+    bits[int(kept.sum())] = 0
+    return np.packbits(bits, bitorder="little").tobytes().hex()
+
+
+@st.composite
+def _matrices(draw):
+    """Products of every rank at three scales, with a threshold t between
+    1e-8 and 1.2 times the largest singular value."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    a *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    s_max = np.linalg.svd(a, compute_uv=False)[0] or 1.0  # 1 for zero
+    return a, s_max * 10.0 ** draw(st.floats(-8.0, 0.08))
+
+
+_lams = st.sampled_from([0.1, 0.7, 1.0, 3.0])
+
+
+class TestValueContract:
+    """res.value is Regularizer.value at res.point, from the prox's branch."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["l1", "l0", "tv1d", "potts1d"]), _signals(),
+           _steps, _lams)
+    def test_vector_kinds_bit_for_bit(self, kind, u, step, lam):
+        reg = getattr(Regularizer, kind)(u.size, lam)
+        res = reg.prox(u, step)
+        assert res.value.hex() == reg.value(res.point).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices(), _lams)
+    def test_rank_bit_for_bit(self, case, lam):
+        # the threshold keeps no singular value near Regularizer.value's
+        # 1e-10 relative cut (see test_rank_is_the_kept_count)
+        a, t = case
+        reg = Regularizer.rank(*a.shape, lam)
+        res = reg.prox(a, t * t / (2.0 * lam))
+        assert res.value.hex() == reg.value(res.point).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_matrices(), _lams)
+    def test_nuclear_within_roundoff(self, case, lam):
+        a, t = case
+        reg = Regularizer.nuclear(*a.shape, lam)
+        res = reg.prox(a, t / lam)
+        assert res.value == pytest.approx(reg.value(res.point), rel=1e-12,
+                                          abs=0.0)
+
+    def test_rank_is_the_kept_count(self):
+        # diag(1, 1e-12) has rank 2, the prox's count; Regularizer.value
+        # drops the singular value below 1e-10 * sigma_max
+        res = prox_rank(np.diag([1.0, 1e-12]), 1e-30)
+        assert res.value == 2.0 and list(res.pattern.bits) == [1, 1, 0]
+        assert Regularizer.rank(2, 2).value(res.point) == 1.0
+
+    def test_value_is_computed_once(self):
+        res = prox_l1(np.array([3.0, -0.5, 2.0]), 0.5, lam=2.0)
+        assert res.value == 6.0
+        res.point[0] = 100.0  # a later read returns the kept value
+        assert res.value == 6.0
+
+    def test_result_without_value(self):
+        res = ProxResult(np.zeros(2), pattern_of(np.zeros(2),
+                                                 Regularizer.l1(2).collection))
+        assert res.value is None
+
+
+class TestInputGuard:
+    """_check_input: one sum of squares, and the full scan when it overflows."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        vector = np.array([1.0, bad, 2.0])
+        matrix = np.arange(12.0).reshape(3, 4)
+        matrix[2, 1] = bad
+        for u in (vector, matrix, matrix.T, [bad], np.float64(bad)):
+            with pytest.raises(ValueError, match="finite"):
+                _check_input(u, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            prox_l1(vector, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Regularizer.nuclear(3, 4).prox(matrix, 1.0)
+
+    def test_accepts_overflowing_sum_of_squares(self):
+        u = np.array([1e200, 1e200])
+        with np.errstate(over="ignore"):
+            assert np.dot(u, u) == np.inf  # so the full scan decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _check_input(u, 1.0).tobytes() == u.tobytes()
+            assert _check_input(u.reshape(1, 2), 1.0).shape == (1, 2)
+            assert np.array_equal(prox_l1(u, 1.0).point, u - 1.0)
+
+
+class TestRunningSumsOverflow:
+    """Finite inputs whose running sums overflow are rejected at entry."""
+
+    @pytest.mark.parametrize("prox, u", [
+        (prox_tv1d, [1e308, 1e308, -1e308]),
+        (prox_potts1d, [1e200, 0.0]),
+        # sum(u*u) is finite, n * sum(u*u) is not: the segment [0, 2) squares
+        # 1.4e154, and without the check the DP merges all three values
+        (prox_potts1d, [7e153, 7e153, 0.0]),
+    ])
+    def test_rejected(self, prox, u):
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="running sums"):
+            prox(np.array(u), 1.0)
+
+    def test_large_finite_sums_still_accepted(self):
+        u = np.array([1.5e308, -1.5e308, 1.0])  # running sums stay finite
+        assert np.array_equal(prox_tv1d(u, 1.0).point, [1.5e308, -1.5e308, 0.0])
+        u = np.array([1e150, -1e150, 1e150])
+        assert np.array_equal(prox_potts1d(u, 1.0).point, u)
+
+
 class TestNuclearAndRank:
     def test_diagonal_soft_threshold(self):
         res = prox_nuclear(np.diag([3.0, 1.0]), 1.0)
@@ -233,16 +370,22 @@ class TestNuclearAndRank:
         b = prox_nuclear(u.copy(), 0.5)
         assert np.array_equal(a.point, b.point)
 
+    # The prox uses LAPACK's singular vectors as returned; these pin its
+    # outputs to the same computation on the vectors signed by the loop
+    # convention in tests/oracles.py, which the package used to apply.
     @pytest.mark.parametrize("shape", [(6, 5), (5, 6), (20, 20), (50, 50),
                                        (1, 4), (4, 1), (0, 3), (3, 0)])
     def test_svd_signs_match_loop(self, shape):
         a = np.random.default_rng(sum(shape)).standard_normal(shape)
-        for got, want in zip(_svd_fixed_signs(a), svd_fixed_signs_reference(a)):
-            assert got.tobytes() == want.tobytes()
+        s = np.linalg.svd(a, compute_uv=False)
+        t = float(np.median(s)) if s.size else 1.0  # keeps about half
+        for a in (a, a[:, :1] * np.ones(shape)):  # and a rank-deficient one
+            _assert_prox_ignores_svd_signs(a, t)
 
     def test_svd_signs_tied_magnitudes_match_loop(self, monkeypatch):
-        # the first entry of largest magnitude decides, as in the loop:
-        # ties led by a negative entry, by a positive one, zeros, -0.0
+        # the loop convention flips columns 0 and 4 here (ties led by a
+        # negative entry, by a positive one, zeros, -0.0): the outputs do
+        # not change
         u = np.array([[-0.5, 0.5, 0.0, -0.0, 0.25],
                       [0.5, -0.5, 0.0, 0.0, -1.0],
                       [0.5, 0.5, 0.0, -0.0, 1.0],
@@ -251,13 +394,10 @@ class TestNuclearAndRank:
         vt = np.arange(25.0).reshape(5, 5) - 12.0
         monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: (
             u.copy(), s.copy(), vt.copy()))
-        got = _svd_fixed_signs(np.zeros((4, 5)))
-        want = svd_fixed_signs_reference(np.zeros((4, 5)))
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-        assert np.array_equal(got[0][:, 0], -u[:, 0])
-        assert np.array_equal(got[0][:, 1], u[:, 1])
-        assert np.array_equal(got[0][:, 4], -u[:, 4])
+        signed = svd_fixed_signs_reference(np.zeros((4, 5)))[0]
+        assert np.array_equal(signed[:, [0, 4]], -u[:, [0, 4]])
+        assert np.array_equal(signed[:, 1:4], u[:, 1:4])
+        _assert_prox_ignores_svd_signs(np.zeros((4, 5)), 2.5)
 
     def test_rank_stability_weyl(self):
         # singular values move by at most the spectral norm of the edit

@@ -383,3 +383,47 @@ class TestRunStatus:
         assert all(u is not None for u in kept)
         assert not any(np.shares_memory(u, v)
                        for u in kept for v in reg.inputs)
+
+
+class TestTraceObjective:
+    """The objective column is f(x_k) plus the value g(x_k) the prox
+    reported, which is Regularizer.value's at x_k bit for bit for the
+    vector kinds."""
+
+    @pytest.mark.parametrize("solver", ["pg", "apg", "dr", "pg-adaptive"])
+    @pytest.mark.parametrize("kind, lam", [("l1", 0.5), ("tv1d", 0.5),
+                                           ("potts1d", 0.05)])
+    def test_objective_is_f_plus_g(self, kind, lam, solver):
+        base = gen_lasso(40, 30, seed=2, components=4)
+        problem = CompositeProblem(base.smooth,
+                                   getattr(Regularizer, kind)(30, lam))
+        config = SolverConfig(stop_tol=1e-9, max_iter=300, trace_every=2,
+                              keep_u=True)
+        _, log = run_solver(solver, problem, config)
+        assert len(log) > 10
+        for record in log:
+            x = problem.reg.prox(record.u, log.gamma).point
+            want = problem.smooth.value(x) + problem.reg.value(x)
+            assert record.objective.hex() == want.hex()
+
+    def test_nuclear_objective_within_roundoff(self):
+        from proxident.problems import gen_lowrank_matrix_problem
+
+        problem = gen_lowrank_matrix_problem(size=8, rank=2, seed=1)
+        _, log = run_pg(problem, SolverConfig(stop_tol=1e-9, max_iter=200,
+                                              keep_u=True))
+        for record in log:
+            x = problem.reg.prox(record.u, log.gamma).point
+            assert record.objective == pytest.approx(problem.objective(x),
+                                                     rel=1e-12, abs=0.0)
+
+    def test_regularizer_without_prox_value(self):
+        class ConstantRegularizer(ZeroRegularizer):
+            def value(self, x):
+                return 7.0
+
+        # the prox reports no value, so the trace calls value; f(2) = 0
+        problem = CompositeProblem(one_dim_problem().smooth,
+                                   ConstantRegularizer(1))
+        _, log = run_pg(problem, SolverConfig(gamma=1.0, max_iter=5))
+        assert [r.objective for r in log] == [7.0, 7.0]  # converged at k = 2

@@ -63,3 +63,19 @@ def test_kernel_lines_are_well_formed_and_repeatable():
     assert all(re.fullmatch(r"kernels-1d,(tv1d|potts1d)-[0-9]+,[0-9a-f]{64}",
                             line) for line in lines)
     assert len({line.split(",")[2] for line in lines}) == len(lines)
+
+
+def test_lowrank_structure_lines_are_well_formed_and_repeatable():
+    tool = load_tool()
+    lines = tool.lowrank_structure_lines()
+    assert lines == tool.lowrank_structure_lines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"lowrank-structure,{kind}-{name}" for kind in ("nuclear", "rank")
+        for name in SOLVERS]
+    assert all(re.fullmatch(r"lowrank-structure,[a-z-]+,[0-9a-f]{64}", line)
+               for line in lines)
+    # the objective column is left out: the digest is not run_digest's
+    full = {line.split(",")[2] for line in tool.solver_lines(
+        "lowrank-structure", tool._lowrank_problems()[0][1],
+        tool.KINDS_CONFIG, ["pg"])}
+    assert lines[0].split(",")[2] not in full

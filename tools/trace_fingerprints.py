@@ -17,6 +17,9 @@ vectors where kept. Cases:
 * ``lasso-every3``: a 60x120 lasso at ``trace_every=3``;
 * ``diverge-*``: the seed-7008 DAve-PG run and an overshooting problem;
 * ``lowrank``, ``rank``, ``tv1d``, ``potts1d``, ``l0``: the other prox kinds;
+* ``lowrank-structure``: the ``lowrank`` (nuclear) and ``rank`` runs hashed
+  without their trace's objective column, one line per kind and solver, so
+  that a change in the objective's last bits shows as the only change;
 * ``replicate-fig<N>``: one line per emitted file, keyed by file name;
 * ``cli-lasso``: ``proxident gen lasso`` then ``solve`` (exit code,
   trace.csv and report.txt);
@@ -96,9 +99,14 @@ def _pattern_hex(point):
     return point.pattern.packed_hex() if point.pattern is not None else "-"
 
 
-def run_digest(point, trace):
-    """sha256 of everything a run returns."""
-    parts = [trace_csv_text(trace), _array_bytes(point.point),
+def run_digest(point, trace, objective=True):
+    """sha256 of everything a run returns (without the trace's objective
+    column when objective is False)."""
+    text = trace_csv_text(trace)
+    if not objective:
+        rows = (row.split(",") for row in text.splitlines())
+        text = "\n".join(",".join(row[:1] + row[2:]) for row in rows)
+    parts = [text, _array_bytes(point.point),
              _pattern_hex(point),
              trace.status, trace.iterations, trace.converged,
              repr(trace.gamma), trace.seed]
@@ -107,17 +115,18 @@ def run_digest(point, trace):
 
 
 def solver_lines(case, problem, config, names=None, kwargs=None,
-                 outcomes=None):
+                 outcomes=None, objective=True):
     """One line per solver; a rejected problem hashes its error message.
 
     When outcomes is a list, each run also appends
-    ``case,solver,status,iterations,pattern`` (or its error) to it."""
+    ``case,solver,status,iterations,pattern`` (or its error) to it; the
+    objective flag is run_digest's."""
     lines = []
     for name in names or SOLVERS:
         try:
             point, trace = run_solver(name, problem, config,
                                       **(kwargs or {}).get(name, {}))
-            digest = run_digest(point, trace)
+            digest = run_digest(point, trace, objective)
             outcome = (f"{trace.status},{trace.iterations},"
                        f"{_pattern_hex(point)}")
         except ValueError as exc:
@@ -167,6 +176,29 @@ def _overshooting_problem(n=4):
     )
 
 
+KINDS_CONFIG = SolverConfig(stop_tol=1e-9, max_iter=2000, keep_u=True)
+
+
+def _lowrank_problems():
+    """(case, problem): a nuclear and a rank problem on the same data."""
+    lowrank = gen_lowrank_matrix_problem(size=15, rank=3, seed=4)
+    return [("lowrank", lowrank), ("rank", CompositeProblem(
+        lowrank.smooth, Regularizer.rank(15, 15, 0.5)))]
+
+
+def lowrank_structure_lines():
+    """The ``lowrank`` and ``rank`` runs hashed without their objective
+    column, one line per kind and solver."""
+    lines = []
+    for case, problem in _lowrank_problems():
+        kind = problem.reg.kind
+        for line in solver_lines("lowrank-structure", problem, KINDS_CONFIG,
+                                 objective=False):
+            _, name, digest = line.split(",")
+            lines.append(f"lowrank-structure,{kind}-{name},{digest}")
+    return lines
+
+
 def other_cases():
     lines = solver_lines(
         "lasso-every3", gen_lasso(60, 120, seed=1, components=6),
@@ -177,11 +209,9 @@ def other_cases():
         {"dave-pg": {"delay_model": DelayModel.uniform(0.0, 3.0)}})
     lines += solver_lines("diverge-overshoot", _overshooting_problem(),
                           SolverConfig(max_iter=100_000, keep_u=True))
-    config = SolverConfig(stop_tol=1e-9, max_iter=2000, keep_u=True)
-    lowrank = gen_lowrank_matrix_problem(size=15, rank=3, seed=4)
-    lines += solver_lines("lowrank", lowrank, config)
-    lines += solver_lines("rank", CompositeProblem(
-        lowrank.smooth, Regularizer.rank(15, 15, 0.5)), config)
+    config = KINDS_CONFIG
+    for case, problem in _lowrank_problems():
+        lines += solver_lines(case, problem, config)
     base = gen_lasso(40, 30, seed=2, components=4)
     for kind, lam in (("tv1d", 0.5), ("potts1d", 0.05), ("l0", 0.01)):
         reg = getattr(Regularizer, kind)(30, lam)
@@ -326,7 +356,8 @@ def main():
         print("\n".join(qc_case(seed, outcomes)))
     print(outcomes_line(outcomes))
     print("\n".join(other_cases() + replicate_lines() + cli_lines()
-                    + collection_lines() + kernel_lines()))
+                    + collection_lines() + kernel_lines()
+                    + lowrank_structure_lines()))
 
 
 if __name__ == "__main__":
