@@ -155,7 +155,7 @@ def run_dave_pg(problem, config=None, workers=None,
             for j in range(m):
                 heapq.heappush(events, (1.0 + delay_model.sample(rng), seq, j))
                 seq += 1
-            u_prev = contrib.mean(axis=0)
+            u_prev = np.add.reduce(contrib, 0) / m
         t, _, j = heapq.heappop(events)
         batch = [j]
         while events and events[0][0] == t:
@@ -163,7 +163,7 @@ def run_dave_pg(problem, config=None, workers=None,
         for j in batch:
             contrib[j] = base[j] - gamma * comps[j].gradient(base[j])
             deliveries[j] += 1
-        u = contrib.mean(axis=0)
+        u = np.add.reduce(contrib, 0) / m
         u_step, res = _advance(g, u, u_prev, gamma)
         for j in batch:
             base[j] = res.point

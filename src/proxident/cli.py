@@ -189,10 +189,15 @@ def cmd_solve(args):
             seed=seed,
         )
     point, trace = run_solver(args.solver, problem, config, **kwargs)
-    # the last finite iterate of a diverged run can overflow the objective;
-    # the report then says objective=inf and status=diverged
-    with np.errstate(over="ignore", invalid="ignore"):
-        objective = problem.objective(point.point)
+    # the objective of the returned point: the last trace record's when it
+    # holds that point, else (trace_every skipped it, or a run diverged on
+    # its first step) evaluated here; the last finite iterate of a diverged
+    # run can overflow it, and the report then says objective=inf
+    if trace and trace[-1].k == trace.iterations:
+        objective = float(trace[-1].objective)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            objective = problem.objective(point.point)
     out = args.out or args.bundle
     os.makedirs(out, exist_ok=True)
     trace_to_csv(trace, os.path.join(out, "trace.csv"))

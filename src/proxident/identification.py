@@ -56,22 +56,22 @@ def _patterns_and_counts(trace):
 
 
 def analyze_trace(trace) -> IdentificationReport:
-    """Fold a trace (records or raw patterns) into a stability report."""
+    """Fold a trace (records or raw patterns) into a stability report.
+
+    One pass over the patterns' bit bytes: each adjacent pair is compared
+    once, and the position of the last change is the first stable one.
+    """
     patterns, counts = _patterns_and_counts(trace)
     if not patterns:
         raise ValueError("empty trace")
-    oscillations = sum(
-        1 for a, b in zip(patterns, patterns[1:]) if not a == b
-    )
-    stable = len(patterns) - 1
-    while stable > 0 and patterns[stable - 1] == patterns[-1]:
-        stable -= 1
+    keys = [p.bits.tobytes() for p in patterns]
+    changes = [i for i, (a, b) in enumerate(zip(keys, keys[1:]), 1) if a != b]
     monotone = all(a >= b for a, b in zip(counts, counts[1:]))
     return IdentificationReport(
-        first_stable_iter=stable,
+        first_stable_iter=changes[-1] if changes else 0,
         pattern_final=patterns[-1],
         monotone=monotone,
-        oscillation_count=oscillations,
+        oscillation_count=len(changes),
     )
 
 

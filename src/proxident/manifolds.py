@@ -38,7 +38,12 @@ DEFAULT_RANK_RTOL = 1e-10
 
 
 class SparsityPattern:
-    """Bit vector over a collection: bit i is 0 iff the point lies in set i."""
+    """Bit vector over a collection: bit i is 0 iff the point lies in set i.
+
+    Equality and hash are on the bit bytes (``bits.tobytes()``): the bits
+    are 0/1 uint8, one byte per bit, so equal bytes mean equal length and
+    equal bits.
+    """
 
     __slots__ = ("bits",)
 
@@ -58,9 +63,7 @@ class SparsityPattern:
     def __eq__(self, other):
         if not isinstance(other, SparsityPattern):
             return NotImplemented
-        return self.bits.size == other.bits.size and bool(
-            np.all(self.bits == other.bits)
-        )
+        return self.bits.tobytes() == other.bits.tobytes()
 
     def __hash__(self):
         return hash(self.bits.tobytes())

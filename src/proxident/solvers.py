@@ -81,7 +81,7 @@ class SolverConfig:
             raise ValueError("stop_tol must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     k: int
     objective: float
@@ -123,14 +123,20 @@ def _fmt(v: float) -> str:
 
 def trace_csv_text(trace) -> str:
     """Render a trace in the canonical CSV schema (extra columns appear when
-    the records carry structure-adaptation fields)."""
+    the records carry structure-adaptation fields). Each distinct pattern
+    is packed once, looked up by its bit bytes."""
     extras = bool(trace) and (
         trace[0].accel_active is not None or trace[0].enforced_count is not None
     )
     lines = [TRACE_COLUMNS + (_EXTRA_COLUMNS if extras else "")]
+    hexes = {}
     for r in trace:
+        key = r.pattern.bits.tobytes()
+        pattern_hex = hexes.get(key)
+        if pattern_hex is None:
+            pattern_hex = hexes[key] = r.pattern.packed_hex()
         row = (
-            f"{r.k},{_fmt(r.objective)},{r.nnz},{r.pattern.packed_hex()},"
+            f"{r.k},{_fmt(r.objective)},{r.nnz},{pattern_hex},"
             f"{_fmt(r.u_step)},{r.comm_coords},{_fmt(r.wallclock)}"
         )
         if extras:
@@ -330,9 +336,10 @@ def run_saga(problem, config=None, x0=None):
             table_mean = np.mean(table, axis=0)
         i = int(rng.integers(m))
         grad_i = comps[i].gradient(x)
-        u = x - gamma * (grad_i - table[i] + table_mean)
+        change = grad_i - table[i]
+        u = x - gamma * (change + table_mean)
         u_step, res = _advance(g, u, u_prev, gamma)
-        table_mean = table_mean + (grad_i - table[i]) / m
+        table_mean = table_mean + change / m
         table[i] = grad_i
         recent.append(u_step)
         return u, u_step, res, {}

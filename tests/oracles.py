@@ -7,7 +7,9 @@ form; the Potts oracle enumerates all 2^(n-1) breakpoint masks.
 
 import numpy as np
 
+from proxident.identification import IdentificationReport
 from proxident.manifolds import SparsityPattern
+from proxident.solvers import TRACE_COLUMNS
 
 
 def tv1d_bruteforce(u, step):
@@ -263,3 +265,58 @@ def write_matrix_reference(path, arr):
         fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
         for row in arr:
             fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+
+
+def _same_bits(a, b):
+    """Pattern equality as ``SparsityPattern.__eq__`` once computed it."""
+    return a.bits.size == b.bits.size and bool(np.all(a.bits == b.bits))
+
+
+def analyze_trace_reference(trace):
+    """The two-loop ``identification.analyze_trace``: adjacent changes
+    counted forward, then the stable suffix found by a backward walk that
+    compares each pattern with the last one."""
+    patterns, counts = [], []
+    for item in trace:
+        if isinstance(item, SparsityPattern):
+            patterns.append(item)
+            counts.append(item.count_ones())
+        else:
+            patterns.append(item.pattern)
+            counts.append(item.nnz)
+    if not patterns:
+        raise ValueError("empty trace")
+    oscillations = sum(
+        1 for a, b in zip(patterns, patterns[1:]) if not _same_bits(a, b)
+    )
+    stable = len(patterns) - 1
+    while stable > 0 and _same_bits(patterns[stable - 1], patterns[-1]):
+        stable -= 1
+    monotone = all(a >= b for a, b in zip(counts, counts[1:]))
+    return IdentificationReport(
+        first_stable_iter=stable,
+        pattern_final=patterns[-1],
+        monotone=monotone,
+        oscillation_count=oscillations,
+    )
+
+
+def trace_csv_text_reference(trace):
+    """``solvers.trace_csv_text`` packing every row's pattern afresh."""
+    def fmt(v):
+        return repr(float(v))
+
+    extras = bool(trace) and (
+        trace[0].accel_active is not None or trace[0].enforced_count is not None
+    )
+    lines = [TRACE_COLUMNS + (",accel_active,enforced_count" if extras else "")]
+    for r in trace:
+        row = (
+            f"{r.k},{fmt(r.objective)},{r.nnz},{r.pattern.packed_hex()},"
+            f"{fmt(r.u_step)},{r.comm_coords},{fmt(r.wallclock)}"
+        )
+        if extras:
+            row += f",{0 if r.accel_active is None else r.accel_active}"
+            row += f",{0 if r.enforced_count is None else r.enforced_count}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"

@@ -9,6 +9,8 @@ import proxident
 from proxident.bundles import read_bundle, write_vector
 from proxident.cli import main
 from proxident.prox import prox_l1
+from proxident.registry import run_solver
+from proxident.solvers import SolverConfig
 
 
 @pytest.fixture
@@ -183,6 +185,31 @@ def test_csv_row_count_matches_trace_every(qc_bundle):
           "1e-15", "--trace-every", "4"])
     rows = (qc_bundle / "trace.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 3  # ceil(10/4)
+
+
+def _report(path):
+    return dict(line.split("=", 1)
+                for line in (path / "report.txt").read_text().splitlines())
+
+
+def test_report_objective_is_the_last_trace_cell(tmp_path):
+    path = tmp_path / "lowrank"
+    assert main(["gen", "lowrank", "--size", "15", "--rank", "3", "--seed",
+                 "4", "--out", str(path)]) == 0
+    main(["solve", "dr", str(path)])
+    last = (path / "trace.csv").read_text().splitlines()[-1].split(",")
+    assert _report(path)["objective"] == last[1]
+
+
+def test_report_objective_of_an_untraced_last_iterate(qc_bundle):
+    main(["solve", "pg", str(qc_bundle), "--max-iter", "10", "--stop-tol",
+          "1e-15", "--trace-every", "4"])
+    problem = read_bundle(qc_bundle)
+    point, trace = run_solver("pg", problem, SolverConfig(
+        max_iter=10, stop_tol=1e-15, trace_every=4))
+    assert trace[-1].k == 9 and trace.iterations == 10
+    assert _report(qc_bundle)["objective"] == repr(
+        problem.objective(point.point))
 
 
 def test_report_states_status(qc_bundle):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import analyze_trace_reference
 
 from proxident.identification import (
     analyze_trace,
@@ -15,7 +19,7 @@ from proxident.problems import (
     gen_qc_lasso,
 )
 from proxident.prox import Regularizer
-from proxident.solvers import SolverConfig, run_pg
+from proxident.solvers import SolverConfig, TraceRecord, run_pg
 
 
 def P(*bits):
@@ -57,6 +61,49 @@ class TestAnalyzeTrace:
         text = report_text(analyze_trace([P(0, 1)]))
         assert text.startswith("first_stable_iter=0\n")
         assert "pattern_hash=" in text
+
+
+def _pattern_sequence(data):
+    """A random sequence (mixed lengths), a single pattern, a constant
+    one, an alternating one, or a constant one that changes last."""
+    n = data.draw(st.integers(0, 6))
+    patterns = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    shape = data.draw(st.sampled_from(
+        ["random", "single", "constant", "alternating", "last-change"]))
+    length = data.draw(st.integers(1, 12))
+    if shape == "random":
+        return [SparsityPattern(b) for b in data.draw(st.lists(
+            st.lists(st.integers(0, 1), max_size=6), min_size=1, max_size=12))]
+    bits = data.draw(patterns)
+    if shape == "single":
+        return [SparsityPattern(bits)]
+    if shape == "constant":
+        return [SparsityPattern(bits) for _ in range(length)]
+    if shape == "alternating":
+        other = data.draw(patterns)
+        return [SparsityPattern((bits, other)[i % 2]) for i in range(length)]
+    last = [1 - bits[0]] + bits[1:] if bits else [0]
+    return [SparsityPattern(bits) for _ in range(length)] + [
+        SparsityPattern(last)]
+
+
+class TestAnalyzeTraceMatchesTwoLoops:
+    @staticmethod
+    def _check(trace):
+        got, want = analyze_trace(trace), analyze_trace_reference(trace)
+        assert got == want and report_text(got) == report_text(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_raw_patterns(self, data):
+        self._check(_pattern_sequence(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_records(self, data):
+        self._check([TraceRecord(k=k, objective=0.0, pattern=p,
+                                 nnz=data.draw(st.integers(0, 6)), u_step=0.0)
+                     for k, p in enumerate(_pattern_sequence(data), 1)])
 
 
 class TestEnlargedBound:

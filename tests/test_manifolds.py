@@ -280,6 +280,45 @@ class TestPatternOrder:
             assert pattern_leq(a, c)
 
 
+_bit_lists = st.lists(st.integers(0, 1), max_size=20)
+
+
+class TestPatternIdentity:
+    """Equality and hash are on the bit bytes and agree with
+    np.array_equal on the bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bit_lists, st.data())
+    def test_eq_and_hash_agree_with_array_equal(self, bits, data):
+        variants = [bits, bits[:-1], bits + [0], bits + [1],
+                    data.draw(_bit_lists)]
+        if bits:
+            i = data.draw(st.integers(0, len(bits) - 1))
+            variants.append(bits[:i] + [1 - bits[i]] + bits[i + 1:])
+        a = SparsityPattern(bits)
+        for other in variants:
+            dtype = data.draw(st.sampled_from([np.uint8, bool, np.int64]))
+            b = SparsityPattern(np.array(other, dtype=dtype))
+            same = np.array_equal(a.bits, b.bits)
+            assert (a == b) is same and (b == a) is same
+            assert (a != b) is (not same)
+            if same:
+                assert hash(a) == hash(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bit_lists, st.data())
+    def test_other_operands_are_not_implemented(self, bits, data):
+        a = SparsityPattern(bits)
+        other = data.draw(st.one_of(
+            st.just(bits), st.just(a.bits.copy()), st.just(a.bits.tobytes()),
+            st.just(a.packed_hex()), st.none(), st.integers(),
+            st.binary(max_size=20),
+        ))
+        assert a.__eq__(other) is NotImplemented
+        if not isinstance(other, np.ndarray):  # arrays compare elementwise
+            assert not a == other and a != other
+
+
 class TestCollections:
     @pytest.mark.parametrize("kind,ambient,message", [
         ("coordinate", 3, "unknown manifold kind: 'coordinate'"),

@@ -3,6 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import trace_csv_text_reference
 
 from proxident.manifolds import coordinate_zeros, pattern_of
 from proxident.problems import (
@@ -14,13 +18,16 @@ from proxident.problems import (
 )
 from proxident.prox import ProxResult, Regularizer
 from proxident.registry import SOLVERS, run_solver
+from proxident.manifolds import SparsityPattern
 from proxident.solvers import (
     SolverConfig,
+    TraceRecord,
     fixed_point_residual,
     run_apg,
     run_dr,
     run_pg,
     run_saga,
+    trace_csv_text,
     trace_to_csv,
 )
 
@@ -237,6 +244,35 @@ class TestDeterminismAndCSV:
         text = trace_to_csv(log, tmp_path / "t.csv")
         last = text.strip().splitlines()[-1].split(",")
         assert last[3] == pt.pattern.packed_hex()
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_csv_matches_packing_every_row(self, data):
+        # a few distinct patterns (lengths may differ), repeated in turn or
+        # at random; every record holds its own pattern object
+        distinct = data.draw(st.lists(
+            st.lists(st.integers(0, 1), max_size=20), min_size=1, max_size=3))
+        length = data.draw(st.integers(0, 15))
+        if data.draw(st.booleans()):
+            rows = [distinct[i % len(distinct)] for i in range(length)]
+        else:
+            rows = data.draw(st.lists(st.sampled_from(distinct),
+                                      min_size=length, max_size=length))
+        extras = data.draw(st.booleans())
+        trace = [TraceRecord(
+            k=k, objective=data.draw(st.floats()), pattern=SparsityPattern(b),
+            nnz=sum(b), u_step=data.draw(st.floats(0.0, 1.0)),
+            accel_active=k % 2 if extras else None,
+            enforced_count=k % 3 if extras else None,
+        ) for k, b in enumerate(rows, 1)]
+        assert trace_csv_text(trace) == trace_csv_text_reference(trace)
+
+    def test_records_take_no_new_attributes(self):
+        record = TraceRecord(k=1, objective=0.0, pattern=SparsityPattern([1]),
+                             nnz=1, u_step=0.0)
+        with pytest.raises(AttributeError):
+            record.note = "slotted"
 
 
 class TestCrossSolverAgreement:

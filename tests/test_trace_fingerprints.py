@@ -42,6 +42,22 @@ def test_outcomes_line_is_well_formed_and_repeatable():
     assert line != tool.outcomes_line(outcomes[:-1])
 
 
+def test_reports_line_is_well_formed_and_repeatable():
+    tool = load_tool()
+    reports, again = [], []
+    lines = tool.qc_case(3, reports=reports)
+    assert lines == tool.qc_case(3, reports=again) and reports == again
+    assert [r.split(",")[:2] for r in reports] == [["qc-3", name]
+                                                   for name in SOLVERS]
+    assert all(re.fullmatch(
+        r"qc-3,[a-z-]+,first_stable_iter=[0-9]+\noscillation_count=[0-9]+\n"
+        r"monotone=[01]\npattern_hash=[0-9a-f]+\n", r) for r in reports)
+    line = tool.reports_line(reports)
+    assert re.fullmatch(r"qc-reports,all,[0-9a-f]{64}", line)
+    assert line == tool.reports_line(again)
+    assert line != tool.reports_line(reports[:-1])
+
+
 def test_collection_lines_are_well_formed_and_repeatable():
     tool = load_tool()
     lines = tool.collection_lines()

@@ -14,6 +14,8 @@ vectors where kept. Cases:
 * ``qc-outcomes``: one line hashing (seed, solver, status, iterations, final
   pattern) of those 800 runs, which stays equal when only step sizes' last
   bits move a trace;
+* ``qc-reports``: one line hashing the identification report
+  (``report_text(analyze_trace(trace))``) of each of those 800 runs;
 * ``lasso-every3``: a 60x120 lasso at ``trace_every=3``;
 * ``diverge-*``: the seed-7008 DAve-PG run and an overshooting problem;
 * ``lowrank``, ``rank``, ``tv1d``, ``potts1d``, ``l0``: the other prox kinds;
@@ -55,6 +57,7 @@ import numpy as np  # noqa: E402
 from proxident import cli  # noqa: E402
 from proxident.asynchronous import DelayModel  # noqa: E402
 from proxident.exploit import SubspaceSamplerConfig  # noqa: E402
+from proxident.identification import analyze_trace, report_text  # noqa: E402
 from proxident.manifolds import (  # noqa: E402
     adjacent_pairs,
     coordinate_zeros,
@@ -115,12 +118,13 @@ def run_digest(point, trace, objective=True):
 
 
 def solver_lines(case, problem, config, names=None, kwargs=None,
-                 outcomes=None, objective=True):
+                 outcomes=None, objective=True, reports=None):
     """One line per solver; a rejected problem hashes its error message.
 
     When outcomes is a list, each run also appends
-    ``case,solver,status,iterations,pattern`` (or its error) to it; the
-    objective flag is run_digest's."""
+    ``case,solver,status,iterations,pattern`` (or its error) to it; when
+    reports is a list, ``case,solver,`` and the run's identification report
+    text (or its error); the objective flag is run_digest's."""
     lines = []
     for name in names or SOLVERS:
         try:
@@ -129,18 +133,22 @@ def solver_lines(case, problem, config, names=None, kwargs=None,
             digest = run_digest(point, trace, objective)
             outcome = (f"{trace.status},{trace.iterations},"
                        f"{_pattern_hex(point)}")
+            report = report_text(analyze_trace(trace)) if trace else "empty"
         except ValueError as exc:
             digest = _sha(["error", exc])
-            outcome = f"error {exc}"
+            outcome = report = f"error {exc}"
         lines.append(f"{case},{name},{digest}")
         if outcomes is not None:
             outcomes.append(f"{case},{name},{outcome}")
+        if reports is not None:
+            reports.append(f"{case},{name},{report}")
     return lines
 
 
-def qc_case(seed, outcomes=None):
+def qc_case(seed, outcomes=None, reports=None):
     """The acceptance gate's runs on certified instance ``seed``; their
-    outcomes go to the outcomes list when one is given."""
+    outcomes and identification reports go to the outcomes and reports
+    lists when they are given."""
     problem = gen_qc_lasso(seed=seed, **QC_SHAPE)
     lines = []
     for name in SOLVERS:
@@ -151,13 +159,18 @@ def qc_case(seed, outcomes=None):
                   "random-subspace": {
                       "sampler": SubspaceSamplerConfig(seed=seed)}}
         lines += solver_lines(f"qc-{seed}", problem, config, [name], kwargs,
-                              outcomes)
+                              outcomes, reports=reports)
     return lines
 
 
 def outcomes_line(outcomes):
     """The ``qc-outcomes`` line over the outcomes qc_case collected."""
     return f"qc-outcomes,all,{_sha(outcomes)}"
+
+
+def reports_line(reports):
+    """The ``qc-reports`` line over the reports qc_case collected."""
+    return f"qc-reports,all,{_sha(reports)}"
 
 
 def _overshooting_problem(n=4):
@@ -351,10 +364,11 @@ def kernel_lines():
 
 
 def main():
-    outcomes = []
+    outcomes, reports = [], []
     for seed in range(QC_INSTANCES):
-        print("\n".join(qc_case(seed, outcomes)))
+        print("\n".join(qc_case(seed, outcomes, reports)))
     print(outcomes_line(outcomes))
+    print(reports_line(reports))
     print("\n".join(other_cases() + replicate_lines() + cli_lines()
                     + collection_lines() + kernel_lines()
                     + lowrank_structure_lines()))
