@@ -11,12 +11,14 @@ each completion event ingests the fresh contribution, applies the prox, and
 sends the new iterate back to the finishing worker.
 
 Task durations are 1 + d simulated seconds with d drawn from the delay
-model. Completions sharing the same timestamp are ingested as one batch with
-a single prox applied afterwards; with constant delays all workers stay in
-lockstep and the iterate sequence reduces exactly to the synchronous
-proximal gradient with the averaged gradient. Continuous delay models never
-produce ties, so every batch is a single arrival, i.e. one iteration per
-worker completion.
+model. The delays are drawn in blocks (``DelayModel.samples``) from the
+run's own generator, which gives the same stream, in the same order, as one
+``DelayModel.sample`` per task. Completions sharing the same timestamp are
+ingested as one batch with a single prox applied afterwards; with constant
+delays all workers stay in lockstep and the iterate sequence reduces
+exactly to the synchronous proximal gradient with the averaged gradient.
+Continuous delay models never produce ties, so every batch is a single
+arrival, i.e. one iteration per worker completion.
 
 Contributions are initialized at the starting point (a synchronous round
 zero): the master's table starts at c_j(x_0) and every worker begins its
@@ -38,6 +40,7 @@ import numpy as np
 from .solvers import (
     SolverConfig,
     _advance,
+    _block_draws,
     _iterate,
     _resolve_gamma,
     _start_point,
@@ -99,6 +102,15 @@ class DelayModel:
             return float(rng.uniform(self.a, self.b))
         return float(rng.geometric(self.a) - 1)
 
+    def samples(self, rng, size) -> list:
+        """size delays as a list of floats: the values, in order, of size
+        calls of sample(rng), drawn with one generator call."""
+        if self.kind == "constant":
+            return [self.a] * size
+        if self.kind == "uniform":
+            return rng.uniform(self.a, self.b, size).tolist()
+        return np.subtract(rng.geometric(self.a, size), 1.0).tolist()
+
 
 def run_dave_pg(problem, config=None, workers=None,
                 delay_model=DelayModel.constant(0.0), encoding="dense",
@@ -129,6 +141,7 @@ def run_dave_pg(problem, config=None, workers=None,
     top = 2.0 / (mu + f.lipschitz)
     gamma = _resolve_gamma(config, top, 0.0, top, True, "dave-pg")
     rng = np.random.default_rng(config.seed)
+    delays = _block_draws(lambda size: delay_model.samples(rng, size))
 
     x = _start_point(problem, x0)
     n = x.size
@@ -153,7 +166,7 @@ def run_dave_pg(problem, config=None, workers=None,
                 contrib[j] = x - gamma * comps[j].gradient(x)
             comm = m * msg_cost(x)
             for j in range(m):
-                heapq.heappush(events, (1.0 + delay_model.sample(rng), seq, j))
+                heapq.heappush(events, (1.0 + next(delays), seq, j))
                 seq += 1
             u_prev = np.add.reduce(contrib, 0) / m
         t, _, j = heapq.heappop(events)
@@ -168,7 +181,7 @@ def run_dave_pg(problem, config=None, workers=None,
         for j in batch:
             base[j] = res.point
             comm += msg_cost(res.point)
-            heapq.heappush(events, (t + 1.0 + delay_model.sample(rng), seq, j))
+            heapq.heappush(events, (t + 1.0 + next(delays), seq, j))
             seq += 1
         return u, u_step, res, {"comm_coords": comm, "wallclock": t}
 

@@ -28,6 +28,8 @@ from .registry import SOLVERS, run_solver
 from .replicate import replicate_fig1, replicate_fig2, replicate_fig3
 from .solvers import SolverConfig, trace_to_csv
 
+__all__ = ["build_parser", "main", "write_solve_outputs"]
+
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1 (argparse defaults to 2, which we reserve for
@@ -43,7 +45,10 @@ def _setting(args, conf, name, cast, fallback):
     if value is not None:
         return value
     if name in conf:
-        return cast(conf[name])
+        try:
+            return cast(conf[name])
+        except ValueError as exc:
+            raise ValueError(f"config {name}={conf[name]!r}: {exc}") from exc
     return fallback
 
 
@@ -189,19 +194,32 @@ def cmd_solve(args):
             seed=seed,
         )
     point, trace = run_solver(args.solver, problem, config, **kwargs)
-    # the objective of the returned point: the last trace record's when it
-    # holds that point, else (trace_every skipped it, or a run diverged on
-    # its first step) evaluated here; the last finite iterate of a diverged
-    # run can overflow it, and the report then says objective=inf
+    for path in write_solve_outputs(args.out or args.bundle, problem, point,
+                                    trace):
+        print(path)
+    return 0 if trace.converged else 2
+
+
+def write_solve_outputs(outdir, problem, point, trace):
+    """Write a run's trace.csv and report.txt into outdir, as ``proxident
+    solve`` does; returns the two paths.
+
+    point and trace are what a solver returns. The report's objective= is
+    the last trace record's objective when that record is the returned
+    point, and otherwise (trace_every skipped it, or a run diverged on its
+    first step) problem.objective(point.point); the last finite iterate of a
+    diverged run can overflow that, and the report then says objective=inf.
+    """
     if trace and trace[-1].k == trace.iterations:
         objective = float(trace[-1].objective)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             objective = problem.objective(point.point)
-    out = args.out or args.bundle
-    os.makedirs(out, exist_ok=True)
-    trace_to_csv(trace, os.path.join(out, "trace.csv"))
-    with open(os.path.join(out, "report.txt"), "w") as fh:
+    os.makedirs(outdir, exist_ok=True)
+    trace_path = os.path.join(outdir, "trace.csv")
+    report_path = os.path.join(outdir, "report.txt")
+    trace_to_csv(trace, trace_path)
+    with open(report_path, "w") as fh:
         if trace:  # a run that diverges on its first step records nothing
             fh.write(report_text(analyze_trace(trace)))
         fh.write(f"converged={int(trace.converged)}\n")
@@ -209,9 +227,7 @@ def cmd_solve(args):
         fh.write(f"iterations={trace.iterations}\n")
         fh.write(f"gamma={trace.gamma!r}\n")
         fh.write(f"objective={objective!r}\n")
-    print(os.path.join(out, "trace.csv"))
-    print(os.path.join(out, "report.txt"))
-    return 0 if trace.converged else 2
+    return trace_path, report_path
 
 
 def cmd_replicate(args):

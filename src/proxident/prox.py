@@ -133,9 +133,16 @@ def prox_l1(u, gamma, lam=1.0) -> ProxResult:
     u = _check_input(u, gamma)
     t = gamma * lam
     keep = np.abs(u) > t
-    x = np.where(keep, u - t * np.sign(u), 0.0)
+    if t > 0:
+        # u - clip(u, -t, t) is u -+ t outside [-t, t] and u - u = +0.0
+        # inside: the bytes of the np.where form below, in two calls fewer
+        x = u - np.minimum(np.maximum(u, -t), t)
+    else:  # t == 0 (lam = 0, or gamma * lam underflows): u = -0.0 ties
+        # both clip bounds and the clip form would return -0.0, not +0.0
+        x = np.where(keep, u - t * np.sign(u), 0.0)
+    # np.add.reduce(., None) is the reduction ndarray.sum runs
     return ProxResult(x, SparsityPattern(keep),
-                      lambda: lam * float(np.abs(x).sum()))
+                      lambda: lam * float(np.add.reduce(np.abs(x), None)))
 
 
 def prox_l0(u, gamma, lam=1.0) -> ProxResult:

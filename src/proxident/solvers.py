@@ -35,6 +35,7 @@ synchronous ones -- so that identical runs emit byte-identical files.
 """
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -64,7 +65,9 @@ class SolverConfig:
     gamma=None picks the algorithm default from the oracle constants; an
     explicit value is validated against the algorithm's admissible range.
     keep_u stores a copy of u_k on each trace record (diagnostics; never
-    serialized to CSV).
+    serialized to CSV). max_iter and trace_every must be positive integers
+    (not bools) and stop_tol finite and nonnegative; a bad value raises a
+    ValueError that names its field.
     """
 
     gamma: float | None = None
@@ -75,10 +78,16 @@ class SolverConfig:
     keep_u: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.trace_every < 1:
-            raise ValueError("max_iter and trace_every must be positive")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
+        for name in ("max_iter", "trace_every"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0):
+            raise ValueError("stop_tol must be finite and nonnegative, "
+                             f"got {self.stop_tol!r}")
 
 
 @dataclass(slots=True)
@@ -168,7 +177,9 @@ def _resolve_gamma(config, default, low, high, high_inclusive, algo):
 def _step_norm(a, b) -> float:
     """||a - b||, computed as np.linalg.norm does (same bytes) without its
     argument dispatch."""
-    d = (a - b).ravel(order="K")
+    d = a - b
+    if d.ndim != 1:
+        d = d.ravel(order="K")
     return math.sqrt(d.dot(d))
 
 
@@ -203,6 +214,9 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
     if u_prev is None:
         u_prev = x
     status = MAX_ITER
+    # the recorded pattern's bit bytes and count: a record whose pattern has
+    # the previous record's bytes reuses its count
+    counted_key = count = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(1, config.max_iter + 1):
@@ -213,9 +227,12 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
                     g_value = res.value
                     if g_value is None:
                         g_value = reg.value(x)
+                    key = pattern.bits.tobytes()
+                    if key != counted_key:
+                        counted_key, count = key, structure_count(pattern)
                     log.append(TraceRecord(
                         k=k, objective=f_value(x) + g_value, pattern=pattern,
-                        nnz=structure_count(pattern), u_step=u_step,
+                        nnz=count, u_step=u_step,
                         u=u.copy() if keep_u else None, **extras,
                     ))
                 if (stop(k, u_step, x) if stop is not None
@@ -227,6 +244,22 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
     log.status = status
     log.converged = status == CONVERGED
     return StructuredPoint(np.asarray(x), pattern, "prox"), log
+
+
+# a run draws from its private generator this many values at a time
+_DRAW_BLOCK = 256
+
+
+def _block_draws(block):
+    """Iterator over block(_DRAW_BLOCK), one list after another.
+
+    block(size) returns size draws from a run's own generator as a list.
+    numpy's array draws are the stream of its one-at-a-time draws, so the
+    run sees the values one draw per iteration would give, in that order;
+    the unused rest of the last block is never read.
+    """
+    while True:
+        yield from block(_DRAW_BLOCK)
 
 
 def _start_point(problem, x0):
@@ -310,9 +343,11 @@ def run_saga(problem, config=None, x0=None):
 
     Draws i_k uniformly with the seeded generator, replaces the stored
     gradient of the drawn component, and keeps the running table mean exact
-    to within float accumulation. Because single steps are noisy, the stop
-    rule asks for a window-averaged u-step below stop_tol with the current
-    step below 3 * stop_tol.
+    to within float accumulation. The indices are drawn in blocks
+    (``rng.integers(m, size)``) from the run's own generator: the same
+    stream, in the same order, as one ``rng.integers(m)`` per iteration.
+    Because single steps are noisy, the stop rule asks for a window-averaged
+    u-step below stop_tol with the current step below 3 * stop_tol.
     """
     config = config or SolverConfig()
     f, g = problem.smooth, problem.reg
@@ -325,6 +360,7 @@ def run_saga(problem, config=None, x0=None):
         config, 1.0 / (3.0 * l_max), 0.0, 1.0 / (3.0 * l_max), True, "saga"
     )
     rng = np.random.default_rng(config.seed)
+    indices = _block_draws(lambda size: rng.integers(m, size=size).tolist())
     table = table_mean = None
     window = max(20, 2 * m)
     recent = deque(maxlen=window)
@@ -334,7 +370,7 @@ def run_saga(problem, config=None, x0=None):
         if k == 1:  # the table starts at x_0, filled inside the run's errstate
             table = [c.gradient(x) for c in comps]
             table_mean = np.mean(table, axis=0)
-        i = int(rng.integers(m))
+        i = next(indices)
         grad_i = comps[i].gradient(x)
         change = grad_i - table[i]
         u = x - gamma * (change + table_mean)

@@ -243,6 +243,16 @@ def project_reference(collection, indices, point):
     return out
 
 
+def prox_l1_reference(u, gamma, lam=1.0):
+    """Soft thresholding as ``prox_l1`` once computed it, with np.where and
+    np.sign: (point, keep mask, value)."""
+    u = np.asarray(u, dtype=float)
+    t = gamma * lam
+    keep = np.abs(u) > t
+    x = np.where(keep, u - t * np.sign(u), 0.0)
+    return x, keep, lam * float(np.abs(x).sum())
+
+
 def svd_fixed_signs_reference(a):
     """SVD whose largest-magnitude entry of each left singular vector is
     made nonnegative, column by column: the sign convention the nuclear and

@@ -41,6 +41,25 @@ class TestDelayModel:
         assert min(draws) >= 0 and all(d == int(d) for d in draws)
         assert DelayModel.constant(3).sample(rng) == 3.0
 
+    @pytest.mark.parametrize("model", [
+        DelayModel.constant(2.0), DelayModel.uniform(0.0, 3.0),
+        DelayModel.geometric(0.05), DelayModel.geometric(0.3),
+        DelayModel.geometric(0.5), DelayModel.geometric(0.9),
+        DelayModel.geometric(1.0)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_samples_are_the_stream_of_sample(self, model, seed):
+        # blocks of 256, as run_dave_pg draws them: the same values, in the
+        # same order, as one sample() per task, and the generator ends in
+        # the same state
+        one, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [model.sample(one) for _ in range(1024)]
+        drawn = []
+        for _ in range(4):
+            drawn += model.samples(block, 256)
+        assert drawn == expected
+        assert all(type(d) is float for d in drawn)
+        assert block.bit_generator.state == one.bit_generator.state
+
 
 class TestZeroDelayReduction:
     def test_matches_pg_trajectory(self):

@@ -7,7 +7,7 @@ import pytest
 
 import proxident
 from proxident.bundles import read_bundle, write_vector
-from proxident.cli import main
+from proxident.cli import main, write_solve_outputs
 from proxident.prox import prox_l1
 from proxident.registry import run_solver
 from proxident.solvers import SolverConfig
@@ -67,6 +67,29 @@ def test_solve_gamma_out_of_range_exits_1(qc_bundle, capsys):
 def test_solve_nonconvergence_exits_2(qc_bundle):
     assert main(["solve", "pg", str(qc_bundle), "--max-iter", "3",
                  "--stop-tol", "1e-15"]) == 2
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--stop-tol", "nan", "stop_tol"), ("--stop-tol", "inf", "stop_tol"),
+    ("--stop-tol", "-1e-9", "stop_tol"), ("--max-iter", "0", "max_iter"),
+    ("--trace-every", "0", "trace_every"),
+])
+def test_solve_bad_setting_exits_1_naming_it(qc_bundle, capsys, flag, value,
+                                             field):
+    assert main(["solve", "pg", str(qc_bundle), f"{flag}={value}"]) == 1
+    assert field in capsys.readouterr().err
+    assert not (qc_bundle / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("line,field", [("max-iter=300.0", "max-iter"),
+                                        ("trace-every=2.5", "trace-every"),
+                                        ("stop-tol=nan", "stop_tol")])
+def test_config_file_bad_setting_exits_1_naming_it(qc_bundle, tmp_path,
+                                                   capsys, line, field):
+    conf = tmp_path / "conf"
+    conf.write_text(line + "\n")
+    assert main(["solve", "pg", str(qc_bundle), "--config", str(conf)]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_solve_missing_bundle_exits_1(tmp_path, capsys):
@@ -249,3 +272,19 @@ def test_non_finite_design_is_a_bundle_error(qc_bundle, capsys):
     assert main(["solve", "pg", str(qc_bundle)]) == 1
     err = capsys.readouterr().err
     assert "bundle error" in err and "A.txt: non-finite entry nan" in err
+
+
+def test_write_solve_outputs_writes_what_solve_writes(qc_bundle, tmp_path,
+                                                      capsys):
+    assert main(["solve", "saga", str(qc_bundle), "--seed", "5"]) == 0
+    printed = capsys.readouterr().out.split()
+    assert printed == [str(qc_bundle / "trace.csv"),
+                       str(qc_bundle / "report.txt")]
+    problem = read_bundle(qc_bundle)
+    point, trace = run_solver("saga", problem, SolverConfig(seed=5))
+    out = tmp_path / "direct"
+    paths = write_solve_outputs(str(out), problem, point, trace)
+    assert paths == (str(out / "trace.csv"), str(out / "report.txt"))
+    for name in ("trace.csv", "report.txt"):
+        assert (out / name).read_bytes() == (qc_bundle / name).read_bytes()
+    assert "status=converged\n" in (out / "report.txt").read_text()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     potts1d_bruteforce,
     potts_segments_reference,
+    prox_l1_reference,
     segments_to_result_reference,
     svd_fixed_signs_reference,
     tv1d_bruteforce,
@@ -51,6 +52,50 @@ class TestL1:
             prox_l1(np.array([np.nan]), 1.0)
         with pytest.raises(ValueError):
             prox_l1(np.ones(2), 0.0)
+
+
+@st.composite
+def _l1_cases(draw):
+    """(u, gamma, lam): thresholds from underflowing to 0 (and lam = 0) up to
+    inf, with entries that are signed zeros, subnormals, exactly +-t or a
+    neighbour of it, near 1e300, or any finite float."""
+    gamma = draw(st.sampled_from([1e-200, 5e-324, 1e-3, 0.5, 1.0, 1e300]))
+    lam = draw(st.sampled_from([0.0, 1e-200, 1e-12, 0.7, 1.0, 1e10]))
+    t = gamma * lam
+    near_t = [t, -t, np.nextafter(t, np.inf), np.nextafter(t, 0.0)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
+               1.7e308, -1.7e308] + near_t + [-v for v in near_t]
+    element = st.one_of(
+        st.sampled_from([v for v in special if np.isfinite(v)]),
+        st.floats(allow_nan=False, allow_infinity=False))
+    u = np.array(draw(st.lists(element, min_size=1, max_size=40)))
+    return u, gamma, lam
+
+
+class TestL1MatchesReference:
+    """prox_l1 gives the bytes of the np.where/np.sign form in
+    tests/oracles.py: point, pattern bits and value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_l1_cases())
+    def test_point_pattern_and_value_bytes(self, case):
+        u, gamma, lam = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = prox_l1(u, gamma, lam)
+            x, keep, value = prox_l1_reference(u, gamma, lam)
+            got_value = res.value
+        assert res.point.tobytes() == x.tobytes()
+        assert res.pattern.bits.tobytes() == keep.astype(np.uint8).tobytes()
+        assert got_value.hex() == value.hex()
+
+    def test_zero_threshold_keeps_positive_zero(self):
+        # at t = 0 (lam = 0 here; gamma * lam can also underflow) u = -0.0
+        # ties the clip bounds, and the where form's +0.0 is kept
+        u = np.array([-0.0, 0.0, -1.5])
+        for gamma, lam in ((1.0, 0.0), (1e-200, 1e-200)):
+            x = prox_l1(u, gamma, lam).point
+            assert x.tobytes() == prox_l1_reference(u, gamma, lam)[0].tobytes()
+            assert np.signbit(x).tolist() == [False, False, True]
 
 
 class TestL0:

@@ -55,6 +55,29 @@ class ZeroRegularizer(Regularizer):
         return ProxResult(u.copy(), pattern_of(u, self.collection))
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"stop_tol": float("nan")}, "stop_tol"),
+        ({"stop_tol": math.inf}, "stop_tol"),
+        ({"stop_tol": -1e-12}, "stop_tol"),
+        ({"max_iter": 300.0}, "max_iter"),
+        ({"max_iter": True}, "max_iter"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"trace_every": 2.5}, "trace_every"),
+        ({"trace_every": False}, "trace_every"),
+        ({"trace_every": -1}, "trace_every"),
+    ])
+    def test_rejects_bad_settings_naming_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**kwargs)
+
+    def test_accepts_integral_counts(self):
+        config = SolverConfig(max_iter=np.int64(7), trace_every=np.int32(2),
+                              stop_tol=0)
+        _, log = run_pg(gen_lasso(20, 8, seed=9), config)
+        assert log.iterations == 7 and [r.k for r in log] == [1, 3, 5, 7]
+
+
 class TestPG:
     def test_one_dim(self):
         pt, log = run_pg(one_dim_problem(), SolverConfig(gamma=1.0, stop_tol=1e-14))
@@ -207,6 +230,28 @@ class TestSAGA:
             table[i] = g_i
             x = p.reg.prox(u, gamma).point
             assert np.allclose(record.u, u, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 37, 1000])
+    def test_block_draws_are_one_draw_per_iteration(self, m):
+        # component j has the constant gradient j + 1, so the iterate drifts
+        # and the run goes all 600 iterations; after the table fill (m
+        # calls at k = 1) each iteration evaluates the component it drew
+        calls = []
+
+        def component(j):
+            def gradient(x):
+                calls.append(j)
+                return np.full(2, j + 1.0)
+            return SmoothOracle(lambda x: 0.0, gradient, 1.0)
+
+        smooth = SmoothOracle(lambda x: 0.0, lambda x: np.zeros(2), 1.0,
+                              components=[component(j) for j in range(m)])
+        problem = CompositeProblem(smooth, Regularizer.l1(2, 1e-3))
+        _, log = run_saga(problem, SolverConfig(stop_tol=0.0, max_iter=600,
+                                                seed=m))
+        rng = np.random.default_rng(m)
+        assert log.iterations == 600
+        assert calls[m:] == [int(rng.integers(m)) for _ in range(600)]
 
     def test_needs_components(self):
         p = CompositeProblem(

@@ -95,3 +95,14 @@ def test_lowrank_structure_lines_are_well_formed_and_repeatable():
         "lowrank-structure", tool._lowrank_problems()[0][1],
         tool.KINDS_CONFIG, ["pg"])}
     assert lines[0].split(",")[2] not in full
+
+
+def test_draw_lines_are_well_formed_and_repeatable():
+    tool = load_tool()
+    lines = tool.draw_lines()
+    assert lines == tool.draw_lines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        "draws-constant-2,dave-pg", "draws-geometric-0.5,dave-pg",
+        "draws-3-components,saga"]
+    assert all(re.fullmatch(r"draws-[a-z0-9.-]+,[a-z-]+,[0-9a-f]{64}", line)
+               for line in lines)

@@ -18,6 +18,9 @@ vectors where kept. Cases:
   (``report_text(analyze_trace(trace))``) of each of those 800 runs;
 * ``lasso-every3``: a 60x120 lasso at ``trace_every=3``;
 * ``diverge-*``: the seed-7008 DAve-PG run and an overshooting problem;
+* ``draws-*``: the solvers that draw from a generator, off the gate's
+  settings: DAve-PG under ``constant:2`` and ``geometric:0.5`` delays, and
+  SAGA over 3 components;
 * ``lowrank``, ``rank``, ``tv1d``, ``potts1d``, ``l0``: the other prox kinds;
 * ``lowrank-structure``: the ``lowrank`` (nuclear) and ``rank`` runs hashed
   without their trace's objective column, one line per kind and solver, so
@@ -173,6 +176,26 @@ def reports_line(reports):
     return f"qc-reports,all,{_sha(reports)}"
 
 
+DRAW_CONFIG = SolverConfig(stop_tol=1e-9, max_iter=500_000, seed=1,
+                           keep_u=True)
+
+
+def draw_lines():
+    """DAve-PG under constant and geometric delays, and SAGA over 3
+    components, on gate-shaped instance 1 (``uniform:0:3`` delays and 10
+    components are the gate's own)."""
+    problem = gen_qc_lasso(seed=1, **QC_SHAPE)
+    lines = []
+    for delay in ("constant:2", "geometric:0.5"):
+        lines += solver_lines(
+            f"draws-{delay.replace(':', '-')}", problem, DRAW_CONFIG,
+            ["dave-pg"], {"dave-pg": {"delay_model": DelayModel.parse(delay)}})
+    lines += solver_lines(
+        "draws-3-components", gen_qc_lasso(seed=1, components=3, **QC_SHAPE),
+        DRAW_CONFIG, ["saga"])
+    return lines
+
+
 def _overshooting_problem(n=4):
     """f(x) = 5 * ||x - 1||^2 advertising L = mu = 1: default steps
     overshoot, and every solver but DR (which needs a prox of f) diverges."""
@@ -222,6 +245,7 @@ def other_cases():
         {"dave-pg": {"delay_model": DelayModel.uniform(0.0, 3.0)}})
     lines += solver_lines("diverge-overshoot", _overshooting_problem(),
                           SolverConfig(max_iter=100_000, keep_u=True))
+    lines += draw_lines()
     config = KINDS_CONFIG
     for case, problem in _lowrank_problems():
         lines += solver_lines(case, problem, config)
