@@ -40,7 +40,8 @@ them, with no sign convention: flipping column j of U and row j of V^T
 together leaves (U * s) @ V^T bit for bit the same (negation is exact and
 each product keeps its sign), and nothing else reads the vectors.
 
-Every operator rejects non-finite input with a ValueError.
+Every operator rejects non-finite input, a non-positive gamma and a
+negative or non-finite lam with a ValueError; lam = 0 is allowed.
 """
 
 import math
@@ -112,15 +113,17 @@ class ProxResult:
         return self._value
 
 
-def _check_input(u, gamma):
+def _check_input(u, gamma, lam=1.0):
     u = np.asarray(u, dtype=float)
     # one BLAS call: a finite sum of squares proves every entry finite; a
     # sum that overflows (|u_i| above about 1e154) falls back to the scan.
     # vdot, unlike dot, does not report the overflow as a RuntimeWarning.
     if not math.isfinite(np.vdot(u, u)) and not np.isfinite(u).all():
         raise ValueError("prox input must be finite")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0 and 0.0 <= lam < math.inf):
+        if not gamma > 0:
+            raise ValueError("gamma must be positive")
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
     return u
 
 
@@ -130,7 +133,7 @@ def prox_l1(u, gamma, lam=1.0) -> ProxResult:
     Coordinate-wise: 0 on [-gamma*lam, gamma*lam] (boundary included),
     u_i -+ gamma*lam outside. Pattern bit i is 0 iff the zero branch fired.
     """
-    u = _check_input(u, gamma)
+    u = _check_input(u, gamma, lam)
     t = gamma * lam
     keep = np.abs(u) > t
     if t > 0:
@@ -147,7 +150,7 @@ def prox_l1(u, gamma, lam=1.0) -> ProxResult:
 
 def prox_l0(u, gamma, lam=1.0) -> ProxResult:
     """Hard thresholding: keep u_i iff |u_i| > sqrt(2*gamma*lam)."""
-    u = _check_input(u, gamma)
+    u = _check_input(u, gamma, lam)
     thr = np.sqrt(2.0 * gamma * lam)
     keep = np.abs(u) > thr
     x = np.where(keep, u, 0.0)
@@ -219,12 +222,14 @@ def _tv1d_segments(y, step):
 
 def _segments_to_result(segs, n):
     """(point, pattern) of a segmentation; bit i is 1 iff x[i] != x[i+1]."""
-    starts, ends, values = zip(*segs)
-    x = np.repeat(np.array(values, dtype=float), np.subtract(ends, starts))
-    bits = np.zeros(n - 1, dtype=np.uint8)
-    bits[np.array(ends[:-1], dtype=np.intp) - 1] = 1
-    # same-valued neighbours across a segment boundary are still members
-    bits[x[1:] == x[:-1]] = 0
+    k = len(segs)
+    x = np.repeat(np.fromiter([v for _, _, v in segs], float, k),
+                  np.fromiter([e - s for s, e, _ in segs], np.intp, k))
+    # a boundary between same-valued segments (-0.0 == +0.0 included) keeps
+    # its neighbours members
+    jumps = [e - 1 for (_, e, v), (_, _, w) in zip(segs, segs[1:]) if v != w]
+    bits = np.zeros(n - 1, dtype=bool)
+    bits[np.fromiter(jumps, np.intp, len(jumps))] = True
     return x, SparsityPattern(bits)
 
 
@@ -237,48 +242,95 @@ def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
     where the bend is detected and O(n^2) at worst. An input whose running
     sums overflow is rejected with a ValueError.
     """
-    u = _check_input(u, gamma)
+    u = _check_input(u, gamma, lam)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("tv1d needs a vector of length >= 2")
     x, pattern = _segments_to_result(_tv1d_segments(u, gamma * lam), u.size)
-    return ProxResult(x, pattern, lambda: lam * float(np.abs(np.diff(x)).sum()))
+    # the subtraction np.diff runs and the reduction ndarray.sum runs
+    return ProxResult(x, pattern, lambda: lam * float(
+        np.add.reduce(np.abs(x[1:] - x[:-1]), None)))
+
+
+_POTTS_BLOCK = 16  # right ends per vectorised pass of the Potts DP
 
 
 def _potts_segments(y, step):
     """Optimal segmentation for step*(#jumps) + 0.5*||y - x||^2.
 
-    O(n^2) dynamic program over the last breakpoint; per-segment values are
-    the segment means. Ties prefer fewer segments, then the first
-    breakpoint.
+    O(n^2) dynamic program over the last breakpoint l of each right end r;
+    per-segment values are the segment means. Ties prefer fewer segments,
+    then the first breakpoint.
+
+    The right ends are taken in blocks of _POTTS_BLOCK rows. One vectorised
+    pass per block builds every row's segment costs and scores the
+    breakpoints before the block, whose best values are known; those inside
+    the block are scored on Python floats, row by row, as their best values
+    become known. Every total is the same IEEE expression
+    (best[l] + cost) + jump[l] wherever it is computed.
     """
     n = y.size
     c1 = np.concatenate(([0.0], np.cumsum(y)))
     c2 = np.concatenate(([0.0], np.cumsum(y * y)))
     c1l = c1.tolist()
-    c2l = c2.tolist()
     # an overflowed sum stays inf or nan; n * sum(y*y) bounds every squared
     # segment sum (c1[r] - c1[l])**2 below
-    if not (math.isfinite(c1l[n]) and math.isfinite(n * c2l[n])):
+    if not (math.isfinite(c1l[n]) and math.isfinite(n * c2[n].item())):
         raise ValueError("potts1d input too large: its running sums of y "
                          "or n times those of y*y overflow")
-    lengths = np.arange(n, 0, -1.0)  # lengths[n - r:] is r - l for l < r
-    jump = step * (np.arange(n) > 0)
-    best = np.empty(n + 1)
-    best[0] = 0.0
+    # row n - r holds r - l at the columns l < r; the columns l >= r read
+    # the padding 1.0, which keeps the unused costs there finite
+    pad = np.concatenate((np.arange(n, 0, -1.0), np.ones(n - 1)))
+    lengths = np.ndarray((n, n), buffer=pad, strides=2 * pad.strides)
+    c1col = c1[:, None]
+    c2col = c2[:, None]
+    rows = min(_POTTS_BLOCK, n)
+    seg_buf = np.empty(rows * n)
+    sq_buf = np.empty(rows * n)
+    best = np.zeros(n + 1)
+    # jump[l] is 0 at l = 0 and step once best[l] is known; before that it
+    # is inf (and best[l] is 0), so a block's own breakpoints total inf and
+    # stay out of its vectorised argmin
+    jump = np.full(n, np.inf)
+    jump[0] = 0.0
     nseg = [0] * (n + 1)
     back = [0] * (n + 1)
-    for r in range(1, n + 1):
-        seg_cost = 0.5 * ((c2l[r] - c2[:r])
-                          - (c1l[r] - c1[:r]) ** 2 / lengths[n - r:])
-        total = (best[:r] + seg_cost) + jump[:r]
-        tied = (total == total.min()).nonzero()[0]
-        if tied.size == 1:
-            l = int(tied[0])
-        else:  # the first tied breakpoint with the fewest segments
-            l = min(tied.tolist(), key=nseg.__getitem__)
-        best[r] = total[l]
-        nseg[r] = nseg[l] + 1
-        back[r] = l
+    for r0 in range(1, n + 1, rows):
+        r1 = min(r0 + rows, n + 1)
+        b, w = r1 - r0, r1 - 1  # rows r0..r1-1 use the breakpoints l < w
+        total = seg_buf[:b * w].reshape(b, w)
+        sq = sq_buf[:b * w].reshape(b, w)
+        np.subtract(c2col[r0:r1], c2[:w], out=total)
+        np.subtract(c1col[r0:r1], c1[:w], out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.divide(sq, lengths[n - r1 + 1:n - r0 + 1][::-1, :w], out=sq)
+        np.subtract(total, sq, out=total)
+        np.multiply(total, 0.5, out=total)
+        inner = total[:, r0:].tolist()  # costs of the in-block breakpoints
+        np.add(best[:w], total, out=total)
+        np.add(total, jump[:w], out=total)
+        firsts = total.argmin(1).tolist()
+        lasts = total[:, ::-1].argmin(1).tolist()
+        block_best = []
+        for i, l in enumerate(firsts):
+            m = total.item(i, l)
+            inb = [(v + c) + step for v, c in zip(block_best, inner[i])]
+            m_in = min(inb, default=math.inf)
+            # the breakpoints tied at the row's minimum, in index order
+            if m_in < m:
+                ties = []
+            elif l + lasts[i] == w - 1:  # the first and last argmin agree
+                ties = [l]
+            else:
+                ties = np.flatnonzero(total[i, :r0] == m).tolist()
+            if m_in <= m:
+                ties += [r0 + j for j, t in enumerate(inb) if t == m_in]
+            # the first tied breakpoint with the fewest segments
+            l = ties[0] if len(ties) == 1 else min(ties, key=nseg.__getitem__)
+            block_best.append(inb[l - r0] if l >= r0 else total.item(i, l))
+            nseg[r0 + i] = nseg[l] + 1
+            back[r0 + i] = l
+        best[r0:r1] = block_best
+        jump[r0:r1] = step
     segs = []
     r = n
     while r > 0:
@@ -292,12 +344,13 @@ def _potts_segments(y, step):
 def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
     """Exact prox of the jump-count penalty (piecewise-constant fits).
 
-    Cost: O(n^2) arithmetic in n vector steps, one per right end r, each on
-    slices of length r of precomputed vectors; the extra memory is O(n).
+    Cost: O(n^2) arithmetic in about n/16 block passes, each over the
+    segment costs of 16 right ends at once, plus a Python-float scan of the
+    breakpoints inside each block; the extra memory is O(16*n).
     An input whose running sums, or n times those of its squares, overflow
     is rejected with a ValueError.
     """
-    u = _check_input(u, gamma)
+    u = _check_input(u, gamma, lam)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("potts1d needs a vector of length >= 2")
     x, pattern = _segments_to_result(_potts_segments(u, gamma * lam), u.size)
@@ -316,7 +369,7 @@ def prox_nuclear(u, gamma, lam=1.0) -> ProxResult:
     The output rank is the number of singular values that survive the
     threshold, which is known exactly from the shrinkage branch.
     """
-    u = _check_input(u, gamma)
+    u = _check_input(u, gamma, lam)
     if u.ndim != 2:
         raise ValueError("nuclear prox expects a matrix")
     w, s, vt = np.linalg.svd(u, full_matrices=False)
@@ -330,7 +383,7 @@ def prox_nuclear(u, gamma, lam=1.0) -> ProxResult:
 
 def prox_rank(u, gamma, lam=1.0) -> ProxResult:
     """Hard thresholding of the singular values at sqrt(2*gamma*lam)."""
-    u = _check_input(u, gamma)
+    u = _check_input(u, gamma, lam)
     if u.ndim != 2:
         raise ValueError("rank prox expects a matrix")
     w, s, vt = np.linalg.svd(u, full_matrices=False)
@@ -354,8 +407,8 @@ class Regularizer:
     def __init__(self, kind: str, lam: float, collection: ManifoldCollection):
         if kind not in _KIND_COLLECTION:
             raise ValueError(f"unknown regularizer kind {kind!r}")
-        if not lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {lam!r}")
         if collection.kind != _KIND_COLLECTION[kind]:
             raise ValueError(
                 f"collection kind {collection.kind!r} does not match {kind!r}"

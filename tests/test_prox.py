@@ -14,12 +14,14 @@ from oracles import (
     tv1d_bruteforce,
     tv1d_segments_reference,
 )
+import proxident.prox as prox_module
 from proxident.manifolds import pattern_of
 from proxident.prox import (
     ProxResult,
     Regularizer,
     _check_input,
     _potts_segments,
+    _segments_to_result,
     _tv1d_segments,
     prox_l0,
     prox_l1,
@@ -212,6 +214,7 @@ def _signals(draw):
 
 _steps = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]),
                    st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e))
+_lams = st.sampled_from([0.1, 0.7, 1.0, 3.0])
 
 
 def _hex_segments(segs):
@@ -240,6 +243,74 @@ class TestKernelsMatchReferenceLoops:
         x, pattern = segments_to_result_reference(segs, u.size)
         res = prox_potts1d(u, step)
         assert res.point.tobytes() == x.tobytes() and res.pattern == pattern
+
+
+class TestPottsBlockEdges:
+    """Sizes around the DP's blocks of 16 right ends, on inputs with exact
+    ties, give the reference loop's segments."""
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 48, 49])
+    @pytest.mark.parametrize("step", [0.25, 0.5, 1.0, 2.0, 4.5])
+    def test_matches_reference(self, n, step):
+        rng = np.random.default_rng(n)
+        runs = np.repeat(rng.integers(-4, 5, n) / 2.0, rng.integers(1, 20, n))
+        for u in (rng.integers(-3, 4, n).astype(float), runs[:n],
+                  np.zeros(n), np.tile([1.0, -1.0], n)[:n]):
+            assert _hex_segments(_potts_segments(u, step)) == _hex_segments(
+                potts_segments_reference(u, step))
+
+    # digit strings, found by search, whose exact ties reach the tie rule:
+    # several breakpoints before a block tie with different segment counts,
+    # or one before the block ties with one inside it (with equal or with
+    # different segment counts)
+    @pytest.mark.parametrize("digits, step", [
+        ("01210121012101210121012101210121012", 0.5),
+        ("01201201201201201201201201", 1 / 3),
+        ("12120222221102110220", 1 / 3),
+        ("0110110010111101001110000011101", 0.25),
+        ("12011201120112011201", 1 / 3),
+        ("0021221010021101200211222100012011120", 0.375),
+    ])
+    def test_tie_rule_across_blocks(self, digits, step):
+        u = np.array([float(d) for d in digits])
+        assert _hex_segments(_potts_segments(u, step)) == _hex_segments(
+            potts_segments_reference(u, step))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(prox_module, "_POTTS_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in (2, 7, 40):
+            for u in (rng.integers(-3, 4, n).astype(float),
+                      rng.standard_normal(n)):
+                for step in (0.25, 1.0):
+                    assert _hex_segments(_potts_segments(u, step)) == (
+                        _hex_segments(potts_segments_reference(u, step)))
+
+
+class TestSegmentsToResult:
+    """A boundary between equal values is no jump, signed zeros included."""
+
+    @pytest.mark.parametrize("segs, bits", [
+        ([(0, 2, -0.0), (2, 3, 0.0)], [0, 0]),
+        ([(0, 1, 0.0), (1, 3, -0.0), (3, 4, 1.0)], [0, 0, 1]),
+        ([(0, 1, 2.5), (1, 2, 2.5), (2, 4, -1.0)], [0, 1, 0]),
+        ([(0, 4, 3.0)], [0, 0, 0]),
+        ([(0, 1, 1.0), (1, 2, -1.0), (2, 3, 1.0)], [1, 1]),
+    ])
+    def test_bits_and_bytes(self, segs, bits):
+        n = segs[-1][1]
+        x, pattern = _segments_to_result(segs, n)
+        want_x, want_pattern = segments_to_result_reference(segs, n)
+        assert x.dtype == np.float64 and x.tobytes() == want_x.tobytes()
+        assert pattern == want_pattern and list(pattern.bits) == bits
+
+    @settings(max_examples=100, deadline=None)
+    @given(_signals(), _steps, _lams)
+    def test_tv1d_value_is_regularizer_value(self, u, step, lam):
+        res = prox_tv1d(u, step, lam)
+        assert res.value.hex() == Regularizer.tv1d(u.size, lam).value(
+            res.point).hex()
 
 
 def _assert_prox_ignores_svd_signs(a, t):
@@ -273,9 +344,6 @@ def _matrices(draw):
     a *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
     s_max = np.linalg.svd(a, compute_uv=False)[0] or 1.0  # 1 for zero
     return a, s_max * 10.0 ** draw(st.floats(-8.0, 0.08))
-
-
-_lams = st.sampled_from([0.1, 0.7, 1.0, 3.0])
 
 
 class TestValueContract:
@@ -352,6 +420,39 @@ class TestInputGuard:
             assert _check_input(u, 1.0).tobytes() == u.tobytes()
             assert _check_input(u.reshape(1, 2), 1.0).shape == (1, 2)
             assert np.array_equal(prox_l1(u, 1.0).point, u - 1.0)
+
+
+class TestLamGuard:
+    """lam enters every exported kernel checked: finite and nonnegative."""
+
+    KERNELS = [(prox_l1, [1.0, -0.5]), (prox_l0, [1.0, -0.5]),
+               (prox_tv1d, [1.0, -0.5, 0.2]), (prox_potts1d, [1.0, -0.5, 0.2]),
+               (prox_nuclear, np.eye(2)), (prox_rank, np.eye(2))]
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("prox, u", KERNELS)
+    def test_rejected(self, prox, u, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no sqrt warning before the check
+            with pytest.raises(ValueError, match="lam"):
+                prox(np.array(u), 1.0, lam)
+
+    @pytest.mark.parametrize("prox, u", KERNELS)
+    def test_zero_is_identity(self, prox, u):
+        # up to the roundoff of running sums (tv1d) and of an SVD
+        u = np.array(u)
+        res = prox(u, 1.0, 0.0)
+        assert np.allclose(res.point, u, rtol=0.0, atol=1e-12)
+        assert res.value == 0.0
+
+    def test_gamma_checked_first(self):
+        with pytest.raises(ValueError, match="gamma"):
+            prox_l1([1.0], 0.0, -1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_regularizer_needs_positive_finite(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            Regularizer.l1(3, lam=lam)
 
 
 class TestRunningSumsOverflow:

@@ -33,10 +33,12 @@ vectors where kept. Cases:
   ``pattern_of`` (tol None, "auto" and a float) and ``project`` (seeded
   selections with duplicates) on seeded points with signed zeros, tiny,
   subnormal and NaN entries;
-* ``kernels-1d``: one line per 1-D prox kernel and size n in {2, 50, 200,
-  2000}, hashing ``prox_tv1d`` and ``prox_potts1d`` outputs (point bytes and
-  ``packed_hex``) on seeded Gaussian, integer-valued and piecewise-constant
-  plus noise inputs at steps from 1e-12 to 1e6.
+* ``kernels-1d``: one line per 1-D prox kernel and size n in {2, 17, 33,
+  50, 100, 200, 2000}, hashing ``prox_tv1d`` and ``prox_potts1d`` outputs
+  (point bytes and ``packed_hex``) on seeded Gaussian, integer-valued and
+  piecewise-constant plus noise inputs at steps from 1e-12 to 1e6; 17 and
+  33 put a right end just past the Potts DP's first and second block of 16,
+  and 100 is the size the segment-1d benchmark denoises.
 
 A solver that rejects a problem fingerprints its error message. The BLAS
 thread count changes trace bytes, so it is pinned to 1 unless
@@ -359,7 +361,7 @@ def collection_lines():
     return lines
 
 
-KERNEL_SIZES = (2, 50, 200, 2000)
+KERNEL_SIZES = (2, 17, 33, 50, 100, 200, 2000)
 KERNEL_STEPS = (1e-12, 0.05, 0.5, 2.0, 1e6)
 
 
