@@ -19,7 +19,6 @@ from .identification import (
 from .manifolds import (
     ManifoldCollection,
     SparsityPattern,
-    StructuredPoint,
     adjacent_pairs,
     coordinate_zeros,
     pattern_leq,

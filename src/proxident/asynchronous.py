@@ -112,15 +112,14 @@ class DelayModel:
         return np.subtract(rng.geometric(self.a, size), 1.0).tolist()
 
 
-def run_dave_pg(problem, config=None, workers=None,
-                delay_model=DelayModel.constant(0.0), encoding="dense",
-                x0=None):
+def run_dave_pg(problem, config=None, delay_model=DelayModel.constant(0.0),
+                encoding="dense", x0=None):
     """Asynchronous proximal gradient over the problem's components.
 
-    workers defaults to the number of components and must match it when
-    given (the generators create the row partition). Requires a strongly
-    convex aggregate oracle (mu > 0); the default stepsize is the upper end
-    of the admissible range, gamma = 2/(mu + L).
+    One worker runs per component of the oracle (the generators create the
+    row partition). Requires a strongly convex aggregate oracle (mu > 0);
+    the default stepsize is the upper end of the admissible range,
+    gamma = 2/(mu + L).
     """
     config = config or SolverConfig()
     f, g = problem.smooth, problem.reg
@@ -128,18 +127,13 @@ def run_dave_pg(problem, config=None, workers=None,
     if not comps:
         raise ValueError("dave-pg needs an oracle with finite-sum components")
     m = len(comps)
-    if workers is not None and workers != m:
-        raise ValueError(
-            f"workers={workers} but the oracle has {m} components; "
-            "regenerate the problem with the desired partition"
-        )
     mu = f.strong_convexity
     if mu <= 0:
         raise ValueError("dave-pg requires a strongly convex smooth term")
     if encoding not in ("dense", "sparse"):
         raise ValueError("encoding must be 'dense' or 'sparse'")
     top = 2.0 / (mu + f.lipschitz)
-    gamma = _resolve_gamma(config, top, 0.0, top, True, "dave-pg")
+    gamma = _resolve_gamma(config, top, top, True, "dave-pg")
     rng = np.random.default_rng(config.seed)
     delays = _block_draws(lambda size: delay_model.samples(rng, size))
 

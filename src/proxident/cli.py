@@ -109,7 +109,6 @@ def build_parser():
     solve.add_argument("--stop-tol", type=float)
     solve.add_argument("--trace-every", type=int)
     solve.add_argument("--seed", type=int)
-    solve.add_argument("--workers", type=int)
     solve.add_argument("--delay", help="constant:d | uniform:lo:hi | geometric:q")
     solve.add_argument("--encoding", choices=["dense", "sparse"])
     solve.add_argument("--full-step-every", type=int)
@@ -174,9 +173,6 @@ def cmd_solve(args):
     problem = read_bundle(args.bundle)
     kwargs = {}
     if args.solver == "dave-pg":
-        workers = _setting(args, conf, "workers", int, None)
-        if workers is not None:
-            kwargs["workers"] = workers
         delay = _setting(args, conf, "delay", str, None)
         if delay is not None:
             kwargs["delay_model"] = DelayModel.parse(delay)

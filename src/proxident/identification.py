@@ -84,8 +84,7 @@ def enlarged_bound_l1(ustar, step, eps) -> SparsityPattern:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     ustar = np.asarray(ustar, dtype=float)
-    bits = (np.abs(ustar) + eps > step).astype(np.uint8)
-    return SparsityPattern(bits)
+    return SparsityPattern(np.abs(ustar) + eps > step)
 
 
 def _ball_sample(rng, center, eps):

@@ -10,14 +10,11 @@ for "rank_level" over (rows, cols) matrices. The membership pattern of a
 point is a bit vector with 0 marking the sets the point belongs to.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "ManifoldCollection",
     "SparsityPattern",
-    "StructuredPoint",
     "coordinate_zeros",
     "adjacent_pairs",
     "rank_levels",
@@ -274,23 +271,3 @@ def project(collection: ManifoldCollection, indices, point) -> np.ndarray:
         values[rows] = point[members].mean(axis=1)
     return values[group]
 
-
-@dataclass
-class StructuredPoint:
-    """A point together with its membership pattern and how it was obtained.
-
-    provenance "prox" means the pattern came from the branch taken inside a
-    proximal operator and is exact; "numeric" means it came from a tolerance
-    test on the values (tol records the threshold used).
-    """
-
-    point: np.ndarray
-    pattern: SparsityPattern
-    provenance: str = "prox"
-    tol: float | None = None
-
-    def __post_init__(self):
-        if self.provenance not in ("prox", "numeric"):
-            raise ValueError("provenance must be 'prox' or 'numeric'")
-        if self.provenance == "prox" and self.tol is not None:
-            raise ValueError("prox-branch patterns carry no tolerance")

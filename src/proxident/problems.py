@@ -327,7 +327,7 @@ def gen_qc_lasso(n, s, delta, seed, m=None, lam=1.0, components=10,
         cert_gamma=gamma,
         delta=float(delta),
         seed=int(seed),
-        meta={"kind": "qc-lasso", "support": support, "degenerate": degenerate},
+        meta={"kind": "qc-lasso", "degenerate": degenerate},
     )
 
 

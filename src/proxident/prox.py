@@ -40,8 +40,9 @@ them, with no sign convention: flipping column j of U and row j of V^T
 together leaves (U * s) @ V^T bit for bit the same (negation is exact and
 each product keeps its sign), and nothing else reads the vectors.
 
-Every operator rejects non-finite input, a non-positive gamma and a
-negative or non-finite lam with a ValueError; lam = 0 is allowed.
+Every operator rejects non-finite input, a non-positive or non-finite
+gamma and a negative or non-finite lam with a ValueError; lam = 0 is
+allowed.
 """
 
 import math
@@ -120,9 +121,10 @@ def _check_input(u, gamma, lam=1.0):
     # vdot, unlike dot, does not report the overflow as a RuntimeWarning.
     if not math.isfinite(np.vdot(u, u)) and not np.isfinite(u).all():
         raise ValueError("prox input must be finite")
-    if not (gamma > 0 and 0.0 <= lam < math.inf):
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
+    if not (0.0 < gamma < math.inf and 0.0 <= lam < math.inf):
+        if not 0.0 < gamma < math.inf:
+            raise ValueError(
+                f"gamma must be positive and finite, got {gamma!r}")
         raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
     return u
 
@@ -358,8 +360,8 @@ def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
 
 
 def _rank_pattern(rows, cols, rank):
-    bits = np.ones(min(rows, cols) + 1, dtype=np.uint8)
-    bits[rank] = 0
+    bits = np.ones(min(rows, cols) + 1, dtype=bool)
+    bits[rank] = False
     return SparsityPattern(bits)
 
 
@@ -516,11 +518,9 @@ def prox_optimality_residual(reg: Regularizer, u, gamma, x) -> float:
     w, s, vt = np.linalg.svd(x, full_matrices=False)
     r = numeric_rank(s, 1e-12)
     wr, vtr = w[:, :r], vt[:r, :]
-    inner = grad - (grad - wr @ (wr.T @ grad)) @ (
-        np.eye(x.shape[1]) - vtr.T @ vtr
-    )
-    tangential = np.linalg.norm(inner - lam * (wr @ vtr))
     outer = (grad - wr @ (wr.T @ grad)) @ (np.eye(x.shape[1]) - vtr.T @ vtr)
+    inner = grad - outer
+    tangential = np.linalg.norm(inner - lam * (wr @ vtr))
     sig = np.linalg.svd(outer, compute_uv=False)
     excess = np.linalg.norm(np.maximum(sig - lam, 0.0))
     return float(np.hypot(tangential, excess))

@@ -47,6 +47,7 @@ FIG2_GAMMA = 0.15
 FIG3_SHAPE = (200, 100)
 FIG3_WORKERS = 10
 FIG3_DELAYS = DelayModel.uniform(0.0, 3.0)
+FIG3_GAP = 1e-6
 
 
 def _write_csv(path, header, rows):
@@ -89,27 +90,21 @@ def replicate_fig1(seed=0, outdir=None):
         FIG1_DESIGN * (1.0 - FIG1_PERTURBATION * signs),
     ]
     rows = []
-    points = []
+    patterns = []
     ls_points = []
     for idx, A in enumerate(designs):
         pt = _solve_lasso_tight(A, b, FIG1_LAM)
         ls = np.linalg.solve(A, b)
-        points.append(pt)
+        patterns.append(pt.pattern)
         ls_points.append(ls)
         rows.append((idx, pt.point[0], pt.point[1], pt.pattern.packed_hex(),
                      ls[0], ls[1]))
-    shared_axis = bool(
-        points[0].pattern == points[1].pattern
-        and points[0].pattern.bits[1] == 0
-    )
+    shared_axis = bool(patterns[0] == patterns[1] and patterns[0].bits[1] == 0)
     ls_change = float(
         np.linalg.norm(ls_points[0] - ls_points[1])
         / max(np.linalg.norm(p) for p in ls_points)
     )
     result = {
-        "solutions": [p.point for p in points],
-        "patterns": [p.pattern for p in points],
-        "ls_solutions": ls_points,
         "shared_axis": shared_axis,
         "ls_relative_change": ls_change,
         "ls_separated": ls_change > FIG1_PERTURBATION,
@@ -174,16 +169,17 @@ def replicate_fig2(seed=0, outdir=None, instances=50):
             "group,mean_final_rank",
             [(g, means[g]) for g in ("well-posed", "degenerate")],
         )
-    return {"finals": finals, "means": means, "summary": summary_rows}
+    return {"finals": finals, "means": means}
 
 
-def replicate_fig3(seed=0, outdir=None, gap=1e-6):
+def replicate_fig3(seed=0, outdir=None):
     """Asynchronous lasso run: objective against cumulative coordinates sent.
 
     The same seeded event sequence is run once per encoding (the encoding
     only changes the accounting), and the cumulative coordinate counts are
     compared at the first trace point whose objective gap drops below
-    ``gap``.
+    FIG3_GAP. The reference objective f_star goes to fig3_reference.txt
+    when outdir is given.
     """
     m, n = FIG3_SHAPE
     problem = gen_lasso(m, n, seed=seed, components=FIG3_WORKERS)
@@ -200,13 +196,13 @@ def replicate_fig3(seed=0, outdir=None, gap=1e-6):
         for record in trace:
             rows.append((encoding, record.k, record.objective,
                          record.comm_coords, record.nnz))
-        hit = next((r for r in trace if r.objective - f_star <= gap), None)
+        hit = next((r for r in trace if r.objective - f_star <= FIG3_GAP),
+                   None)
         comm_at_gap[encoding] = None if hit is None else hit.comm_coords
     ratio = None
     if comm_at_gap["dense"]:
         ratio = (comm_at_gap["sparse"] or float("nan")) / comm_at_gap["dense"]
     result = {
-        "f_star": f_star,
         "comm_at_gap": comm_at_gap,
         "ratio": ratio,
         "final_support": int(point.pattern.count_ones()),

@@ -17,10 +17,13 @@ predictor-corrector and random subspace descent pass their own ``stop``
 closure, stop(k, u_step, x_k). The run ends "converged" when the rule
 holds, "max_iter" when the iterations run out, and "diverged" when a step
 or stop rule raises ``_Diverged``: ``_advance`` does so when the u-step is
-not finite, before the prox, so the run returns the last finite iterate
-and the trace so far (``trace.status`` says which). Each run holds numpy's
-overflow and invalid-value warnings off, so a diverging run ends with that
-status and no RuntimeWarning.
+not finite, before the prox. Each run holds numpy's overflow and
+invalid-value warnings off, so a diverging run ends with that status and
+no RuntimeWarning.
+
+A run returns (ProxResult, TraceLog): the prox result of its last (finite)
+iterate, which holds the point, its exact pattern and g at the point, and
+the trace so far, whose ``status`` says how the run ended.
 
 Default stepsizes are taken from the oracle constants: gamma = 1/L for the
 proximal gradient and its accelerated variant, 1/(3*L_max) for SAGA
@@ -41,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import SparsityPattern, StructuredPoint
+from .manifolds import SparsityPattern
+from .prox import ProxResult
 
 __all__ = [
     "SolverConfig",
@@ -117,9 +121,12 @@ class TraceLog(list):
         super().__init__()
         self.gamma = gamma
         self.seed = seed
-        self.converged = False
         self.status = None
         self.iterations = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.status == CONVERGED
 
 
 TRACE_COLUMNS = "k,objective,nnz,pattern_hash,u_step,comm_coords,wallclock_s"
@@ -163,13 +170,13 @@ def trace_to_csv(trace, path):
     return text
 
 
-def _resolve_gamma(config, default, low, high, high_inclusive, algo):
+def _resolve_gamma(config, default, high, high_inclusive, algo):
     gamma = default if config.gamma is None else float(config.gamma)
-    ok = gamma > low and (gamma <= high if high_inclusive else gamma < high)
+    ok = gamma > 0.0 and (gamma <= high if high_inclusive else gamma < high)
     if not ok:
         bracket = "]" if high_inclusive else ")"
         raise ValueError(
-            f"{algo}: gamma={gamma:g} outside admissible ({low:g}, {high:g}{bracket}"
+            f"{algo}: gamma={gamma:g} outside admissible (0, {high:g}{bracket}"
         )
     return gamma
 
@@ -199,13 +206,16 @@ def _advance(g, u, u_prev, gamma):
 
 def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
              stop=None):
-    """The iteration loop every solver runs; returns (StructuredPoint, log).
+    """The iteration loop every solver runs; returns (ProxResult, log).
 
     step(k, x, pattern, u_prev) -> (u, u_step, res, extras) computes
     iteration k from the previous iterate: res is the prox result holding
     x_k and its pattern, extras the solver's extra TraceRecord fields.
     stop(k, u_step, x_k), asked after iteration k is recorded, defaults to
     k > 1 and u_step <= stop_tol. Either may raise _Diverged.
+
+    The returned result is the last step's; when the first step diverges,
+    it is ProxResult(x, pattern) of the start point and the given pattern.
     """
     log = TraceLog(gamma, config.seed)
     f_value, reg = problem.smooth.value, problem.reg
@@ -214,6 +224,7 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
     if u_prev is None:
         u_prev = x
     status = MAX_ITER
+    res = None
     # the recorded pattern's bit bytes and count: a record whose pattern has
     # the previous record's bytes reuses its count
     counted_key = count = None
@@ -242,8 +253,7 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
         except _Diverged:
             status = DIVERGED
     log.status = status
-    log.converged = status == CONVERGED
-    return StructuredPoint(np.asarray(x), pattern, "prox"), log
+    return (ProxResult(x, pattern) if res is None else res), log
 
 
 # a run draws from its private generator this many values at a time
@@ -277,7 +287,7 @@ def run_pg(problem, config=None, x0=None):
     config = config or SolverConfig()
     f, g = problem.smooth, problem.reg
     gamma = _resolve_gamma(
-        config, 1.0 / f.lipschitz, 0.0, 2.0 / f.lipschitz, False, "pg"
+        config, 1.0 / f.lipschitz, 2.0 / f.lipschitz, False, "pg"
     )
 
     def step(k, x, pattern, u_prev):
@@ -297,7 +307,7 @@ def run_apg(problem, config=None, x0=None):
     config = config or SolverConfig()
     f, g = problem.smooth, problem.reg
     gamma = _resolve_gamma(
-        config, 1.0 / f.lipschitz, 0.0, 1.0 / f.lipschitz, True, "apg"
+        config, 1.0 / f.lipschitz, 1.0 / f.lipschitz, True, "apg"
     )
     x_prev = _start_point(problem, x0)
 
@@ -325,7 +335,7 @@ def run_dr(problem, config=None, x0=None):
     if not getattr(f, "has_prox", False):
         raise ValueError("douglas-rachford needs a smooth term with a prox")
     default = 1.0 / f.lipschitz if f.lipschitz > 0 else 1.0
-    gamma = _resolve_gamma(config, default, 0.0, np.inf, False, "dr")
+    gamma = _resolve_gamma(config, default, np.inf, False, "dr")
     u0 = _start_point(problem, x0)
     res = g.prox(u0, gamma)
 
@@ -357,7 +367,7 @@ def run_saga(problem, config=None, x0=None):
     m = len(comps)
     l_max = max(c.lipschitz for c in comps)
     gamma = _resolve_gamma(
-        config, 1.0 / (3.0 * l_max), 0.0, 1.0 / (3.0 * l_max), True, "saga"
+        config, 1.0 / (3.0 * l_max), 1.0 / (3.0 * l_max), True, "saga"
     )
     rng = np.random.default_rng(config.seed)
     indices = _block_draws(lambda size: rng.integers(m, size=size).tolist())

@@ -107,11 +107,6 @@ class TestConvergence:
         with pytest.raises(ValueError):
             run_dave_pg(p)
 
-    def test_worker_count_must_match_partition(self):
-        p = gen_lasso(20, 8, seed=4, components=5)
-        with pytest.raises(ValueError):
-            run_dave_pg(p, workers=7)
-
     def test_gamma_range(self):
         p = gen_qc_lasso(n=10, s=2, delta=0.5, seed=5)
         top = 2.0 / (p.smooth.strong_convexity + p.smooth.lipschitz)

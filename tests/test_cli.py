@@ -100,11 +100,15 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "unknown-solver", "x"])
     assert exc.value.code == 1
+    # dave-pg runs one worker per component and takes no worker count
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "dave-pg", "x", "--workers", "10"])
+    assert exc.value.code == 1
 
 
 def test_dave_pg_populates_comm(qc_bundle):
     out = qc_bundle.parent / "dave-out"
-    code = main(["solve", "dave-pg", str(qc_bundle), "--workers", "10",
+    code = main(["solve", "dave-pg", str(qc_bundle),
                  "--delay", "uniform:0:5", "--out", str(out)])
     assert code == 0
     rows = (out / "trace.csv").read_text().strip().splitlines()[1:]

@@ -9,7 +9,6 @@ from oracles import pattern_of_reference, project_reference
 from proxident.manifolds import (
     ManifoldCollection,
     SparsityPattern,
-    StructuredPoint,
     adjacent_pairs,
     coordinate_zeros,
     pattern_leq,
@@ -377,14 +376,3 @@ class TestCollections:
         # bits 0..9 = 1,0,0,0,0,0,0,0,1,1 -> bytes 0x01, 0x03
         pat = SparsityPattern([1, 0, 0, 0, 0, 0, 0, 0, 1, 1])
         assert pat.packed_hex() == "0103"
-
-
-class TestStructuredPoint:
-    def test_prox_provenance_is_exact(self):
-        pat = SparsityPattern([0, 1])
-        sp = StructuredPoint(np.array([0.0, 1.0]), pat, "prox")
-        assert sp.tol is None
-        with pytest.raises(ValueError):
-            StructuredPoint(np.zeros(2), pat, "prox", tol=1e-8)
-        with pytest.raises(ValueError):
-            StructuredPoint(np.zeros(2), pat, "guess")

@@ -423,7 +423,8 @@ class TestInputGuard:
 
 
 class TestLamGuard:
-    """lam enters every exported kernel checked: finite and nonnegative."""
+    """lam enters every exported kernel checked: finite and nonnegative;
+    gamma positive and finite."""
 
     KERNELS = [(prox_l1, [1.0, -0.5]), (prox_l0, [1.0, -0.5]),
                (prox_tv1d, [1.0, -0.5, 0.2]), (prox_potts1d, [1.0, -0.5, 0.2]),
@@ -448,6 +449,16 @@ class TestLamGuard:
     def test_gamma_checked_first(self):
         with pytest.raises(ValueError, match="gamma"):
             prox_l1([1.0], 0.0, -1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    @pytest.mark.parametrize("prox, u", KERNELS)
+    def test_non_finite_gamma_rejected(self, prox, u, gamma, lam):
+        # gamma = inf with lam = 0 would make the step inf * 0 = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma"):
+                prox(np.array(u), gamma, lam)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
     def test_regularizer_needs_positive_finite(self, lam):

@@ -439,6 +439,26 @@ class TestRunStatus:
         assert 0 < len(log) and log[-1].k == log.iterations < 100_000
         assert np.isfinite(point.point).all()
 
+    def test_first_step_divergence_returns_the_start(self):
+        # an infinite gradient makes the first u-step inf, before any prox
+        p = CompositeProblem(
+            SmoothOracle(lambda x: 0.0, lambda x: np.full_like(x, np.inf),
+                         1.0),
+            Regularizer.l1(3, 1.0),
+        )
+        x0 = np.array([1.0, 0.0, -2.0])
+        point, log = run_pg(p, SolverConfig(), x0=x0)
+        assert (log.status, log.iterations, len(log)) == ("diverged", 0, 0)
+        assert np.array_equal(point.point, x0)
+        assert point.pattern is None and point.value is None
+
+    def test_returns_the_last_prox_result(self):
+        p = gen_qc_lasso(n=10, s=3, delta=0.5, seed=2)
+        point, log = run_pg(p, SolverConfig(max_iter=3))
+        assert isinstance(point, ProxResult) and log[-1].k == 3
+        assert point.pattern == log[-1].pattern
+        assert p.smooth.value(point.point) + point.value == log[-1].objective
+
     def test_converged_and_max_iter(self):
         # a qc instance with components, so that saga and dave-pg run too
         p = gen_qc_lasso(n=10, s=3, delta=0.5, seed=2)
