@@ -140,16 +140,11 @@ def write_bundle(path, problem: CompositeProblem):
         meta["components"] = problem.smooth.component_count
         if kind == "qc-lasso":
             meta["degenerate"] = int(bool(problem.meta.get("degenerate")))
-    if problem.xstar is not None:
-        write_matrix(os.path.join(path, "xstar.txt"),
-                     np.atleast_2d(problem.xstar).T
-                     if problem.xstar.ndim == 1 else problem.xstar)
-        meta["xstar-file"] = "xstar.txt"
-    if problem.ustar is not None:
-        write_matrix(os.path.join(path, "ustar.txt"),
-                     np.atleast_2d(problem.ustar).T
-                     if problem.ustar.ndim == 1 else problem.ustar)
-        meta["ustar-file"] = "ustar.txt"
+    for name, truth in (("xstar", problem.xstar), ("ustar", problem.ustar)):
+        if truth is not None:  # a vector is stored as one column
+            write_matrix(os.path.join(path, name + ".txt"),
+                         truth[:, None] if truth.ndim == 1 else truth)
+            meta[name + "-file"] = name + ".txt"
     _write_meta(os.path.join(path, "meta"), meta)
 
 

@@ -8,6 +8,7 @@ identification claims can be checked against ground truth.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,8 +258,15 @@ def gen_lasso(m, n, seed, density=0.1, noise=0.1, lam=None, components=10):
     """Random lasso instance: Gaussian design, sparse planted signal.
 
     lam defaults to 0.1 * ||A^T b||_inf. components row-partitions the rows
-    for the finite-sum solvers (clipped to m).
+    for the finite-sum solvers (clipped to m). m and n must be >= 1, density
+    in (0, 1] and noise finite and nonnegative.
     """
+    if min(m, n) < 1:
+        raise ValueError(f"m and n must be >= 1, got m={m!r}, n={n!r}")
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must be in (0, 1], got {density!r}")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     s = max(1, int(round(density * n)))
@@ -342,8 +350,8 @@ def gen_lowrank_matrix_problem(size=20, rank=4, degenerate=False, seed=0,
     a narrow band straddling lam, so the optimal rank is >= the planted one
     and membership of each near-threshold value is decided by a hair.
     """
-    if rank > size:
-        raise ValueError("rank cannot exceed the matrix size")
+    if not 0 <= rank <= size:
+        raise ValueError(f"rank must be in 0..size={size}, got {rank!r}")
     rng = np.random.default_rng(seed)
     qu, _ = np.linalg.qr(rng.standard_normal((size, size)))
     qv, _ = np.linalg.qr(rng.standard_normal((size, size)))

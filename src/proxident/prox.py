@@ -24,16 +24,17 @@ rank       rank(X)                               rank levels
 
 Hard-thresholding boundaries: minimizing gamma*lam*||y||_0 + ||y-u||^2/2
 coordinate-wise keeps u_i iff |u_i| > sqrt(2*gamma*lam); ties go to the zero
-branch (more structure). The same rule applies to singular values for the
-rank regularizer.
+branch (more structure). The nuclear norm and the rank are the l1 norm and
+the l0 count of the singular values, so their proxes apply the l1 and l0
+rules to sigma(u) after one SVD; the rank pattern has its 0 bit at the kept
+count.
 
 The branch that gives the pattern also gives the value g(x) = lam * r(x) of
-the output, reported as ``ProxResult.value``: lam times the sum of the
-shrunk singular values (nuclear), the kept rank (rank), the kept count (l0)
-or the jump count (potts1d). For l1 and tv1d it is ``Regularizer.value``'s
-expression on the point, computed on first read, so a prox result whose
-value nobody reads costs nothing more. The solvers' objective column is
-f(x_k) plus this value, so an SVD-based iteration makes one SVD, not two.
+the output, reported as the number ``ProxResult.value``: lam times the l1
+norm of the point (l1), of its differences (tv1d) or of the shrunk singular
+values (nuclear), the kept count (l0), the kept rank (rank) or the jump
+count (potts1d). The solvers' objective column is f(x_k) plus this value,
+so an SVD-based iteration makes one SVD, not two.
 
 The SVD-based kinds use the singular vectors exactly as LAPACK returns
 them, with no sign convention: flipping column j of U and row j of V^T
@@ -88,30 +89,22 @@ _KIND_COLLECTION = {
 class ProxResult:
     """Prox output, its exact structure pattern, and g at the output.
 
-    value is lam * r(point), taken from the branch the prox took (see the
-    module docstring). For l1, l0, tv1d and potts1d it equals
+    value is the number lam * r(point), taken from the branch the prox took
+    (see the module docstring). For l1, l0, tv1d and potts1d it equals
     ``Regularizer.value(point)`` bit for bit; for nuclear it differs from
     that SVD of the point in the last bits only; for rank it is the exact
     kept rank, which ``Regularizer.value``'s relative cut (1e-10 * sigma_max)
-    undercounts when a kept singular value lies below that cut.
-
-    value may be given as a zero-argument callable, called on the first
-    read and its result kept. A result built without a value reports None;
-    the solvers then call ``Regularizer.value`` on the point.
+    undercounts when a kept singular value lies below that cut. A result
+    built without a value reports None; the solvers then call
+    ``Regularizer.value`` on the point.
     """
 
-    __slots__ = ("point", "pattern", "_value")
+    __slots__ = ("point", "pattern", "value")
 
     def __init__(self, point, pattern, value=None):
         self.point = point
         self.pattern = pattern
-        self._value = value
-
-    @property
-    def value(self):
-        if callable(self._value):
-            self._value = self._value()
-        return self._value
+        self.value = value
 
 
 def _check_input(u, gamma, lam=1.0):
@@ -129,35 +122,48 @@ def _check_input(u, gamma, lam=1.0):
     return u
 
 
+def _l1(x) -> float:
+    """sum_i |x_i|; np.add.reduce(., None) is the reduction ndarray.sum runs."""
+    return float(np.add.reduce(np.abs(x), None))
+
+
+def _l0(x) -> float:
+    """#{i : x_i != 0}."""
+    return float(np.count_nonzero(x))
+
+
+def _soft(u, t):
+    """(x, keep): x is 0 on [-t, t] and u -+ t outside; keep is |u| > t."""
+    keep = np.abs(u) > t
+    if t > 0:
+        # u - clip(u, -t, t) is u -+ t outside [-t, t] and u - u = +0.0
+        # inside: the bytes of the np.where form below, in two calls fewer
+        return u - np.minimum(np.maximum(u, -t), t), keep
+    # t == 0 (lam = 0, or gamma * lam underflows): u = -0.0 ties both clip
+    # bounds and the clip form would return -0.0, not +0.0
+    return np.where(keep, u - t * np.sign(u), 0.0), keep
+
+
+def _hard(u, thr):
+    """(x, keep): x is u where keep = |u| > thr holds, 0 elsewhere."""
+    keep = np.abs(u) > thr
+    return np.where(keep, u, 0.0), keep
+
+
 def prox_l1(u, gamma, lam=1.0) -> ProxResult:
     """Soft thresholding at gamma*lam.
 
     Coordinate-wise: 0 on [-gamma*lam, gamma*lam] (boundary included),
     u_i -+ gamma*lam outside. Pattern bit i is 0 iff the zero branch fired.
     """
-    u = _check_input(u, gamma, lam)
-    t = gamma * lam
-    keep = np.abs(u) > t
-    if t > 0:
-        # u - clip(u, -t, t) is u -+ t outside [-t, t] and u - u = +0.0
-        # inside: the bytes of the np.where form below, in two calls fewer
-        x = u - np.minimum(np.maximum(u, -t), t)
-    else:  # t == 0 (lam = 0, or gamma * lam underflows): u = -0.0 ties
-        # both clip bounds and the clip form would return -0.0, not +0.0
-        x = np.where(keep, u - t * np.sign(u), 0.0)
-    # np.add.reduce(., None) is the reduction ndarray.sum runs
-    return ProxResult(x, SparsityPattern(keep),
-                      lambda: lam * float(np.add.reduce(np.abs(x), None)))
+    x, keep = _soft(_check_input(u, gamma, lam), gamma * lam)
+    return ProxResult(x, SparsityPattern(keep), lam * _l1(x))
 
 
 def prox_l0(u, gamma, lam=1.0) -> ProxResult:
     """Hard thresholding: keep u_i iff |u_i| > sqrt(2*gamma*lam)."""
-    u = _check_input(u, gamma, lam)
-    thr = np.sqrt(2.0 * gamma * lam)
-    keep = np.abs(u) > thr
-    x = np.where(keep, u, 0.0)
-    return ProxResult(x, SparsityPattern(keep),
-                      lam * float(np.count_nonzero(keep)))
+    x, keep = _hard(_check_input(u, gamma, lam), np.sqrt(2.0 * gamma * lam))
+    return ProxResult(x, SparsityPattern(keep), lam * _l0(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +241,14 @@ def _segments_to_result(segs, n):
     return x, SparsityPattern(bits)
 
 
+def _segmentation(kind, segments, u, gamma, lam):
+    """(point, pattern) of segments(u, gamma*lam), after the input checks."""
+    u = _check_input(u, gamma, lam)
+    if u.ndim != 1 or u.size < 2:
+        raise ValueError(f"{kind} needs a vector of length >= 2")
+    return _segments_to_result(segments(u, gamma * lam), u.size)
+
+
 def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
     """Exact prox of the 1-D total variation, with exact segment flags.
 
@@ -244,13 +258,9 @@ def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
     where the bend is detected and O(n^2) at worst. An input whose running
     sums overflow is rejected with a ValueError.
     """
-    u = _check_input(u, gamma, lam)
-    if u.ndim != 1 or u.size < 2:
-        raise ValueError("tv1d needs a vector of length >= 2")
-    x, pattern = _segments_to_result(_tv1d_segments(u, gamma * lam), u.size)
-    # the subtraction np.diff runs and the reduction ndarray.sum runs
-    return ProxResult(x, pattern, lambda: lam * float(
-        np.add.reduce(np.abs(x[1:] - x[:-1]), None)))
+    x, pattern = _segmentation("tv1d", _tv1d_segments, u, gamma, lam)
+    # x[1:] - x[:-1] is the subtraction np.diff runs
+    return ProxResult(x, pattern, lam * _l1(x[1:] - x[:-1]))
 
 
 _POTTS_BLOCK = 16  # right ends per vectorised pass of the Potts DP
@@ -352,50 +362,34 @@ def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
     An input whose running sums, or n times those of its squares, overflow
     is rejected with a ValueError.
     """
-    u = _check_input(u, gamma, lam)
-    if u.ndim != 1 or u.size < 2:
-        raise ValueError("potts1d needs a vector of length >= 2")
-    x, pattern = _segments_to_result(_potts_segments(u, gamma * lam), u.size)
+    x, pattern = _segmentation("potts1d", _potts_segments, u, gamma, lam)
     return ProxResult(x, pattern, lam * float(pattern.count_ones()))
 
 
-def _rank_pattern(rows, cols, rank):
-    bits = np.ones(min(rows, cols) + 1, dtype=bool)
-    bits[rank] = False
-    return SparsityPattern(bits)
+def _spectral(kind, u, rule, thr):
+    """(X, pattern, s): s is rule(., thr) applied to u's singular values,
+    X = (W * s) @ V^T, and the pattern's 0 bit is at the kept count."""
+    if u.ndim != 2:
+        raise ValueError(f"{kind} prox expects a matrix")
+    w, s, vt = np.linalg.svd(u, full_matrices=False)
+    s, keep = rule(s, thr)
+    bits = np.ones(min(u.shape) + 1, dtype=bool)
+    bits[np.count_nonzero(keep)] = False
+    return (w * s) @ vt, SparsityPattern(bits), s
 
 
 def prox_nuclear(u, gamma, lam=1.0) -> ProxResult:
-    """Soft thresholding of the singular values at gamma*lam.
-
-    The output rank is the number of singular values that survive the
-    threshold, which is known exactly from the shrinkage branch.
-    """
+    """Soft thresholding of the singular values at gamma*lam."""
     u = _check_input(u, gamma, lam)
-    if u.ndim != 2:
-        raise ValueError("nuclear prox expects a matrix")
-    w, s, vt = np.linalg.svd(u, full_matrices=False)
-    t = gamma * lam
-    kept = s > t
-    s_new = np.where(kept, s - t, 0.0)
-    x = (w * s_new) @ vt
-    return ProxResult(x, _rank_pattern(*u.shape, rank=int(kept.sum())),
-                      lam * float(s_new.sum()))
+    x, pattern, s = _spectral("nuclear", u, _soft, gamma * lam)
+    return ProxResult(x, pattern, lam * _l1(s))
 
 
 def prox_rank(u, gamma, lam=1.0) -> ProxResult:
     """Hard thresholding of the singular values at sqrt(2*gamma*lam)."""
     u = _check_input(u, gamma, lam)
-    if u.ndim != 2:
-        raise ValueError("rank prox expects a matrix")
-    w, s, vt = np.linalg.svd(u, full_matrices=False)
-    thr = np.sqrt(2.0 * gamma * lam)
-    kept = s > thr
-    s_new = np.where(kept, s, 0.0)
-    x = (w * s_new) @ vt
-    rank = int(kept.sum())
-    return ProxResult(x, _rank_pattern(*u.shape, rank=rank),
-                      lam * float(rank))
+    x, pattern, s = _spectral("rank", u, _hard, np.sqrt(2.0 * gamma * lam))
+    return ProxResult(x, pattern, lam * _l0(s))
 
 
 class Regularizer:
@@ -449,16 +443,16 @@ class Regularizer:
         prox result carries this value for its own point (``value``)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "l1":
-            return self.lam * float(np.abs(x).sum())
+            return self.lam * _l1(x)
         if self.kind == "l0":
-            return self.lam * float(np.count_nonzero(x))
+            return self.lam * _l0(x)
         if self.kind == "tv1d":
-            return self.lam * float(np.abs(np.diff(x)).sum())
+            return self.lam * _l1(np.diff(x))
         if self.kind == "potts1d":
-            return self.lam * float(np.count_nonzero(np.diff(x)))
+            return self.lam * _l0(np.diff(x))
         s = np.linalg.svd(x, compute_uv=False)
         if self.kind == "nuclear":
-            return self.lam * float(s.sum())
+            return self.lam * _l1(s)
         return self.lam * float(numeric_rank(s))
 
     def prox(self, u, gamma) -> ProxResult:
@@ -473,6 +467,13 @@ _PROX = {
     "nuclear": prox_nuclear,
     "rank": prox_rank,
 }
+
+
+def _abs_subgradient_gap(x, g, lam):
+    """Distance of each g_i from lam times the subdifferential of |.| at x_i:
+    |g_i - lam*sign(x_i)| where x_i != 0, (|g_i| - lam)_+ where x_i = 0."""
+    return np.where(x != 0.0, np.abs(g - lam * np.sign(x)),
+                    np.maximum(np.abs(g) - lam, 0.0))
 
 
 def prox_optimality_residual(reg: Regularizer, u, gamma, x) -> float:
@@ -496,22 +497,13 @@ def prox_optimality_residual(reg: Regularizer, u, gamma, x) -> float:
     grad = (u - x) / gamma  # must lie in the subdifferential of g at x
 
     if reg.kind == "l1":
-        on = x != 0.0
-        err = np.where(
-            on,
-            np.abs(grad - lam * np.sign(x)),
-            np.maximum(np.abs(grad) - lam, 0.0),
-        )
-        return float(np.linalg.norm(err))
+        return float(np.linalg.norm(_abs_subgradient_gap(x, grad, lam)))
 
     if reg.kind == "tv1d":
         n = x.size
         mean_defect = abs(grad.sum()) / np.sqrt(n)
         v = -np.cumsum(grad)[:-1] / lam
-        d = np.diff(x)
-        err = np.where(
-            d != 0.0, np.abs(v - np.sign(d)), np.maximum(np.abs(v) - 1.0, 0.0)
-        )
+        err = _abs_subgradient_gap(np.diff(x), v, 1.0)
         return float(np.hypot(mean_defect, lam * np.linalg.norm(err)))
 
     # nuclear

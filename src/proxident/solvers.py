@@ -62,6 +62,15 @@ __all__ = [
 ]
 
 
+def _check_count(name, value):
+    """Raise a ValueError naming the field unless value is an int >= 1
+    (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     """Shared solver knobs.
@@ -82,13 +91,8 @@ class SolverConfig:
     keep_u: bool = False
 
     def __post_init__(self):
-        for name in ("max_iter", "trace_every"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        _check_count("max_iter", self.max_iter)
+        _check_count("trace_every", self.trace_every)
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError("stop_tol must be finite and nonnegative, "
                              f"got {self.stop_tol!r}")

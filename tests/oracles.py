@@ -9,6 +9,7 @@ import numpy as np
 
 from proxident.identification import IdentificationReport
 from proxident.manifolds import SparsityPattern
+from proxident.prox import ProxResult, _check_input
 from proxident.solvers import TRACE_COLUMNS
 
 
@@ -251,6 +252,43 @@ def prox_l1_reference(u, gamma, lam=1.0):
     keep = np.abs(u) > t
     x = np.where(keep, u - t * np.sign(u), 0.0)
     return x, keep, lam * float(np.abs(x).sum())
+
+
+def _rank_pattern(rows, cols, rank):
+    bits = np.ones(min(rows, cols) + 1, dtype=bool)
+    bits[rank] = False
+    return SparsityPattern(bits)
+
+
+def prox_nuclear_reference(u, gamma, lam=1.0) -> ProxResult:
+    """``prox_nuclear`` as it once stood, with its own soft threshold of
+    the singular values and rank pattern."""
+    u = _check_input(u, gamma, lam)
+    if u.ndim != 2:
+        raise ValueError("nuclear prox expects a matrix")
+    w, s, vt = np.linalg.svd(u, full_matrices=False)
+    t = gamma * lam
+    kept = s > t
+    s_new = np.where(kept, s - t, 0.0)
+    x = (w * s_new) @ vt
+    return ProxResult(x, _rank_pattern(*u.shape, rank=int(kept.sum())),
+                      lam * float(s_new.sum()))
+
+
+def prox_rank_reference(u, gamma, lam=1.0) -> ProxResult:
+    """``prox_rank`` as it once stood, with its own hard threshold of the
+    singular values and rank pattern."""
+    u = _check_input(u, gamma, lam)
+    if u.ndim != 2:
+        raise ValueError("rank prox expects a matrix")
+    w, s, vt = np.linalg.svd(u, full_matrices=False)
+    thr = np.sqrt(2.0 * gamma * lam)
+    kept = s > thr
+    s_new = np.where(kept, s, 0.0)
+    x = (w * s_new) @ vt
+    rank = int(kept.sum())
+    return ProxResult(x, _rank_pattern(*u.shape, rank=rank),
+                      lam * float(rank))
 
 
 def svd_fixed_signs_reference(a):

@@ -31,6 +31,21 @@ def test_gen_prints_path_and_writes_bundle(tmp_path, capsys):
     assert problem.smooth.A.shape == (30, 12)
 
 
+@pytest.mark.parametrize("args,field", [
+    (["lasso", "--m", "0"], "m=0"),
+    (["lasso", "--n", "0"], "n=0"),
+    (["lasso", "--density", "2"], "density"),
+    (["lasso", "--density", "-1"], "density"),
+    (["lasso", "--noise", "nan"], "noise"),
+    (["lowrank", "--rank", "-1"], "rank"),
+])
+def test_gen_bad_argument_exits_1_naming_it(tmp_path, capsys, args, field):
+    out = tmp_path / "bundle"
+    assert main(["gen", *args, "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_qc_records_support(qc_bundle):
     problem = read_bundle(qc_bundle)
     assert np.count_nonzero(problem.xstar) == 3

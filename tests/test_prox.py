@@ -9,6 +9,8 @@ from oracles import (
     potts1d_bruteforce,
     potts_segments_reference,
     prox_l1_reference,
+    prox_nuclear_reference,
+    prox_rank_reference,
     segments_to_result_reference,
     svd_fixed_signs_reference,
     tv1d_bruteforce,
@@ -567,6 +569,58 @@ class TestNuclearAndRank:
             sa = np.linalg.svd(a, compute_uv=False)
             sb = np.linalg.svd(a + e, compute_uv=False)
             assert np.all(np.abs(sa - sb) <= delta + 1e-10)
+
+
+@st.composite
+def _spectral_cases(draw):
+    """(u, gamma, t): 1x1, wide, tall and square products of every rank, of
+    either sign (a zero product is all +0.0 or all -0.0) with signed zeros
+    mixed in, and a threshold t that is 0 (lam = 0), exactly a singular
+    value, or drawn between 1e-8 and 1.2 times the largest one. gamma is a
+    power of two, so t / gamma and t * t / (2 * gamma) give the soft and the
+    hard threshold t exactly."""
+    rows, cols = draw(st.sampled_from([1, 2, 5, 8])), draw(
+        st.sampled_from([1, 2, 5, 8]))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    a *= draw(st.sampled_from([-1e3, -1.0, 1e-3, 1.0]))
+    a[rng.random(a.shape) < draw(st.sampled_from([0.0, 0.3]))] = draw(
+        st.sampled_from([0.0, -0.0]))
+    s = np.linalg.svd(a, full_matrices=False)[1]
+    t = draw(st.sampled_from(["zero", "tie", "drawn"]))
+    if t == "zero":
+        t = 0.0
+    elif t == "tie":
+        t = draw(st.sampled_from(s.tolist()))
+    else:
+        t = (s[0] or 1.0) * 10.0 ** draw(st.floats(-8.0, 0.08))
+    return a, draw(st.sampled_from([0.25, 1.0, 2.0])), t
+
+
+class TestSpectralMatchesReference:
+    """prox_nuclear and prox_rank, the l1 and l0 rules on the singular
+    values, give the bytes of their former bodies in tests/oracles.py:
+    point, pattern bits and value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_spectral_cases())
+    def test_point_pattern_and_value_bytes(self, case):
+        a, gamma, t = case
+        for prox, reference, lam in (
+                (prox_nuclear, prox_nuclear_reference, t / gamma),
+                (prox_rank, prox_rank_reference, t * t / (2.0 * gamma))):
+            res, want = prox(a, gamma, lam), reference(a, gamma, lam)
+            assert res.point.tobytes() == want.point.tobytes()
+            assert res.pattern.bits.tobytes() == want.pattern.bits.tobytes()
+            assert res.value.hex() == want.value.hex()
+
+    def test_ties_go_to_the_zero_branch(self):
+        a = np.diag([3.0, 1.0, 1.0])
+        nuclear, rank = prox_nuclear(a, 1.0, 1.0), prox_rank(a, 0.5, 1.0)
+        assert nuclear.pattern == rank.pattern
+        assert list(rank.pattern.bits) == [1, 0, 1, 1]
+        assert (nuclear.value, rank.value) == (2.0, 1.0)
 
 
 class TestResidual:

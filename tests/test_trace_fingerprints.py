@@ -106,3 +106,35 @@ def test_draw_lines_are_well_formed_and_repeatable():
         "draws-3-components,saga"]
     assert all(re.fullmatch(r"draws-[a-z0-9.-]+,[a-z-]+,[0-9a-f]{64}", line)
                for line in lines)
+
+
+def test_spectral_kernel_lines_are_well_formed_and_repeatable():
+    tool = load_tool()
+    lines = tool.spectral_kernel_lines()
+    assert lines == tool.spectral_kernel_lines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"kernels-spectral,{kind}-{rows}x{cols}"
+        for rows, cols in tool.SPECTRAL_SHAPES for kind in ("nuclear", "rank")]
+    assert all(re.fullmatch(
+        r"kernels-spectral,(nuclear|rank)-[0-9]+x[0-9]+,[0-9a-f]{64}", line)
+        for line in lines)
+    assert len({line.split(",")[2] for line in lines}) == len(lines)
+
+
+def test_spectral_cases_put_thresholds_on_singular_values():
+    import numpy as np
+
+    tool = load_tool()
+    for rows, cols in tool.SPECTRAL_SHAPES:
+        cases = tool._spectral_cases(np.random.default_rng(0), rows, cols)
+        assert not cases[2][0].any()  # the zero matrix
+        for a, steps in cases:
+            assert (1.0, 0.0) in steps
+            s = np.linalg.svd(a, full_matrices=False)[1]
+            ties = steps[4:]
+            assert len(ties) == (0 if not s.any() else
+                                 2 * len({s[0], s[s.size // 2]}))
+            for gamma, lam in ties[0::2]:
+                assert gamma * lam in s  # the soft threshold
+            for gamma, lam in ties[1::2]:
+                assert np.sqrt(2.0 * gamma * lam) in s  # the hard threshold

@@ -38,7 +38,12 @@ vectors where kept. Cases:
   (point bytes and ``packed_hex``) on seeded Gaussian, integer-valued and
   piecewise-constant plus noise inputs at steps from 1e-12 to 1e6; 17 and
   33 put a right end just past the Potts DP's first and second block of 16,
-  and 100 is the size the segment-1d benchmark denoises.
+  and 100 is the size the segment-1d benchmark denoises;
+* ``kernels-spectral``: one line per SVD-based prox kernel and shape in
+  {1x1, 1x7, 7x1, 6x6, 20x20, 30x12}, hashing ``prox_nuclear`` and
+  ``prox_rank`` outputs (point bytes, ``packed_hex`` and ``value.hex()``)
+  on seeded full-rank, rank-deficient and zero matrices, at steps that
+  include lam = 0 and put the threshold exactly on a singular value.
 
 A solver that rejects a problem fingerprints its error message. The BLAS
 thread count changes trace bytes, so it is pinned to 1 unless
@@ -77,7 +82,13 @@ from proxident.problems import (  # noqa: E402
     gen_lowrank_matrix_problem,
     gen_qc_lasso,
 )
-from proxident.prox import Regularizer, prox_potts1d, prox_tv1d  # noqa: E402
+from proxident.prox import (  # noqa: E402
+    Regularizer,
+    prox_nuclear,
+    prox_potts1d,
+    prox_rank,
+    prox_tv1d,
+)
 from proxident.registry import SOLVERS, run_solver  # noqa: E402
 from proxident.replicate import (  # noqa: E402
     replicate_fig1,
@@ -389,6 +400,49 @@ def kernel_lines():
     return lines
 
 
+SPECTRAL_SHAPES = ((1, 1), (1, 7), (7, 1), (6, 6), (20, 20), (30, 12))
+
+
+def _spectral_cases(rng, rows, cols):
+    """(matrix, steps): full-rank, rank-deficient and zero matrices, each
+    with (gamma, lam) steps from lam = 0 up to past sigma_max. On a nonzero
+    matrix two steps put the soft threshold gamma*lam and two the hard one
+    sqrt(2*gamma*lam) exactly on sigma_max and on a middle singular value,
+    as the kernels' own SVD returns them."""
+    half = min(rows, cols) // 2
+    matrices = [rng.standard_normal((rows, cols)),
+                rng.standard_normal((rows, half))
+                @ rng.standard_normal((half, cols)),
+                np.zeros((rows, cols))]
+    cases = []
+    for a in matrices:
+        steps = [(1.0, 0.0), (1e-12, 1.0), (0.5, 0.3), (1e6, 1.0)]
+        s = np.linalg.svd(a, full_matrices=False)[1]
+        for sigma in sorted({s[0], s[s.size // 2]} - {0.0}):
+            # fl(sigma * sigma) has the correctly rounded root sigma
+            steps += [(sigma, 1.0), (sigma * sigma / 2.0, 1.0)]
+        cases.append((a, steps))
+    return cases
+
+
+def spectral_kernel_lines():
+    """One line per SVD-based kernel and shape: points, patterns, values."""
+    lines = []
+    for rows, cols in SPECTRAL_SHAPES:
+        cases = _spectral_cases(np.random.default_rng(rows * 100 + cols),
+                                rows, cols)
+        for name, prox in (("nuclear", prox_nuclear), ("rank", prox_rank)):
+            parts = []
+            for a, steps in cases:
+                for gamma, lam in steps:
+                    res = prox(a, gamma, lam)
+                    parts += [_array_bytes(res.point),
+                              res.pattern.packed_hex(), res.value.hex()]
+            lines.append(f"kernels-spectral,{name}-{rows}x{cols},"
+                         f"{_sha(parts)}")
+    return lines
+
+
 def main():
     outcomes, reports = [], []
     for seed in range(QC_INSTANCES):
@@ -397,7 +451,7 @@ def main():
     print(reports_line(reports))
     print("\n".join(other_cases() + replicate_lines() + cli_lines()
                     + collection_lines() + kernel_lines()
-                    + lowrank_structure_lines()))
+                    + lowrank_structure_lines() + spectral_kernel_lines()))
 
 
 if __name__ == "__main__":
