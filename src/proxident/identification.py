@@ -43,36 +43,31 @@ class IdentificationReport:
     oscillation_count: int
 
 
-def _patterns_and_counts(trace):
-    patterns, counts = [], []
-    for item in trace:
-        if isinstance(item, SparsityPattern):
-            patterns.append(item)
-            counts.append(item.count_ones())
-        else:
-            patterns.append(item.pattern)
-            counts.append(item.nnz)
-    return patterns, counts
-
-
 def analyze_trace(trace) -> IdentificationReport:
-    """Fold a trace (records or raw patterns) into a stability report.
+    """Fold a trace's records into a stability report.
 
-    One pass over the patterns' bit bytes: each adjacent pair is compared
+    One pass over the records' bit bytes: each adjacent pair is compared
     once, and the position of the last change is the first stable one.
+    monotone reads each record's nnz, which is the rank for rank
+    collections.
     """
-    patterns, counts = _patterns_and_counts(trace)
-    if not patterns:
+    if not trace:
         raise ValueError("empty trace")
-    keys = [p.bits.tobytes() for p in patterns]
+    keys = [r.pattern.bits.tobytes() for r in trace]
+    counts = [r.nnz for r in trace]
     changes = [i for i, (a, b) in enumerate(zip(keys, keys[1:]), 1) if a != b]
     monotone = all(a >= b for a, b in zip(counts, counts[1:]))
     return IdentificationReport(
         first_stable_iter=changes[-1] if changes else 0,
-        pattern_final=patterns[-1],
+        pattern_final=trace[-1].pattern,
         monotone=monotone,
         oscillation_count=len(changes),
     )
+
+
+def _check_eps(eps):
+    if not eps >= 0:  # NaN fails this too
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
 
 
 def enlarged_bound_l1(ustar, step, eps) -> SparsityPattern:
@@ -81,19 +76,24 @@ def enlarged_bound_l1(ustar, step, eps) -> SparsityPattern:
     Closed form: coordinate i can be nonzero for some u with
     ||u - ustar|| <= eps exactly when |ustar_i| + eps > step (= gamma*lam).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     ustar = np.asarray(ustar, dtype=float)
     return SparsityPattern(np.abs(ustar) + eps > step)
 
 
-def _ball_sample(rng, center, eps):
-    direction = rng.standard_normal(center.shape)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        return center.copy()
-    radius = eps * rng.uniform() ** (1.0 / center.size)
-    return center + (radius / norm) * direction
+def _ball_patterns(reg, ustar, gamma, eps, n_samples, seed):
+    """Prox patterns at n_samples uniform draws in the eps-ball around
+    ustar, each drawn as a standard normal direction, then a uniform radius,
+    from one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        direction = rng.standard_normal(ustar.shape)
+        norm = np.linalg.norm(direction)
+        u = ustar
+        if norm != 0.0:
+            radius = eps * rng.uniform() ** (1.0 / ustar.size)
+            u = ustar + (radius / norm) * direction
+        yield reg.prox(u, gamma).pattern
 
 
 def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
@@ -107,15 +107,14 @@ def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    _check_eps(eps)
     ustar = np.asarray(ustar, dtype=float)
     base = reg.prox(ustar, gamma).pattern
     if eps == 0:
         return base
-    rng = np.random.default_rng(seed)
     bits = np.array(base.bits)
-    for _ in range(n_samples):
-        u = _ball_sample(rng, ustar, eps)
-        bits = np.maximum(bits, reg.prox(u, gamma).pattern.bits)
+    for pattern in _ball_patterns(reg, ustar, gamma, eps, n_samples, seed):
+        bits = np.maximum(bits, pattern.bits)
     return SparsityPattern(bits)
 
 
@@ -129,8 +128,7 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
     """
     if not problem.has_ground_truth:
         raise ValueError("qc_check needs a problem with ground truth")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_eps(eps)
     reg = problem.reg
     gamma = problem.cert_gamma
     ustar = np.asarray(problem.ustar, dtype=float)
@@ -141,12 +139,8 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
         ok_nonzero = np.all(np.abs(ustar[~zero]) - eps > step)
         return bool(ok_zero and ok_nonzero)
     target = reg.prox(ustar, gamma).pattern
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        u = _ball_sample(rng, ustar, eps)
-        if not reg.prox(u, gamma).pattern == target:
-            return False
-    return True
+    return all(pattern == target for pattern in
+               _ball_patterns(reg, ustar, gamma, eps, n_samples, seed))
 
 
 def safe_screen_l1(center, radius, step) -> set:

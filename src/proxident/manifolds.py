@@ -214,49 +214,35 @@ def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPatte
     return SparsityPattern(~(np.abs(values) <= tol))
 
 
-def project(collection: ManifoldCollection, indices, point) -> np.ndarray:
-    """Euclidean projection onto the intersection of the selected sets.
+def project(collection: ManifoldCollection, pattern: SparsityPattern,
+            point) -> np.ndarray:
+    """Euclidean projection onto the flat of ``pattern``: the intersection
+    of the sets whose bit is 0.
 
-    ``indices`` selects sets of the collection by position. For a coordinate
-    collection the selected coordinates are zeroed; for an adjacent-equality
-    collection each chain of selected equalities is replaced by its mean.
-    For a rank collection the subset must be a single level r and the
-    projection truncates the singular value decomposition to the r leading
-    values.
+    For a coordinate collection the held coordinates are zeroed; for an
+    adjacent-equality collection each chain of held equalities is replaced
+    by its mean. Rank level sets are not flats, so a rank collection is
+    rejected, and so is a pattern of another length than the collection.
     """
-    point = collection._check_point(point)
-    if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"):
-        indices = np.array([int(i) for i in indices], dtype=np.intp)
-    if indices.size:
-        if indices.min() < 0:
-            raise ValueError(f"spec index {indices.min()} out of range")
-        count = len(collection)
-        if indices.max() >= count:
-            first = indices[indices >= count].min()
-            raise ValueError(f"spec index {first} out of range")
-
     if collection.is_matrix:
-        levels = np.unique(indices)
-        if levels.size != 1:
-            raise ValueError("rank projection needs exactly one rank level")
-        r = int(levels[0])
-        if r == 0:
-            return np.zeros_like(point)
-        u, s, vt = np.linalg.svd(point, full_matrices=False)
-        s[r:] = 0.0
-        return (u * s) @ vt
+        raise ValueError("rank level sets are not flats: no projection")
+    point = collection._check_point(point)
+    if len(pattern) != len(collection):
+        raise ValueError(f"pattern length {len(pattern)} != collection "
+                         f"size {len(collection)}")
+    held = pattern.bits == 0
 
     if collection.kind == COORDINATE_ZERO:
         # + 0.0 copies and maps -0.0 to +0.0, as the mean of one element does
         out = point + 0.0
-        out[indices] = 0.0
+        out[held] = 0.0
         return out
 
     n = point.size
-    # coordinate j joins the group of j-1 when x_j = x_{j-1} is selected, so
+    # coordinate j joins the group of j-1 when x_j = x_{j-1} is held, so
     # groups are runs of consecutive coordinates starting where no link is
     link = np.zeros(n, dtype=bool)
-    link[indices + 1] = True
+    link[1:] = held
     starts = np.flatnonzero(~link)
     group = np.cumsum(~link) - 1  # group number of each coordinate
     lengths = np.diff(np.append(starts, n))

@@ -35,9 +35,12 @@ class SmoothOracle:
     components, when present, is a list of oracles f^j with
     f = (1/m) * sum_j f^j (checked by the test suite on random points).
     On this class lipschitz, strong_convexity and components are plain
-    attributes given at construction. LeastSquaresOracle computes all three
-    on their first read instead: L and mu exactly, from one eigendecomposition
-    of its Gram matrix.
+    attributes given at construction, with value and gradient as callables.
+    Subclasses do not call this __init__: they define _value and _gradient
+    methods and provide the three attributes themselves, MatrixLSOracle as
+    constants it sets, LeastSquaresOracle as properties computed on their
+    first read (L and mu exactly, from one eigendecomposition of its Gram
+    matrix).
     """
 
     def __init__(self, value, gradient, lipschitz, strong_convexity=0.0,
@@ -64,7 +67,8 @@ class SmoothOracle:
 
 def _check_component_count(n_components, m):
     if not 1 <= n_components <= m:
-        raise ValueError("component count must be in 1..m")
+        raise ValueError(f"component count must be in 1..m, got "
+                         f"components={n_components!r} with m={m}")
 
 
 class LeastSquaresOracle(SmoothOracle):
@@ -198,9 +202,9 @@ class MatrixLSOracle(SmoothOracle):
         self.target = target
         self.mask = mask
         full = mask is None or bool(np.all(mask == 1))
-        super().__init__(
-            self._mls_value, self._mls_gradient, 1.0, 1.0 if full else 0.0
-        )
+        self.lipschitz = 1.0
+        self.strong_convexity = 1.0 if full else 0.0
+        self.components = None
 
     def _residual(self, x):
         r = x - self.target
@@ -208,11 +212,11 @@ class MatrixLSOracle(SmoothOracle):
             r = self.mask * r
         return r
 
-    def _mls_value(self, x):
+    def _value(self, x):
         r = self._residual(x)
         return 0.5 * float(np.sum(r * r))
 
-    def _mls_gradient(self, x):
+    def _gradient(self, x):
         return self._residual(x)
 
     def prox(self, v, gamma):
@@ -281,7 +285,7 @@ def gen_lasso(m, n, seed, density=0.1, noise=0.1, lam=None, components=10):
         smooth=oracle,
         reg=Regularizer.l1(n, lam),
         seed=int(seed),
-        meta={"kind": "lasso", "x_true": x_true},
+        meta={"kind": "lasso"},
     )
 
 
@@ -298,6 +302,8 @@ def gen_qc_lasso(n, s, delta, seed, m=None, lam=1.0, components=10,
 
     Requires m >= n (unique minimizer through a full-column-rank design).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n={n!r}")
     if m is None:
         m = 2 * n
     if not 0 < delta < 1:
@@ -350,6 +356,8 @@ def gen_lowrank_matrix_problem(size=20, rank=4, degenerate=False, seed=0,
     a narrow band straddling lam, so the optimal rank is >= the planted one
     and membership of each near-threshold value is decided by a hair.
     """
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got size={size!r}")
     if not 0 <= rank <= size:
         raise ValueError(f"rank must be in 0..size={size}, got {rank!r}")
     rng = np.random.default_rng(seed)

@@ -38,6 +38,11 @@ def test_gen_prints_path_and_writes_bundle(tmp_path, capsys):
     (["lasso", "--density", "-1"], "density"),
     (["lasso", "--noise", "nan"], "noise"),
     (["lowrank", "--rank", "-1"], "rank"),
+    (["lowrank", "--size", "0", "--rank", "0"], "size=0"),
+    (["lowrank", "--size", "-2"], "size=-2"),
+    (["lasso", "--components", "0"], "components=0"),
+    (["qc-lasso", "--components", "0"], "components=0"),
+    (["qc-lasso", "--n", "0"], "n=0"),
 ])
 def test_gen_bad_argument_exits_1_naming_it(tmp_path, capsys, args, field):
     out = tmp_path / "bundle"

@@ -13,7 +13,7 @@ from proxident.identification import (
     report_text,
     safe_screen_l1,
 )
-from proxident.manifolds import SparsityPattern, pattern_leq
+from proxident.manifolds import SparsityPattern, pattern_leq, rank_levels
 from proxident.problems import (
     gen_lowrank_matrix_problem,
     gen_qc_lasso,
@@ -26,30 +26,52 @@ def P(*bits):
     return SparsityPattern(list(bits))
 
 
+def records(patterns, counts=None):
+    """Trace records carrying patterns, with nnz their count of ones unless
+    counts are given."""
+    if counts is None:
+        counts = [p.count_ones() for p in patterns]
+    return [TraceRecord(k=k, objective=0.0, pattern=p, nnz=c, u_step=0.0)
+            for k, (p, c) in enumerate(zip(patterns, counts), 1)]
+
+
 class TestAnalyzeTrace:
     def test_constant_trace(self):
-        rep = analyze_trace([P(0, 1), P(0, 1), P(0, 1)])
+        rep = analyze_trace(records([P(0, 1), P(0, 1), P(0, 1)]))
         assert rep.first_stable_iter == 0
         assert rep.oscillation_count == 0
         assert rep.monotone
 
     def test_one_change(self):
-        rep = analyze_trace([P(1, 1), P(0, 1), P(0, 1)])
+        rep = analyze_trace(records([P(1, 1), P(0, 1), P(0, 1)]))
         assert rep.first_stable_iter == 1
         assert rep.oscillation_count == 1
         assert rep.pattern_final == P(0, 1)
 
     def test_oscillation(self):
-        rep = analyze_trace([P(0, 1), P(1, 1), P(0, 1), P(0, 1)])
+        rep = analyze_trace(records([P(0, 1), P(1, 1), P(0, 1), P(0, 1)]))
         assert rep.oscillation_count == 2
         assert rep.first_stable_iter == 2
         assert not rep.monotone
+
+    def test_rank_trace_reads_the_rank(self):
+        # a rank pattern has a single 0 bit, at the rank, so its count of
+        # ones is the same at every rank; monotone reads the record's nnz
+        coll = rank_levels(3, 3)
+        patterns = [SparsityPattern(np.arange(len(coll)) != r)
+                    for r in (1, 3, 2)]
+        trace = records(patterns, [coll.structure_count(p) for p in patterns])
+        assert [r.nnz for r in trace] == [1, 3, 2]
+        rep = analyze_trace(trace)
+        assert not rep.monotone
+        assert (rep.first_stable_iter, rep.oscillation_count) == (2, 2)
+        assert analyze_trace(trace[::-1][1:]).monotone  # 3 -> 1
 
     def test_oscillation_zero_iff_constant(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             pats = [P(*rng.integers(0, 2, size=3)) for _ in range(6)]
-            rep = analyze_trace(pats)
+            rep = analyze_trace(records(pats))
             constant = all(p == pats[0] for p in pats)
             assert (rep.oscillation_count == 0) == constant
 
@@ -58,7 +80,7 @@ class TestAnalyzeTrace:
             analyze_trace([])
 
     def test_report_text_schema(self):
-        text = report_text(analyze_trace([P(0, 1)]))
+        text = report_text(analyze_trace(records([P(0, 1)])))
         assert text.startswith("first_stable_iter=0\n")
         assert "pattern_hash=" in text
 
@@ -95,11 +117,6 @@ class TestAnalyzeTraceMatchesTwoLoops:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_raw_patterns(self, data):
-        self._check(_pattern_sequence(data))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
     def test_records(self, data):
         self._check([TraceRecord(k=k, objective=0.0, pattern=p,
                                  nnz=data.draw(st.integers(0, 6)), u_step=0.0)
@@ -132,6 +149,18 @@ class TestEnlargedBound:
                                              seed=seed)
             closed = enlarged_bound_l1(u, 0.9, eps)
             assert pattern_leq(sampled, closed)
+
+    def test_nan_eps_rejected(self):
+        # a NaN eps would bound the ball below its eps = 0 pattern 110
+        u = np.array([5.0, -3.0, 0.1])
+        assert enlarged_bound_l1(u, 1.0, 0.0) == P(1, 1, 0)
+        with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
+            enlarged_bound_l1(u, 1.0, float("nan"))
+
+    def test_sampled_nan_eps_rejected(self):
+        reg = Regularizer.l1(3, 1.0)
+        with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
+            enlarged_bound_sampled(reg, [5.0, -3.0, 0.1], 1.0, float("nan"))
 
     def test_sampled_eps_zero(self):
         reg = Regularizer.l1(5, 1.0)
@@ -184,6 +213,11 @@ class TestQCCheck:
         pd = gen_lowrank_matrix_problem(seed=4, degenerate=True)
         # near-threshold singular values flip under tiny perturbations
         assert not qc_check(pd, 0.2, n_samples=200)
+
+    def test_nan_eps_rejected(self):
+        p = self._stub_problem([0.0, 1.0], [0.5, 2.0])
+        with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
+            qc_check(p, float("nan"))
 
     def test_needs_ground_truth(self):
         from proxident.problems import gen_lasso

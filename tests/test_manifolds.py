@@ -122,136 +122,93 @@ class TestPatternOfMatchesLoop:
 class TestProject:
     def test_coordinate(self):
         coll = coordinate_zeros(2)
-        assert np.array_equal(project(coll, [0], [3.0, 4.0]), [0.0, 4.0])
+        got = project(coll, SparsityPattern([0, 1]), [3.0, 4.0])
+        assert np.array_equal(got, [0.0, 4.0])
 
     def test_adjacent_chain_is_mean(self):
         # chained equalities x0=x1=x2: the projection is the group mean,
         # cross-checked as the minimizer of ||y - x||^2 over the flat
         coll = adjacent_pairs(3)
         x = np.array([1.0, 2.0, 3.0])
-        got = project(coll, [0, 1], x)
+        got = project(coll, SparsityPattern([0, 0]), x)
         assert np.allclose(got, [2.0, 2.0, 2.0])
         grid = np.linspace(-1, 5, 601)
         best = grid[np.argmin([np.sum((np.full(3, t) - x) ** 2) for t in grid])]
         assert abs(best - 2.0) < 1e-9
 
-    def test_rank_truncation_matches_eckart_young(self):
-        coll = rank_levels(2, 2)
-        x = np.diag([3.0, 1.0])
-        got = project(coll, [1], x)  # level r=1
-        assert np.allclose(got, np.diag([3.0, 0.0]), atol=1e-12)
-        # exhaustive rank-1 check: best u v^T over a coarse grid beats nothing
-        rng = np.random.default_rng(0)
-        best = np.inf
-        for _ in range(2000):
-            u = rng.standard_normal(2)
-            v = rng.standard_normal(2)
-            uv = np.outer(u, v)
-            scale = np.sum(uv * x) / max(np.sum(uv * uv), 1e-12)
-            best = min(best, np.linalg.norm(scale * uv - x))
-        assert np.linalg.norm(got - x) <= best + 1e-6
-
-    def test_incompatible_rank_subset(self):
+    def test_rank_collection_rejected(self):
+        # {rank = 2} is not a flat: no Euclidean projection onto it exists
+        # for diag(2, 0, 0), so rank patterns are refused
         coll = rank_levels(3, 3)
-        with pytest.raises(ValueError):
-            project(coll, [0, 1], np.eye(3))
+        for bits in ([1, 1, 0, 1], [0, 1, 1, 1], [1, 1]):
+            with pytest.raises(ValueError, match="rank level sets are not"):
+                project(coll, SparsityPattern(bits), np.diag([2.0, 0.0, 0.0]))
 
     def test_idempotent_and_membership(self):
         rng = np.random.default_rng(1)
         for coll in (coordinate_zeros(5), adjacent_pairs(5)):
             for _ in range(20):
                 x = rng.standard_normal(5)
-                idx = [i for i in range(len(coll)) if rng.random() < 0.6]
-                p1 = project(coll, idx, x)
-                p2 = project(coll, idx, p1)
+                pattern = SparsityPattern(rng.random(len(coll)) >= 0.6)
+                p1 = project(coll, pattern, x)
+                p2 = project(coll, pattern, p1)
                 assert np.allclose(p1, p2, atol=1e-12)
-                pat = pattern_of(p2, coll, tol=1e-10)
-                assert all(pat.bits[i] == 0 for i in idx)
+                assert pattern_leq(pattern_of(p2, coll, tol=1e-10), pattern)
 
 
 _VECTOR_KINDS = {"coordinate": coordinate_zeros, "adjacent": adjacent_pairs}
 
 
-def _assert_same_bytes(coll, indices, x):
-    want = project_reference(coll, indices, x)
-    for idx in (list(indices), np.array(indices, dtype=np.int64)):
-        got = project(coll, idx, x)
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()  # signed zeros included
+def _assert_same_bytes(coll, pattern, x):
+    want = project_reference(coll, np.flatnonzero(pattern.bits == 0), x)
+    got = project(coll, pattern, x)
+    assert got.tobytes() == want.tobytes()  # signed zeros and NaN included
 
 
 _values = st.one_of(
-    st.just(0.0), st.just(-0.0),
+    st.just(0.0), st.just(-0.0), st.just(np.nan), st.just(5e-324),
+    st.just(-5e-324), st.floats(-1e-300, 1e-300),
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
 
 
 class TestProjectMatchesLoop:
-    """The vectorised project equals the loop in tests/oracles.py byte for
-    byte, on duplicate and unsorted selections."""
+    """project equals the loop in tests/oracles.py byte for byte, with the
+    loop given the indices of the pattern's 0 bits."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_small_collections(self, data):
-        n = data.draw(st.integers(2, 24))
-        coll = _VECTOR_KINDS[data.draw(st.sampled_from(sorted(_VECTOR_KINDS)))](n)
-        indices = data.draw(st.lists(st.integers(0, len(coll) - 1),
-                                     max_size=2 * len(coll)))
+        kind = data.draw(st.sampled_from(sorted(_VECTOR_KINDS)))
+        n = data.draw(st.integers(1 if kind == "coordinate" else 2, 24))
+        coll = _VECTOR_KINDS[kind](n)
+        size = len(coll)
+        bits = data.draw(st.one_of(
+            st.just([0] * size), st.just([1] * size),
+            st.lists(st.integers(0, 1), min_size=size, max_size=size)))
         x = np.array(data.draw(st.lists(_values, min_size=n, max_size=n)))
-        _assert_same_bytes(coll, indices, x)
+        _assert_same_bytes(coll, SparsityPattern(bits), x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(9, 400),
            st.sampled_from(sorted(_VECTOR_KINDS)), st.floats(0.5, 1.0))
     def test_long_chains(self, seed, n, kind, p_keep):
-        # long runs of selected equalities: groups past numpy's 8-wide
+        # long runs of held equalities: groups past numpy's 8-wide
         # unrolled and 128-element blocked pairwise summation
         rng = np.random.default_rng(seed)
         coll = _VECTOR_KINDS[kind](n)
-        keep = rng.random(len(coll)) < p_keep
-        indices = rng.permutation(np.flatnonzero(keep))
-        indices = np.concatenate([indices, indices[: indices.size // 3]])
+        pattern = SparsityPattern(rng.random(len(coll)) >= p_keep)
         x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, size=n)
-        _assert_same_bytes(coll, indices.tolist(), x)
+        _assert_same_bytes(coll, pattern, x)
 
     def test_group_of_nine_is_not_reduceat(self):
         # a 9-element chain where a left-to-right or first-element-seeded sum
         # rounds differently from numpy's pairwise mean
         coll = adjacent_pairs(9)
         x = np.array([3.0, 0.5, 1e16, 3.0, 0.5, -1e16, 0.5, 3.0, 3.0])
-        assert project(coll, range(8), x)[0] == x.mean() == 15.0 / 9.0
-        _assert_same_bytes(coll, range(8), x)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_same_range_errors(self, data):
-        n = data.draw(st.integers(2, 12))
-        coll = _VECTOR_KINDS[data.draw(st.sampled_from(sorted(_VECTOR_KINDS)))](n)
-        indices = data.draw(st.lists(st.integers(-5, len(coll) + 5),
-                                     min_size=1, max_size=8))
-        x = np.ones(n)
-        try:
-            want = project_reference(coll, indices, x)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                project(coll, indices, x)
-            assert str(got.value) == str(exc)
-        else:
-            assert project(coll, indices, x).tobytes() == want.tobytes()
-
-    def test_rank_levels_match(self):
-        coll = rank_levels(4, 3)
-        x = np.random.default_rng(3).standard_normal((4, 3))
-        for indices in ([0], [2], [3, 3], [1, 2], []):
-            try:
-                want = project_reference(coll, indices, x)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=str(exc)):
-                    project(coll, indices, x)
-            else:
-                assert project(coll, indices, x).tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="spec index 4 out of range"):
-            project(coll, [4, 9], x)
+        pattern = SparsityPattern(np.zeros(8, dtype=bool))
+        assert project(coll, pattern, x)[0] == x.mean() == 15.0 / 9.0
+        _assert_same_bytes(coll, pattern, x)
 
 
 class TestPatternOrder:
@@ -355,16 +312,20 @@ class TestCollections:
             Regularizer("l1", 1.0, rank_levels(3, 3))
 
     def test_index_bounds(self):
-        # set indices run over 0..len-1 of each family
-        for coll, x in ((coordinate_zeros(3), np.ones(3)),
-                        (adjacent_pairs(3), np.ones(3)),
-                        (rank_levels(3, 3), np.eye(3))):
-            with pytest.raises(ValueError,
-                               match=f"spec index {len(coll)} out of range"):
-                project(coll, [len(coll)], x)
-            with pytest.raises(ValueError, match="spec index -1 out of range"):
-                project(coll, [-1], x)
-            project(coll, [len(coll) - 1], x)
+        # a pattern has one bit per set index 0..len-1 of its family
+        for coll in (coordinate_zeros(3), adjacent_pairs(3),
+                     rank_levels(3, 3)):
+            for length in (len(coll) - 1, len(coll) + 1):
+                with pytest.raises(ValueError, match="pattern length"):
+                    coll.structure_count(SparsityPattern(np.zeros(length)))
+            if not coll.is_matrix:
+                for length in (0, len(coll) - 1, len(coll) + 1):
+                    wrong = SparsityPattern(np.zeros(length))
+                    with pytest.raises(ValueError, match=f"pattern length "
+                                       f"{length} != collection size"):
+                        project(coll, wrong, np.ones(3))
+                project(coll, SparsityPattern(np.zeros(len(coll))),
+                        np.ones(3))
 
     def test_structure_count(self):
         coll = coordinate_zeros(4)

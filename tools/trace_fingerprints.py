@@ -30,9 +30,10 @@ vectors where kept. Cases:
   trace.csv and report.txt);
 * ``collections``: one line per structure collection built by
   ``coordinate_zeros``, ``adjacent_pairs`` or ``rank_levels``, hashing
-  ``pattern_of`` (tol None, "auto" and a float) and ``project`` (seeded
-  selections with duplicates) on seeded points with signed zeros, tiny,
-  subnormal and NaN entries;
+  ``pattern_of`` (tol None, "auto" and a float) and ``project`` on seeded
+  points with signed zeros, tiny, subnormal and NaN entries; ``project``
+  takes seeded patterns, the all-zero and all-one ones and one of the wrong
+  length on vector collections, and its rejection is hashed on rank ones;
 * ``kernels-1d``: one line per 1-D prox kernel and size n in {2, 17, 33,
   50, 100, 200, 2000}, hashing ``prox_tv1d`` and ``prox_potts1d`` outputs
   (point bytes and ``packed_hex``) on seeded Gaussian, integer-valued and
@@ -69,6 +70,7 @@ from proxident.asynchronous import DelayModel  # noqa: E402
 from proxident.exploit import SubspaceSamplerConfig  # noqa: E402
 from proxident.identification import analyze_trace, report_text  # noqa: E402
 from proxident.manifolds import (  # noqa: E402
+    SparsityPattern,
     adjacent_pairs,
     coordinate_zeros,
     pattern_of,
@@ -355,18 +357,19 @@ def collection_lines():
         size = len(coll)
         if len(dims) == 2:
             points = _matrix_points(rng, *dims)
-            selections = [[r] for r in range(size)]
-            selections += [[size - 1] * 3, [], [0, size - 1], [size]]
+            patterns = [SparsityPattern(np.arange(size) != 0)]  # rejected
         else:
             points = _vector_points(rng, dims[0])
-            selections = [rng.integers(0, size, size=rng.integers(0, 2 * size))
-                          for _ in range(4)]
-            selections += [list(selections[0]), [size], [-1]]
+            patterns = [SparsityPattern(rng.random(size) < keep)
+                        for keep in (0.3, 0.7, 0.95)]
+            patterns += [SparsityPattern(np.zeros(length, dtype=bool))
+                         for length in (size, size + 1)]
+            patterns.append(SparsityPattern(np.ones(size, dtype=bool)))
         parts = [size]
         for x in points:
             parts += [_outcome(pattern_of, x, coll, tol)
                       for tol in (None, "auto", 1e-8)]
-            parts += [_outcome(project, coll, sel, x) for sel in selections]
+            parts += [_outcome(project, coll, p, x) for p in patterns]
         name = "x".join(map(str, dims))
         lines.append(f"collections,{build.__name__}-{name},{_sha(parts)}")
     return lines
