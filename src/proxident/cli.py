@@ -39,21 +39,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _setting(args, conf, name, cast, fallback):
-    """Flag value if given, else config-file value, else fallback."""
+def _setting(args, conf, name, cast):
+    """cast of the flag value if given, else of the config-file value, else
+    None."""
     value = getattr(args, name.replace("-", "_"), None)
     if value is not None:
-        return value
+        return cast(value)
     if name in conf:
         try:
             return cast(conf[name])
         except ValueError as exc:
             raise ValueError(f"config {name}={conf[name]!r}: {exc}") from exc
-    return fallback
+    return None
+
+
+def _given(args, conf, settings):
+    """{keyword: value} of each (name, keyword, cast) that a flag or the
+    config file gives; the library's defaults hold for the others."""
+    values = {key: _setting(args, conf, name, cast)
+              for name, key, cast in settings}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _resolve_seed(args, conf):
-    seed = _setting(args, conf, "seed", int, None)
+    seed = _setting(args, conf, "seed", int)
     if seed is not None:
         return seed
     env = os.environ.get("PROXIDENT_SEED")
@@ -163,32 +172,25 @@ def cmd_gen(args):
 def cmd_solve(args):
     conf = read_key_values(args.config) if args.config else {}
     seed = _resolve_seed(args, conf)
-    config = SolverConfig(
-        gamma=_setting(args, conf, "gamma", float, None),
-        max_iter=_setting(args, conf, "max-iter", int, 100_000),
-        stop_tol=_setting(args, conf, "stop-tol", float, 1e-10),
-        seed=seed,
-        trace_every=_setting(args, conf, "trace-every", int, 1),
-    )
+    config = SolverConfig(seed=seed, **_given(args, conf, (
+        ("gamma", "gamma", float),
+        ("max-iter", "max_iter", int),
+        ("stop-tol", "stop_tol", float),
+        ("trace-every", "trace_every", int),
+    )))
     problem = read_bundle(args.bundle)
     kwargs = {}
     if args.solver == "dave-pg":
-        delay = _setting(args, conf, "delay", str, None)
-        if delay is not None:
-            kwargs["delay_model"] = DelayModel.parse(delay)
-        encoding = _setting(args, conf, "encoding", str, None)
-        if encoding is not None:
-            kwargs["encoding"] = encoding
+        kwargs = _given(args, conf, (
+            ("delay", "delay_model", DelayModel.parse),
+            ("encoding", "encoding", str)))
     elif args.solver == "predictor-corrector":
-        every = _setting(args, conf, "full-step-every", int, None)
-        if every is not None:
-            kwargs["full_step_every"] = every
+        kwargs = _given(args, conf,
+                        (("full-step-every", "full_step_every", int),))
     elif args.solver == "random-subspace":
-        kwargs["sampler"] = SubspaceSamplerConfig(
-            keep_probability=_setting(args, conf, "keep-prob", float, 0.5),
-            refresh_wait=_setting(args, conf, "refresh-wait", int, 10),
-            seed=seed,
-        )
+        kwargs["sampler"] = SubspaceSamplerConfig(seed=seed, **_given(
+            args, conf, (("keep-prob", "keep_probability", float),
+                         ("refresh-wait", "refresh_wait", int))))
     point, trace = run_solver(args.solver, problem, config, **kwargs)
     for path in write_solve_outputs(args.out or args.bundle, problem, point,
                                     trace):
@@ -235,9 +237,8 @@ def cmd_replicate(args):
         print(f"shared_axis={int(result['shared_axis'])}")
         print(f"ls_relative_change={result['ls_relative_change']!r}")
     elif args.figure == "fig2":
-        instances = _setting(args, conf, "instances", int, 50)
-        result = replicate_fig2(seed=seed, outdir=args.outdir,
-                                instances=instances)
+        result = replicate_fig2(seed=seed, outdir=args.outdir, **_given(
+            args, conf, (("instances", "instances", int),)))
         for group, mean in result["means"].items():
             print(f"mean_final_rank[{group}]={mean!r}")
     else:

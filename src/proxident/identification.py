@@ -9,6 +9,7 @@ identification exact, and screen coordinates that are provably zero at the
 optimum given a certified region.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +76,12 @@ def enlarged_bound_l1(ustar, step, eps) -> SparsityPattern:
 
     Closed form: coordinate i can be nonzero for some u with
     ||u - ustar|| <= eps exactly when |ustar_i| + eps > step (= gamma*lam).
+    ustar must be finite.
     """
     _check_eps(eps)
     ustar = np.asarray(ustar, dtype=float)
+    if not np.isfinite(ustar).all():
+        raise ValueError("ustar must be finite")
     return SparsityPattern(np.abs(ustar) + eps > step)
 
 
@@ -103,7 +107,8 @@ def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
     Takes the coordinate-wise max of the prox pattern over uniform draws in
     the eps-ball. Sampling can only under-cover the ball, so the result is a
     lower estimate of the true bound, never an over-estimate; use
-    enlarged_bound_l1 whenever the closed form applies.
+    enlarged_bound_l1 whenever the closed form applies. For eps = inf (the
+    whole space) it is the all-ones pattern, as the closed form is.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -112,6 +117,8 @@ def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
     base = reg.prox(ustar, gamma).pattern
     if eps == 0:
         return base
+    if eps == math.inf:
+        return SparsityPattern(np.ones(len(base), dtype=bool))
     bits = np.array(base.bits)
     for pattern in _ball_patterns(reg, ustar, gamma, eps, n_samples, seed):
         bits = np.maximum(bits, pattern.bits)
@@ -124,7 +131,7 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
     True guarantees that any method whose u-iterates enter that ball produces
     iterates with exactly the optimal pattern. Closed form for l1; for other
     kinds a sampled check (all draws reproducing the optimal pattern), which
-    can only over-accept.
+    can only over-accept, and False for eps = inf, as the closed form is.
     """
     if not problem.has_ground_truth:
         raise ValueError("qc_check needs a problem with ground truth")
@@ -139,6 +146,8 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
         ok_nonzero = np.all(np.abs(ustar[~zero]) - eps > step)
         return bool(ok_zero and ok_nonzero)
     target = reg.prox(ustar, gamma).pattern
+    if eps == math.inf:
+        return False
     return all(pattern == target for pattern in
                _ball_patterns(reg, ustar, gamma, eps, n_samples, seed))
 
@@ -150,10 +159,13 @@ def safe_screen_l1(center, radius, step) -> set:
     coordinate with |center_i| + radius <= step (= gamma*lam) is mapped to
     zero by the prox for all candidate u, hence zero at the optimum.
     Region construction (e.g. from duality gaps) is the caller's business.
+    center must be finite.
     """
     if not radius >= 0:  # NaN fails this too
         raise ValueError(f"radius must be nonnegative, got {radius!r}")
     center = np.asarray(center, dtype=float)
+    if not np.isfinite(center).all():
+        raise ValueError("center must be finite")
     return set(np.flatnonzero(np.abs(center) + radius <= step).tolist())
 
 

@@ -10,6 +10,8 @@ for "rank_level" over (rows, cols) matrices. The membership pattern of a
 point is a bit vector with 0 marking the sets the point belongs to.
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -86,6 +88,13 @@ def pattern_leq(a: SparsityPattern, b: SparsityPattern) -> bool:
     return bool(np.all(a.bits <= b.bits))
 
 
+def _size(value) -> int:
+    """value as an int, or a ValueError naming it (a bool is no size)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"ambient size must be an integer, got {value!r}")
+    return int(value)
+
+
 class ManifoldCollection:
     """The ordered sets of one structure family over one ambient space.
 
@@ -95,7 +104,8 @@ class ManifoldCollection:
         Set i is {x : x_i = 0} (i = 0..n-1), {x : x_{i+1} = x_i}
         (i = 0..n-2), or {X : rank(X) = i} (i = 0..min(rows, cols)).
     ambient : int or (rows, cols)
-        Vector dimension n, or matrix shape for rank collections.
+        Vector dimension n, or matrix shape for rank collections; each size
+        an integer, not a bool.
     """
 
     def __init__(self, kind, ambient):
@@ -103,12 +113,12 @@ class ManifoldCollection:
             raise ValueError(f"unknown manifold kind: {kind!r}")
         if kind == RANK_LEVEL:
             if not (isinstance(ambient, tuple) and len(ambient) == 2
-                    and min(ambient) >= 0):
+                    and min(map(_size, ambient)) >= 0):
                 raise ValueError("rank collection needs a (rows, cols) ambient")
             self.ambient = (int(ambient[0]), int(ambient[1]))
             self._size = min(self.ambient) + 1
         else:
-            n = int(ambient)
+            n = _size(ambient)
             if kind == ADJACENT_EQUAL and n < 2:
                 raise ValueError("adjacent-equal collection needs n >= 2")
             if n < 1:

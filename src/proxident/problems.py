@@ -1,10 +1,10 @@
 """Composite problems: smooth oracles, finite sums, and seeded generators.
 
-A composite problem is min f(x) + g(x) with f smooth (value/gradient,
-Lipschitz gradient constant, strong convexity modulus, optional finite-sum
-components) and g a structure-inducing regularizer from the prox catalog.
-Generators can attach a certified optimal pair (xstar, ustar) so that
-identification claims can be checked against ground truth.
+A composite problem is min f(x) + g(x) with f smooth, a ``SmoothOracle``
+subclass (least squares or masked matrix least squares here), and g a
+structure-inducing regularizer from the prox catalog. Generators can attach
+a certified optimal pair (xstar, ustar) so that identification claims can
+be checked against ground truth.
 """
 
 import functools
@@ -32,24 +32,15 @@ __all__ = [
 class SmoothOracle:
     """Smooth term f: value, gradient, and the constants solvers need.
 
-    components, when present, is a list of oracles f^j with
-    f = (1/m) * sum_j f^j (checked by the test suite on random points).
-    On this class lipschitz, strong_convexity and components are plain
-    attributes given at construction, with value and gradient as callables.
-    Subclasses do not call this __init__: they define _value and _gradient
-    methods and provide the three attributes themselves, MatrixLSOracle as
-    constants it sets, LeastSquaresOracle as properties computed on their
-    first read (L and mu exactly, from one eigendecomposition of its Gram
-    matrix).
+    The one contract for f: a subclass defines _value(x), _gradient(x) and
+    lipschitz (the gradient's Lipschitz constant) and inherits value and
+    gradient, which call them. It overrides the defaults strong_convexity
+    = 0.0 and components = None when it has more (a list of oracles f^j
+    with f = (1/m) * sum_j f^j), and prox when it has one.
     """
 
-    def __init__(self, value, gradient, lipschitz, strong_convexity=0.0,
-                 components=None):
-        self._value = value
-        self._gradient = gradient
-        self.lipschitz = float(lipschitz)
-        self.strong_convexity = float(strong_convexity)
-        self.components = components
+    strong_convexity = 0.0
+    components = None
 
     def value(self, x) -> float:
         return float(self._value(x))
@@ -89,8 +80,6 @@ class LeastSquaresOracle(SmoothOracle):
     factorization cached per gamma.
     """
 
-    # SmoothOracle.__init__ is not called: its attributes are this class's
-    # _value/_gradient methods and lazy properties
     def __init__(self, A, b, components=None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -187,6 +176,8 @@ class MatrixLSOracle(SmoothOracle):
     the identity map and 0 otherwise.
     """
 
+    lipschitz = 1.0
+
     def __init__(self, target, mask=None):
         target = np.asarray(target, dtype=float)
         if target.ndim != 2:
@@ -202,9 +193,7 @@ class MatrixLSOracle(SmoothOracle):
         self.target = target
         self.mask = mask
         full = mask is None or bool(np.all(mask == 1))
-        self.lipschitz = 1.0
         self.strong_convexity = 1.0 if full else 0.0
-        self.components = None
 
     def _residual(self, x):
         r = x - self.target
@@ -250,8 +239,7 @@ class CompositeProblem:
         return self.smooth.value(x) + self.reg.value(x)
 
     def zero_point(self) -> np.ndarray:
-        ambient = self.reg.collection.ambient
-        return np.zeros(ambient if isinstance(ambient, tuple) else int(ambient))
+        return np.zeros(self.reg.collection.ambient)
 
     @property
     def has_ground_truth(self) -> bool:

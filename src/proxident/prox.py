@@ -36,6 +36,10 @@ values (nuclear), the kept count (l0), the kept rank (rank) or the jump
 count (potts1d). The solvers' objective column is f(x_k) plus this value,
 so an SVD-based iteration makes one SVD, not two.
 
+``Regularizer(kind, lam, ambient)`` is g: one row per kind gives its
+collection's kind, its kernel and r, and the collection is built over
+ambient, so it always matches the kind.
+
 The SVD-based kinds use the singular vectors exactly as LAPACK returns
 them, with no sign convention: flipping column j of U and row j of V^T
 together leaves (U * s) @ V^T bit for bit the same (negation is exact and
@@ -56,10 +60,7 @@ from .manifolds import (
     RANK_LEVEL,
     ManifoldCollection,
     SparsityPattern,
-    adjacent_pairs,
-    coordinate_zeros,
     numeric_rank,
-    rank_levels,
 )
 
 __all__ = [
@@ -76,15 +77,6 @@ __all__ = [
 
 CONVEX_KINDS = ("l1", "tv1d", "nuclear")
 
-_KIND_COLLECTION = {
-    "l1": COORDINATE_ZERO,
-    "l0": COORDINATE_ZERO,
-    "tv1d": ADJACENT_EQUAL,
-    "potts1d": ADJACENT_EQUAL,
-    "nuclear": RANK_LEVEL,
-    "rank": RANK_LEVEL,
-}
-
 
 class ProxResult:
     """Prox output, its exact structure pattern, and g at the output.
@@ -94,9 +86,8 @@ class ProxResult:
     ``Regularizer.value(point)`` bit for bit; for nuclear it differs from
     that SVD of the point in the last bits only; for rank it is the exact
     kept rank, which ``Regularizer.value``'s relative cut (1e-10 * sigma_max)
-    undercounts when a kept singular value lies below that cut. A result
-    built without a value reports None; the solvers then call
-    ``Regularizer.value`` on the point.
+    undercounts when a kept singular value lies below that cut. It is None
+    only on the start point a run returns when its first step diverges.
     """
 
     __slots__ = ("point", "pattern", "value")
@@ -392,81 +383,68 @@ def prox_rank(u, gamma, lam=1.0) -> ProxResult:
     return ProxResult(x, pattern, lam * _l0(s))
 
 
+def _sigma(x):
+    return np.linalg.svd(x, compute_uv=False)
+
+
+# kind -> (its collection's kind, its prox kernel, r)
+_KINDS = {
+    "l1": (COORDINATE_ZERO, prox_l1, _l1),
+    "l0": (COORDINATE_ZERO, prox_l0, _l0),
+    "tv1d": (ADJACENT_EQUAL, prox_tv1d, lambda x: _l1(np.diff(x))),
+    "potts1d": (ADJACENT_EQUAL, prox_potts1d, lambda x: _l0(np.diff(x))),
+    "nuclear": (RANK_LEVEL, prox_nuclear, lambda x: _l1(_sigma(x))),
+    "rank": (RANK_LEVEL, prox_rank, lambda x: float(numeric_rank(_sigma(x)))),
+}
+
+
 class Regularizer:
-    """A weighted structure-inducing function g = lam * r with its collection.
+    """g = lam * r of one kind (see the module table), lam positive and
+    finite, with the kind's structure collection built over ambient: n, or
+    (rows, cols) for nuclear and rank."""
 
-    Construct through the classmethods so that the collection always matches
-    the kind (coordinate zeros for l1/l0, adjacent equalities for
-    tv1d/potts1d, rank levels for nuclear/rank).
-    """
-
-    def __init__(self, kind: str, lam: float, collection: ManifoldCollection):
-        if kind not in _KIND_COLLECTION:
+    def __init__(self, kind: str, lam: float, ambient):
+        if kind not in _KINDS:
             raise ValueError(f"unknown regularizer kind {kind!r}")
         if not 0.0 < lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {lam!r}")
-        if collection.kind != _KIND_COLLECTION[kind]:
-            raise ValueError(
-                f"collection kind {collection.kind!r} does not match {kind!r}"
-            )
+        collection_kind, self._kernel, self._r = _KINDS[kind]
         self.kind = kind
         self.lam = float(lam)
-        self.collection = collection
+        self.collection = ManifoldCollection(collection_kind, ambient)
 
     @classmethod
     def l1(cls, n, lam=1.0):
-        return cls("l1", lam, coordinate_zeros(n))
+        return cls("l1", lam, n)
 
     @classmethod
     def l0(cls, n, lam=1.0):
-        return cls("l0", lam, coordinate_zeros(n))
+        return cls("l0", lam, n)
 
     @classmethod
     def tv1d(cls, n, lam=1.0):
-        return cls("tv1d", lam, adjacent_pairs(n))
+        return cls("tv1d", lam, n)
 
     @classmethod
     def potts1d(cls, n, lam=1.0):
-        return cls("potts1d", lam, adjacent_pairs(n))
+        return cls("potts1d", lam, n)
 
     @classmethod
     def nuclear(cls, rows, cols, lam=1.0):
-        return cls("nuclear", lam, rank_levels(rows, cols))
+        return cls("nuclear", lam, (rows, cols))
 
     @classmethod
     def rank(cls, rows, cols, lam=1.0):
-        return cls("rank", lam, rank_levels(rows, cols))
+        return cls("rank", lam, (rows, cols))
 
     def value(self, x) -> float:
         """g(x) = lam * r(x). Counting kinds (l0, potts1d) use exact zero
         tests; the rank value uses a relative singular-value cutoff. A
         prox result carries this value for its own point (``value``)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "l1":
-            return self.lam * _l1(x)
-        if self.kind == "l0":
-            return self.lam * _l0(x)
-        if self.kind == "tv1d":
-            return self.lam * _l1(np.diff(x))
-        if self.kind == "potts1d":
-            return self.lam * _l0(np.diff(x))
-        s = np.linalg.svd(x, compute_uv=False)
-        if self.kind == "nuclear":
-            return self.lam * _l1(s)
-        return self.lam * float(numeric_rank(s))
+        return self.lam * self._r(np.asarray(x, dtype=float))
 
     def prox(self, u, gamma) -> ProxResult:
-        return _PROX[self.kind](u, gamma, self.lam)
-
-
-_PROX = {
-    "l1": prox_l1,
-    "l0": prox_l0,
-    "tv1d": prox_tv1d,
-    "potts1d": prox_potts1d,
-    "nuclear": prox_nuclear,
-    "rank": prox_rank,
-}
+        return self._kernel(u, gamma, self.lam)
 
 
 def _abs_subgradient_gap(x, g, lam):

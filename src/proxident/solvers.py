@@ -10,20 +10,20 @@ result, extra trace fields), usually through ``_advance``, which takes the
 u-step ||u_k - u_{k-1}|| and then the prox. The loop records iteration k
 at the trace cadence (with a copy of u_k under keep_u); the recorded
 objective is f(x_k) plus the value g(x_k) the prox reported
-(``ProxResult.value``), or ``reg.value(x_k)`` when it reported none, so
-the regularizer is never evaluated twice on a point. Then it asks the stop
-rule: by default k > 1 and u_step <= stop_tol; SAGA, DAve-PG,
-predictor-corrector and random subspace descent pass their own ``stop``
-closure, stop(k, u_step, x_k). The run ends "converged" when the rule
-holds, "max_iter" when the iterations run out, and "diverged" when a step
-or stop rule raises ``_Diverged``: ``_advance`` does so when the u-step is
-not finite, before the prox. Each run holds numpy's overflow and
+(``ProxResult.value``), so g is never evaluated twice on a point. Then it
+asks the stop rule: by default k > 1 and u_step <= stop_tol; SAGA,
+DAve-PG, predictor-corrector and random subspace descent pass their own
+``stop`` closure, stop(k, u_step, x_k). The run ends "converged" when the
+rule holds, "max_iter" when the iterations run out, and "diverged" when a
+step or stop rule raises ``_Diverged``: ``_advance`` does so when the
+u-step is not finite, before the prox. Each run holds numpy's overflow and
 invalid-value warnings off, so a diverging run ends with that status and
 no RuntimeWarning.
 
 A run returns (ProxResult, TraceLog): the prox result of its last (finite)
 iterate, which holds the point, its exact pattern and g at the point, and
-the trace so far, whose ``status`` says how the run ended.
+the trace so far, whose ``status`` says how the run ended (a run whose
+first step diverges returns its start point, with value None).
 
 Default stepsizes are taken from the oracle constants: gamma = 1/L for the
 proximal gradient and its accelerated variant, 1/(3*L_max) for SAGA
@@ -222,8 +222,8 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
     it is ProxResult(x, pattern) of the start point and the given pattern.
     """
     log = TraceLog(gamma, config.seed)
-    f_value, reg = problem.smooth.value, problem.reg
-    structure_count = reg.collection.structure_count
+    f_value = problem.smooth.value
+    structure_count = problem.reg.collection.structure_count
     every, keep_u, tol = config.trace_every, config.keep_u, config.stop_tol
     if u_prev is None:
         u_prev = x
@@ -239,14 +239,11 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
                 x, pattern, u_prev = res.point, res.pattern, u
                 log.iterations = k
                 if (k - 1) % every == 0:
-                    g_value = res.value
-                    if g_value is None:
-                        g_value = reg.value(x)
                     key = pattern.bits.tobytes()
                     if key != counted_key:
                         counted_key, count = key, structure_count(pattern)
                     log.append(TraceRecord(
-                        k=k, objective=f_value(x) + g_value, pattern=pattern,
+                        k=k, objective=f_value(x) + res.value, pattern=pattern,
                         nnz=count, u_step=u_step,
                         u=u.copy() if keep_u else None, **extras,
                     ))
@@ -331,12 +328,12 @@ def run_dr(problem, config=None, x0=None):
     """Douglas-Rachford splitting; needs a prox for the smooth part.
 
     u_{k+1} = prox_{gamma f}(2 x_k - u_k) + u_k - x_k, then the usual prox of
-    g. Converges for any gamma > 0; the default is 1/L when the oracle
-    advertises a Lipschitz constant, else 1.
+    g. Converges for any gamma > 0; the default is 1/L when the oracle's
+    Lipschitz constant L is positive, else 1.
     """
     config = config or SolverConfig()
     f, g = problem.smooth, problem.reg
-    if not getattr(f, "has_prox", False):
+    if not f.has_prox:
         raise ValueError("douglas-rachford needs a smooth term with a prox")
     default = 1.0 / f.lipschitz if f.lipschitz > 0 else 1.0
     gamma = _resolve_gamma(config, default, np.inf, False, "dr")

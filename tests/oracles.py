@@ -3,14 +3,28 @@
 These deliberately avoid the algorithms under test: the TV oracle enumerates
 segmentations and jump signs and solves the stationarity system in closed
 form; the Potts oracle enumerates all 2^(n-1) breakpoint masks.
+``CallableSmooth`` is the tests' smooth term built from two callables.
 """
 
 import numpy as np
 
 from proxident.identification import IdentificationReport
 from proxident.manifolds import SparsityPattern
+from proxident.problems import SmoothOracle
 from proxident.prox import ProxResult, _check_input
 from proxident.solvers import TRACE_COLUMNS
+
+
+class CallableSmooth(SmoothOracle):
+    """A smooth term from value and gradient callables and its constants."""
+
+    def __init__(self, value, gradient, lipschitz, strong_convexity=0.0,
+                 components=None):
+        self._value = value
+        self._gradient = gradient
+        self.lipschitz = float(lipschitz)
+        self.strong_convexity = float(strong_convexity)
+        self.components = components
 
 
 def tv1d_bruteforce(u, step):

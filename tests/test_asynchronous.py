@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import CallableSmooth
+
 from proxident.asynchronous import DelayModel, run_dave_pg
 from proxident.problems import (
     CompositeProblem,
-    SmoothOracle,
     gen_lasso,
     gen_qc_lasso,
     least_squares_oracle,
@@ -197,13 +198,13 @@ class TestMatrixIterate:
         targets = [rng.standard_normal((4, 3)) for _ in range(3)]
 
         def piece(t):
-            return SmoothOracle(lambda x: 0.5 * np.sum((x - t) ** 2),
-                                lambda x: x - t, 1.0, 1.0)
+            return CallableSmooth(lambda x: 0.5 * np.sum((x - t) ** 2),
+                                  lambda x: x - t, 1.0, 1.0)
 
         mean = np.mean(targets, axis=0)
-        f = SmoothOracle(lambda x: 0.5 * np.sum((x - mean) ** 2),
-                         lambda x: x - mean, 1.0, 1.0,
-                         components=[piece(t) for t in targets])
+        f = CallableSmooth(lambda x: 0.5 * np.sum((x - mean) ** 2),
+                           lambda x: x - mean, 1.0, 1.0,
+                           components=[piece(t) for t in targets])
         reg = Regularizer.nuclear(4, 3, lam=0.5)
         point, log = run_dave_pg(CompositeProblem(f, reg),
                                  SolverConfig(stop_tol=1e-12, max_iter=200))

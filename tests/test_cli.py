@@ -146,6 +146,41 @@ def test_config_file_with_flag_override(qc_bundle, tmp_path):
                  "--max-iter", "100000", "--stop-tol", "1e-8"]) == 0
 
 
+def test_unset_settings_are_left_to_the_library(qc_bundle, tmp_path,
+                                                monkeypatch):
+    import proxident.cli as cli
+    from proxident.exploit import SubspaceSamplerConfig
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args[2], kwargs))
+        return run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_solver", spy)
+    assert main(["solve", "random-subspace", str(qc_bundle), "--seed", "4",
+                 "--out", str(tmp_path / "rs")]) == 0
+    assert calls == [(SolverConfig(seed=4),
+                      {"sampler": SubspaceSamplerConfig(seed=4)})]
+    conf = tmp_path / "conf"
+    conf.write_text("stop-tol=1e-9\nrefresh-wait=3\n")
+    assert main(["solve", "random-subspace", str(qc_bundle), "--seed", "4",
+                 "--config", str(conf), "--keep-prob", "0.25",
+                 "--out", str(tmp_path / "rs")]) == 0
+    assert calls[1] == (SolverConfig(seed=4, stop_tol=1e-9), {
+        "sampler": SubspaceSamplerConfig(0.25, 3, seed=4)})
+
+    fig2 = []
+    monkeypatch.delenv("PROXIDENT_SEED", raising=False)
+    monkeypatch.setattr(cli, "replicate_fig2", lambda **kwargs: (
+        fig2.append(kwargs) or {"means": {}}))
+    assert main(["replicate", "fig2", "--outdir", str(tmp_path)]) == 0
+    assert main(["replicate", "fig2", "--outdir", str(tmp_path),
+                 "--instances", "3"]) == 0
+    assert fig2 == [{"seed": 0, "outdir": str(tmp_path)},
+                    {"seed": 0, "outdir": str(tmp_path), "instances": 3}]
+
+
 @pytest.mark.parametrize("command", [["solve", "pg", "BUNDLE"],
                                      ["replicate", "fig1"]])
 def test_malformed_config_line_exits_1(qc_bundle, tmp_path, capsys, command):

@@ -162,6 +162,26 @@ class TestEnlargedBound:
         with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
             enlarged_bound_sampled(reg, [5.0, -3.0, 0.1], 1.0, float("nan"))
 
+    @pytest.mark.parametrize("reg,ustar", [
+        (Regularizer.l1(3, 1.0), [5.0, -3.0, 0.1]),
+        (Regularizer.tv1d(4, 1.0), [0.0, 0.0, 1.0, 1.0]),
+        (Regularizer.rank(3, 2, 1.0), np.ones((3, 2))),
+    ])
+    def test_sampled_eps_inf_is_all_ones(self, reg, ustar):
+        # the ball is the whole space: every set is left somewhere, as the
+        # l1 closed form says; each draw would be infinite
+        got = enlarged_bound_sampled(reg, ustar, 1.0, np.inf, n_samples=5)
+        assert got == SparsityPattern(np.ones(len(reg.collection)))
+        if reg.kind == "l1":
+            assert got == enlarged_bound_l1(ustar, 1.0, np.inf)
+
+    @pytest.mark.parametrize("ustar", [[np.nan, 1.0], [np.inf, 0.0],
+                                       [0.0, -np.inf]])
+    def test_non_finite_ustar_rejected(self, ustar):
+        # a NaN coordinate would be certified zero over the whole ball
+        with pytest.raises(ValueError, match="ustar must be finite"):
+            enlarged_bound_l1(ustar, 0.5, 0.1)
+
     def test_sampled_eps_zero(self):
         reg = Regularizer.l1(5, 1.0)
         u = np.array([0.1, 2.0, -3.0, 0.0, 0.5])
@@ -219,6 +239,14 @@ class TestQCCheck:
         with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
             qc_check(p, float("nan"))
 
+    def test_sampled_eps_inf_is_false(self):
+        # no pattern holds on the whole space; the l1 closed form agrees
+        p = gen_lowrank_matrix_problem(6, 2, seed=1)
+        assert qc_check(p, 1e-3, n_samples=5)
+        assert qc_check(p, np.inf, n_samples=5) is False
+        assert qc_check(self._stub_problem([0.0, 1.0], [0.5, 2.0]),
+                        np.inf) is False
+
     def test_needs_ground_truth(self):
         from proxident.problems import gen_lasso
 
@@ -230,6 +258,11 @@ class TestScreening:
     def test_examples(self):
         assert safe_screen_l1(np.array([0.3, 2.0]), 0.5, 1.0) == {0}
         assert safe_screen_l1(np.array([0.3, 2.0]), 0.8, 1.0) == set()
+
+    @pytest.mark.parametrize("center", [[np.nan, 2.0], [0.3, np.inf]])
+    def test_non_finite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            safe_screen_l1(center, 0.5, 1.0)
 
     def test_zero_radius_is_prox_zero_set(self):
         rng = np.random.default_rng(5)

@@ -287,6 +287,12 @@ class TestCollections:
         ("rank_level", (3, 3, 3), r"rank collection needs a \(rows, cols\)"),
         ("rank_level", [3, 3], r"rank collection needs a \(rows, cols\)"),
         ("rank_level", (-1, 3), r"rank collection needs a \(rows, cols\)"),
+        ("coordinate_zero", 2.5, "ambient size must be an integer, got 2.5"),
+        ("coordinate_zero", (3, 3), r"an integer, got \(3, 3\)"),
+        ("coordinate_zero", True, "ambient size must be an integer, got True"),
+        ("adjacent_equal", np.float64(4.0), r"got np.float64\(4.0\)"),
+        ("rank_level", (3, 2.5), "ambient size must be an integer, got 2.5"),
+        ("rank_level", (False, 3), "ambient size must be an integer, got False"),
     ])
     def test_constructor_validation(self, kind, ambient, message):
         with pytest.raises(ValueError, match=message):
@@ -304,12 +310,31 @@ class TestCollections:
             SparsityPattern([0, 1, 0])
         )
 
-    def test_no_kind_mixing_with_rank(self):
-        # a collection holds one family; a regularizer takes only its own
-        with pytest.raises(ValueError, match="does not match 'nuclear'"):
-            Regularizer("nuclear", 1.0, coordinate_zeros(3))
-        with pytest.raises(ValueError, match="does not match 'l1'"):
-            Regularizer("l1", 1.0, rank_levels(3, 3))
+    def test_regularizers_build_their_own_collections(self):
+        # a collection holds one family; a regularizer builds its own from
+        # its kind and ambient size, the one the builder of that family makes
+        for reg, built in (
+            (Regularizer.l1(3), coordinate_zeros(3)),
+            (Regularizer.l0(3), coordinate_zeros(3)),
+            (Regularizer.tv1d(3), adjacent_pairs(3)),
+            (Regularizer.potts1d(3), adjacent_pairs(3)),
+            (Regularizer.nuclear(3, 2), rank_levels(3, 2)),
+            (Regularizer.rank(3, 2), rank_levels(3, 2)),
+        ):
+            coll = reg.collection
+            assert (coll.kind, coll.ambient, len(coll)) == (
+                built.kind, built.ambient, len(built))
+
+    def test_regularizer_sizes_are_checked(self):
+        for build, args, bad in ((Regularizer.l1, (3.7,), "3.7"),
+                                 (Regularizer.nuclear, (3.0, 3), "3.0")):
+            with pytest.raises(ValueError, match="ambient size must be an "
+                                                 f"integer, got {bad}"):
+                build(*args)
+
+    def test_integral_sizes_accepted(self):
+        assert coordinate_zeros(np.int64(3)).ambient == 3
+        assert rank_levels(np.int32(2), 3).ambient == (2, 3)
 
     def test_index_bounds(self):
         # a pattern has one bit per set index 0..len-1 of its family

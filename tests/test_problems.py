@@ -5,6 +5,7 @@ from proxident.bundles import read_bundle, write_bundle
 from proxident.manifolds import pattern_of
 from proxident.problems import (
     LeastSquaresOracle,
+    SmoothOracle,
     gen_lasso,
     gen_lowrank_matrix_problem,
     gen_qc_lasso,
@@ -251,6 +252,54 @@ class TestProxF:
         x = o.prox(v, 0.37)
         residual = x + 0.37 * (o.gram @ x) - (v + 0.37 * o.Atb)
         assert np.linalg.norm(residual) <= 1e-10
+
+
+def _package_oracles(tmp_path):
+    """(name, oracle) for every smooth term the package builds: the two
+    builders with and without components or a mask, each component, and
+    the terms of the generators' problems and of the bundles read back."""
+    rng = np.random.default_rng(11)
+    A, b = rng.standard_normal((6, 3)), rng.standard_normal(6)
+    target = rng.standard_normal((4, 4))
+    mask = (rng.random((4, 4)) < 0.5).astype(float)
+    oracles = [
+        ("least_squares", least_squares_oracle(A, b)),
+        ("least_squares-3", least_squares_oracle(A, b, components=3)),
+        ("matrix_ls", matrix_ls_oracle(target)),
+        ("matrix_ls-mask", matrix_ls_oracle(target, mask)),
+    ]
+    for name, problem in (
+        ("gen_lasso", gen_lasso(12, 5, seed=1, components=3)),
+        ("gen_qc_lasso", gen_qc_lasso(n=6, s=2, delta=0.5, seed=1)),
+        ("gen_lowrank", gen_lowrank_matrix_problem(size=4, rank=1, seed=1)),
+    ):
+        write_bundle(tmp_path / name, problem)
+        oracles += [(name, problem.smooth),
+                    (name + "-bundle", read_bundle(tmp_path / name).smooth)]
+    return oracles + [(f"{name}-component", c) for name, o in oracles
+                      for c in o.components or ()]
+
+
+class TestSmoothContract:
+    def test_package_oracles_inherit_value_and_gradient(self, tmp_path):
+        # perfbench/tracing.py counts calls by wrapping SmoothOracle.value
+        # and .gradient; an override would drop them from its counts
+        oracles = _package_oracles(tmp_path)
+        assert {name for name, _ in oracles} >= {
+            "least_squares-3-component", "gen_lasso-bundle-component",
+            "gen_lowrank-bundle"}
+        for name, oracle in oracles:
+            assert isinstance(oracle, SmoothOracle), name
+            for method in ("value", "gradient"):
+                assert getattr(type(oracle), method) is getattr(
+                    SmoothOracle, method), (name, method)
+                assert method not in vars(oracle), (name, method)
+
+    def test_matrix_oracle_constants(self):
+        o = matrix_ls_oracle(np.ones((2, 3)), np.array([[1.0, 0, 1]] * 2))
+        assert (o.lipschitz, o.strong_convexity, o.components) == (
+            1.0, 0.0, None)
+        assert matrix_ls_oracle(np.ones((2, 3))).strong_convexity == 1.0
 
 
 class TestMatrixOracle:

@@ -717,11 +717,24 @@ class TestSharedProperties:
 
 
 class TestRegularizer:
-    def test_collection_kind_must_match(self):
-        from proxident.manifolds import coordinate_zeros
-
-        with pytest.raises(ValueError):
-            Regularizer("tv1d", 1.0, coordinate_zeros(4))
+    def test_each_kind_builds_its_collection(self):
+        for kind, ambient, collection_kind, size in (
+            ("l1", 4, "coordinate_zero", 4),
+            ("l0", 4, "coordinate_zero", 4),
+            ("tv1d", 4, "adjacent_equal", 3),
+            ("potts1d", 4, "adjacent_equal", 3),
+            ("nuclear", (3, 5), "rank_level", 4),
+            ("rank", (3, 5), "rank_level", 4),
+        ):
+            reg = Regularizer(kind, 2.0, ambient)
+            coll = reg.collection
+            assert (reg.kind, reg.lam) == (kind, 2.0)
+            assert (coll.kind, coll.ambient, len(coll)) == (
+                collection_kind, ambient, size)
+            with pytest.raises(ValueError, match="lam must be positive"):
+                Regularizer(kind, 0.0, ambient)
+        with pytest.raises(ValueError, match="unknown regularizer kind"):
+            Regularizer("l2", 2.0, 4)
 
     def test_values(self):
         assert Regularizer.l1(3, 2.0).value([1.0, -2.0, 0.0]) == 6.0

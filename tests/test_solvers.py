@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import trace_csv_text_reference
+from oracles import CallableSmooth, trace_csv_text_reference
 
-from proxident.manifolds import coordinate_zeros, pattern_of
+from proxident.manifolds import pattern_of
 from proxident.problems import (
     CompositeProblem,
     SmoothOracle,
@@ -45,14 +45,14 @@ class ZeroRegularizer(Regularizer):
     """g identically zero: the prox is the identity."""
 
     def __init__(self, n):
-        super().__init__("l1", 1.0, coordinate_zeros(n))
+        super().__init__("l1", 1.0, n)
 
     def value(self, x):
         return 0.0
 
     def prox(self, u, gamma):
         u = np.asarray(u, dtype=float)
-        return ProxResult(u.copy(), pattern_of(u, self.collection))
+        return ProxResult(u.copy(), pattern_of(u, self.collection), 0.0)
 
 
 class TestSolverConfig:
@@ -178,9 +178,7 @@ class TestDR:
         assert pt.point[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_needs_prox(self):
-        from proxident.problems import SmoothOracle
-
-        oracle = SmoothOracle(lambda x: 0.0, lambda x: np.zeros(2), 1.0)
+        oracle = CallableSmooth(lambda x: 0.0, lambda x: np.zeros(2), 1.0)
         problem = CompositeProblem(oracle, Regularizer.l1(2, 1.0))
         with pytest.raises(ValueError):
             run_dr(problem)
@@ -242,10 +240,10 @@ class TestSAGA:
             def gradient(x):
                 calls.append(j)
                 return np.full(2, j + 1.0)
-            return SmoothOracle(lambda x: 0.0, gradient, 1.0)
+            return CallableSmooth(lambda x: 0.0, gradient, 1.0)
 
-        smooth = SmoothOracle(lambda x: 0.0, lambda x: np.zeros(2), 1.0,
-                              components=[component(j) for j in range(m)])
+        smooth = CallableSmooth(lambda x: 0.0, lambda x: np.zeros(2), 1.0,
+                                components=[component(j) for j in range(m)])
         problem = CompositeProblem(smooth, Regularizer.l1(2, 1e-3))
         _, log = run_saga(problem, SolverConfig(stop_tol=0.0, max_iter=600,
                                                 seed=m))
@@ -379,17 +377,19 @@ class TestNonconvexRegularizers:
 
 class TestDRDegenerateSmooth:
     def test_zero_f_becomes_prox_fixed_point(self):
-        from proxident.problems import SmoothOracle
-
         class ZeroSmooth(SmoothOracle):
-            def __init__(self, n):
-                super().__init__(lambda x: 0.0,
-                                 lambda x: np.zeros(n), 0.0)
+            lipschitz = 0.0
+
+            def _value(self, x):
+                return 0.0
+
+            def _gradient(self, x):
+                return np.zeros_like(x)
 
             def prox(self, v, gamma):
                 return np.asarray(v, dtype=float)
 
-        p = CompositeProblem(ZeroSmooth(3), Regularizer.l1(3, 1.0))
+        p = CompositeProblem(ZeroSmooth(), Regularizer.l1(3, 1.0))
         pt, log = run_dr(p, SolverConfig(gamma=1.0, stop_tol=1e-14,
                                          max_iter=1000))
         # with prox_f the identity, u_{k+1} = x_k and the scheme settles at
@@ -402,7 +402,7 @@ class SpyL1(Regularizer):
     """l1 regularizer that keeps every array its prox is called on."""
 
     def __init__(self, n, lam):
-        super().__init__("l1", lam, coordinate_zeros(n))
+        super().__init__("l1", lam, n)
         self.inputs = []
 
     def prox(self, u, gamma):
@@ -419,9 +419,9 @@ def overshooting_problem(n=4):
     def gradient(x):
         return 10.0 * (x - 1.0)
 
-    part = SmoothOracle(value, gradient, 1.0, 1.0)
+    part = CallableSmooth(value, gradient, 1.0, 1.0)
     return CompositeProblem(
-        SmoothOracle(value, gradient, 1.0, 1.0, components=[part, part]),
+        CallableSmooth(value, gradient, 1.0, 1.0, components=[part, part]),
         Regularizer.l1(n, 1e-3),
     )
 
@@ -442,8 +442,8 @@ class TestRunStatus:
     def test_first_step_divergence_returns_the_start(self):
         # an infinite gradient makes the first u-step inf, before any prox
         p = CompositeProblem(
-            SmoothOracle(lambda x: 0.0, lambda x: np.full_like(x, np.inf),
-                         1.0),
+            CallableSmooth(lambda x: 0.0, lambda x: np.full_like(x, np.inf),
+                           1.0),
             Regularizer.l1(3, 1.0),
         )
         x0 = np.array([1.0, 0.0, -2.0])
@@ -517,14 +517,3 @@ class TestTraceObjective:
             x = problem.reg.prox(record.u, log.gamma).point
             assert record.objective == pytest.approx(problem.objective(x),
                                                      rel=1e-12, abs=0.0)
-
-    def test_regularizer_without_prox_value(self):
-        class ConstantRegularizer(ZeroRegularizer):
-            def value(self, x):
-                return 7.0
-
-        # the prox reports no value, so the trace calls value; f(2) = 0
-        problem = CompositeProblem(one_dim_problem().smooth,
-                                   ConstantRegularizer(1))
-        _, log = run_pg(problem, SolverConfig(gamma=1.0, max_iter=5))
-        assert [r.objective for r in log] == [7.0, 7.0]  # converged at k = 2

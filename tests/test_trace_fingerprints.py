@@ -3,11 +3,17 @@
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 
 from proxident.registry import SOLVERS
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                     "tools", "trace_fingerprints.py")
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
 
 
 def load_tool():
@@ -138,3 +144,30 @@ def test_spectral_cases_put_thresholds_on_singular_values():
                 assert gamma * lam in s  # the soft threshold
             for gamma, lam in ties[1::2]:
                 assert np.sqrt(2.0 * gamma * lam) in s  # the hard threshold
+
+
+THREAD_INVARIANT = (
+    "import trace_fingerprints as t; print(*t.kernel_lines(), "
+    "*t.spectral_kernel_lines(), *t.collection_lines(), sep='\\n')")
+
+
+def _lines_at(threads):
+    """The tool's kernels-1d, kernels-spectral and collections lines,
+    computed in a fresh interpreter at the given BLAS thread count."""
+    path = [os.path.dirname(TOOL), SRC, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", THREAD_INVARIANT], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def test_kernel_and_collection_lines_are_thread_invariant():
+    # the determinism scope: these lines do not depend on the BLAS thread
+    # count (fig3_comm.csv's line does, see the README)
+    tool = load_tool()
+    one = _lines_at(1)
+    assert len(one) == (len(tool.KERNEL_SIZES) * 2
+                        + len(tool.SPECTRAL_SHAPES) * 2
+                        + len(tool.COLLECTIONS))
+    assert one == _lines_at(2)

@@ -211,20 +211,29 @@ def draw_lines():
     return lines
 
 
-def _overshooting_problem(n=4):
-    """f(x) = 5 * ||x - 1||^2 advertising L = mu = 1: default steps
-    overshoot, and every solver but DR (which needs a prox of f) diverges."""
-    def value(x):
+class _Overshooting(SmoothOracle):
+    """f(x) = 5 * ||x - 1||^2 advertising L = mu = 1, with the given
+    components."""
+
+    lipschitz = 1.0
+    strong_convexity = 1.0
+
+    def __init__(self, components=None):
+        self.components = components
+
+    def _value(self, x):
         return 5.0 * float(np.sum((x - 1.0) ** 2))
 
-    def gradient(x):
+    def _gradient(self, x):
         return 10.0 * (x - 1.0)
 
-    part = SmoothOracle(value, gradient, 1.0, 1.0)
-    return CompositeProblem(
-        SmoothOracle(value, gradient, 1.0, 1.0, components=[part, part]),
-        Regularizer.l1(n, 1e-3),
-    )
+
+def _overshooting_problem(n=4):
+    """f of _Overshooting and two identical components: default steps
+    overshoot, and every solver but DR (which needs a prox of f) diverges."""
+    part = _Overshooting()
+    return CompositeProblem(_Overshooting(components=[part, part]),
+                            Regularizer.l1(n, 1e-3))
 
 
 KINDS_CONFIG = SolverConfig(stop_tol=1e-9, max_iter=2000, keep_u=True)
