@@ -5,6 +5,10 @@ of whitespace-separated entries, which must be finite; vectors are stored
 single-column. A bundle is a directory with the data files plus a ``meta``
 file of key=value lines (kind, lambda, seed, components, and for certified
 instances gamma, delta, and the ground-truth file references).
+One row per kind gives its regularizer: an l1 kind's data is a design
+A.txt and a right-hand side b.txt, a nuclear kind's one target matrix A.txt.
+The generator meta entries kept (rank, expected-rank, degenerate) are one
+list, written and read alike for every kind.
 """
 
 import functools
@@ -34,6 +38,10 @@ __all__ = [
 
 class BundleError(ValueError):
     """Malformed bundle directory, instance file or key=value file."""
+
+
+# bundle kind -> regularizer kind, which says what the data files are
+_KINDS = {"lasso": "l1", "qc-lasso": "l1", "lowrank": "nuclear"}
 
 
 def write_matrix(path, arr):
@@ -117,11 +125,12 @@ def read_key_values(path):
 
 
 def write_bundle(path, problem: CompositeProblem):
-    """Serialize a generated problem into a bundle directory."""
-    os.makedirs(path, exist_ok=True)
+    """Serialize a generated problem into a bundle directory; an unknown
+    kind raises BundleError before the directory is made."""
     kind = problem.meta.get("kind")
-    if kind not in ("lasso", "qc-lasso", "lowrank"):
+    if kind not in _KINDS:
         raise BundleError(f"cannot serialize problem kind {kind!r}")
+    os.makedirs(path, exist_ok=True)
     meta = {
         "kind": kind,
         "lambda": problem.reg.lam,
@@ -129,17 +138,15 @@ def write_bundle(path, problem: CompositeProblem):
         "gamma": problem.cert_gamma,
         "delta": problem.delta,
     }
-    if kind == "lowrank":
+    if _KINDS[kind] == "nuclear":
         write_matrix(os.path.join(path, "A.txt"), problem.smooth.target)
-        meta["rank"] = problem.meta.get("rank")
-        meta["expected-rank"] = problem.meta.get("expected_rank")
-        meta["degenerate"] = int(bool(problem.meta.get("degenerate")))
     else:
         write_matrix(os.path.join(path, "A.txt"), problem.smooth.A)
         write_vector(os.path.join(path, "b.txt"), problem.smooth.b)
         meta["components"] = problem.smooth.component_count
-        if kind == "qc-lasso":
-            meta["degenerate"] = int(bool(problem.meta.get("degenerate")))
+    for key, name, _, _ in _GENERATOR_META:
+        if name in problem.meta:
+            meta[key] = int(problem.meta[name])
     for name, truth in (("xstar", problem.xstar), ("ustar", problem.ustar)):
         if truth is not None:  # a vector is stored as one column
             write_matrix(os.path.join(path, name + ".txt"),
@@ -159,20 +166,17 @@ def _read_shaped(path, shape):
     return m.reshape(shape)
 
 
-def _read_ground_truth(path, meta, shape):
-    """(xstar, ustar) of the given shape, None where the meta names no file."""
-    return tuple(
-        _read_shaped(os.path.join(path, meta[key]), shape)
-        if key in meta else None
-        for key in ("xstar-file", "ustar-file")
-    )
-
-
 # meta entry kinds: (cast, check, what a valid value is)
 _POSITIVE = (float, lambda v: math.isfinite(v) and v > 0,
              "a finite positive number")
 _COUNT = (int, lambda v: v >= 0, "a nonnegative integer")
 _FLAG = (int, lambda v: v in (0, 1), "0 or 1")
+
+# the generator meta entries a bundle keeps, in file order: (meta file key,
+# problem.meta key, entry kind, type in problem.meta)
+_GENERATOR_META = (("rank", "rank", _COUNT, int),
+                   ("expected-rank", "expected_rank", _COUNT, int),
+                   ("degenerate", "degenerate", _FLAG, bool))
 
 
 def _meta_entry(meta_path, meta, key, spec, required=False):
@@ -195,45 +199,41 @@ def _meta_entry(meta_path, meta, key, spec, required=False):
 
 
 def read_bundle(path) -> CompositeProblem:
-    """Reconstruct a problem from a bundle directory."""
+    """Reconstruct a problem from a bundle directory; the kind is checked
+    before any other entry."""
     meta_path = os.path.join(path, "meta")
     if not os.path.isfile(meta_path):
         raise BundleError(f"{path}: missing meta file")
     meta = read_key_values(meta_path)
     kind = meta.get("kind")
+    if kind not in _KINDS:
+        raise BundleError(f"{path}: unknown bundle kind {kind!r}")
     entry = functools.partial(_meta_entry, meta_path, meta)
     lam = entry("lambda", _POSITIVE, required=True)
     seed = entry("seed", _COUNT)
     gamma = entry("gamma", _POSITIVE)
     delta = entry("delta", _POSITIVE)
-    degenerate = entry("degenerate", _FLAG)
     extra = {"kind": kind}
-    if degenerate is not None:
-        extra["degenerate"] = bool(degenerate)
+    for key, name, spec, type_ in _GENERATOR_META:
+        value = entry(key, spec)
+        if value is not None:
+            extra[name] = type_(value)
 
-    if kind == "lowrank":
-        target = read_matrix(os.path.join(path, "A.txt"))
-        xstar, ustar = _read_ground_truth(path, meta, target.shape)
-        for key, name in (("rank", "rank"), ("expected-rank", "expected_rank")):
-            if key in meta:
-                extra[name] = entry(key, _COUNT)
-        return CompositeProblem(
-            smooth=matrix_ls_oracle(target),
-            reg=Regularizer.nuclear(*target.shape, lam=lam),
-            xstar=xstar, ustar=ustar, cert_gamma=gamma, delta=delta,
-            seed=seed, meta=extra,
-        )
-    if kind in ("lasso", "qc-lasso"):
-        A = read_matrix(os.path.join(path, "A.txt"))
+    A = read_matrix(os.path.join(path, "A.txt"))
+    if _KINDS[kind] == "nuclear":
+        smooth, ambient, shape = matrix_ls_oracle(A), A.shape, A.shape
+    else:
         m, n = A.shape
         b = _read_shaped(os.path.join(path, "b.txt"), (m,))
         components = entry("components", (int, lambda v: 1 <= v <= m,
                                           f"an integer in 1..{m}"))
-        xstar, ustar = _read_ground_truth(path, meta, (n,))
-        return CompositeProblem(
-            smooth=least_squares_oracle(A, b, components=components),
-            reg=Regularizer.l1(n, lam),
-            xstar=xstar, ustar=ustar, cert_gamma=gamma, delta=delta,
-            seed=seed, meta=extra,
-        )
-    raise BundleError(f"{path}: unknown bundle kind {kind!r}")
+        smooth = least_squares_oracle(A, b, components=components)
+        ambient, shape = n, (n,)
+    xstar, ustar = (_read_shaped(os.path.join(path, meta[key]), shape)
+                    if key in meta else None  # the meta names no file
+                    for key in ("xstar-file", "ustar-file"))
+    return CompositeProblem(
+        smooth=smooth, reg=Regularizer(_KINDS[kind], lam, ambient),
+        xstar=xstar, ustar=ustar, cert_gamma=gamma, delta=delta,
+        seed=seed, meta=extra,
+    )

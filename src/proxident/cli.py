@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage or data error, 2 solver ended without
 converging (max_iter reached or the run diverged; the ``status=`` line of
 report.txt says which). The default seed comes from --seed, then a --config
-file, then the PROXIDENT_SEED environment variable, then 0.
+file, then the PROXIDENT_SEED environment variable, then 0. Commands pass
+the library only the settings a flag or a config file gives, so defaults are
+the library's own; a ``gen`` flag has one only where the generator has none.
 """
 
 import argparse
@@ -79,36 +81,33 @@ def build_parser():
                      description="structure-aware proximal optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[], help="generate an instance bundle")
+    gen = sub.add_parser("gen", help="generate an instance bundle")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-
-    lasso = gen_sub.add_parser("lasso")
-    lasso.add_argument("--m", type=int, default=200)
-    lasso.add_argument("--n", type=int, default=100)
-    lasso.add_argument("--lam", type=float)
-    lasso.add_argument("--density", type=float, default=0.1)
-    lasso.add_argument("--noise", type=float, default=0.1)
-    lasso.add_argument("--components", type=int, default=10)
-
-    qc = gen_sub.add_parser("qc-lasso")
-    qc.add_argument("--n", type=int, default=20)
-    qc.add_argument("--m", type=int)
-    qc.add_argument("--s", type=int, default=3)
-    qc.add_argument("--delta", type=float, default=0.5)
-    qc.add_argument("--lam", type=float, default=1.0)
-    qc.add_argument("--components", type=int, default=10)
-    qc.add_argument("--degenerate", action="store_true")
-
-    lowrank = gen_sub.add_parser("lowrank")
-    lowrank.add_argument("--size", type=int, default=20)
-    lowrank.add_argument("--rank", type=int, default=4)
-    lowrank.add_argument("--lam", type=float, default=1.0)
-    lowrank.add_argument("--degenerate", action="store_true")
-
-    for p in (lasso, qc, lowrank):
+    # one row per kind: its generator and its flags as (name, type[,
+    # default]); a flag has a default only where the generator has none,
+    # and bool flags are switches. cmd_gen passes the given ones.
+    for kind, generator, flags in (
+        ("lasso", gen_lasso, (
+            ("m", int, 200), ("n", int, 100), ("lam", float),
+            ("density", float), ("noise", float), ("components", int))),
+        ("qc-lasso", gen_qc_lasso, (
+            ("n", int, 20), ("m", int), ("s", int, 3), ("delta", float, 0.5),
+            ("lam", float), ("components", int), ("degenerate", bool))),
+        ("lowrank", gen_lowrank_matrix_problem, (
+            ("size", int), ("rank", int), ("lam", float),
+            ("degenerate", bool))),
+    ):
+        p = gen_sub.add_parser(kind)
+        for name, cast, *default in flags:
+            if cast is bool:
+                p.add_argument("--" + name, action="store_const", const=True)
+            else:
+                p.add_argument("--" + name, type=cast,
+                               default=default[0] if default else None)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="bundle directory (default kind-seed)")
-        p.set_defaults(func=cmd_gen)
+        p.set_defaults(func=cmd_gen, generator=generator, settings=[
+            (name, name, cast) for name, cast, *_ in flags])
 
     solve = sub.add_parser("solve", help="run a solver on a bundle")
     solve.add_argument("solver", choices=sorted(SOLVERS))
@@ -150,19 +149,7 @@ def build_parser():
 
 def cmd_gen(args):
     seed = _resolve_seed(args, {})
-    if args.kind == "lasso":
-        problem = gen_lasso(args.m, args.n, seed=seed, lam=args.lam,
-                            density=args.density, noise=args.noise,
-                            components=args.components)
-    elif args.kind == "qc-lasso":
-        problem = gen_qc_lasso(args.n, s=args.s, delta=args.delta, seed=seed,
-                               m=args.m, lam=args.lam,
-                               components=args.components,
-                               degenerate=args.degenerate)
-    else:
-        problem = gen_lowrank_matrix_problem(size=args.size, rank=args.rank,
-                                             degenerate=args.degenerate,
-                                             seed=seed, lam=args.lam)
+    problem = args.generator(seed=seed, **_given(args, {}, args.settings))
     out = args.out or f"{args.kind}-{seed}"
     write_bundle(out, problem)
     print(out)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .manifolds import SparsityPattern
 from .prox import Regularizer
+from .solvers import _check_count
 
 __all__ = [
     "IdentificationReport",
@@ -110,9 +111,8 @@ def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
     enlarged_bound_l1 whenever the closed form applies. For eps = inf (the
     whole space) it is the all-ones pattern, as the closed form is.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     _check_eps(eps)
+    _check_count("n_samples", n_samples)
     ustar = np.asarray(ustar, dtype=float)
     base = reg.prox(ustar, gamma).pattern
     if eps == 0:
@@ -132,10 +132,12 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
     iterates with exactly the optimal pattern. Closed form for l1; for other
     kinds a sampled check (all draws reproducing the optimal pattern), which
     can only over-accept, and False for eps = inf, as the closed form is.
+    n_samples must be a positive integer, whatever the kind.
     """
     if not problem.has_ground_truth:
         raise ValueError("qc_check needs a problem with ground truth")
     _check_eps(eps)
+    _check_count("n_samples", n_samples)
     reg = problem.reg
     gamma = problem.cert_gamma
     ustar = np.asarray(problem.ustar, dtype=float)

@@ -88,10 +88,10 @@ def pattern_leq(a: SparsityPattern, b: SparsityPattern) -> bool:
     return bool(np.all(a.bits <= b.bits))
 
 
-def _size(value) -> int:
-    """value as an int, or a ValueError naming it (a bool is no size)."""
+def _integer(name, value) -> int:
+    """value as an int, or a ValueError naming it (a bool is no integer)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"ambient size must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -112,13 +112,13 @@ class ManifoldCollection:
         if kind not in (COORDINATE_ZERO, ADJACENT_EQUAL, RANK_LEVEL):
             raise ValueError(f"unknown manifold kind: {kind!r}")
         if kind == RANK_LEVEL:
-            if not (isinstance(ambient, tuple) and len(ambient) == 2
-                    and min(map(_size, ambient)) >= 0):
+            if not (isinstance(ambient, tuple) and len(ambient) == 2 and min(
+                    _integer("ambient size", v) for v in ambient) >= 0):
                 raise ValueError("rank collection needs a (rows, cols) ambient")
             self.ambient = (int(ambient[0]), int(ambient[1]))
             self._size = min(self.ambient) + 1
         else:
-            n = _size(ambient)
+            n = _integer("ambient size", ambient)
             if kind == ADJACENT_EQUAL and n < 2:
                 raise ValueError("adjacent-equal collection needs n >= 2")
             if n < 1:

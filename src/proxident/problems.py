@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .prox import Regularizer, prox_nuclear
+from .manifolds import _integer
+from .prox import Regularizer, _check_lam, prox_nuclear
 
 __all__ = [
     "SmoothOracle",
@@ -57,7 +58,7 @@ class SmoothOracle:
 
 
 def _check_component_count(n_components, m):
-    if not 1 <= n_components <= m:
+    if not 1 <= _integer("components", n_components) <= m:
         raise ValueError(f"component count must be in 1..m, got "
                          f"components={n_components!r} with m={m}")
 
@@ -253,6 +254,8 @@ def gen_lasso(m, n, seed, density=0.1, noise=0.1, lam=None, components=10):
     for the finite-sum solvers (clipped to m). m and n must be >= 1, density
     in (0, 1] and noise finite and nonnegative.
     """
+    if lam is not None:
+        _check_lam(lam)
     if min(m, n) < 1:
         raise ValueError(f"m and n must be >= 1, got m={m!r}, n={n!r}")
     if not 0.0 < density <= 1.0:
@@ -290,6 +293,7 @@ def gen_qc_lasso(n, s, delta, seed, m=None, lam=1.0, components=10,
 
     Requires m >= n (unique minimizer through a full-column-rank design).
     """
+    _check_lam(lam)
     if n < 1:
         raise ValueError(f"n must be >= 1, got n={n!r}")
     if m is None:
@@ -344,6 +348,7 @@ def gen_lowrank_matrix_problem(size=20, rank=4, degenerate=False, seed=0,
     a narrow band straddling lam, so the optimal rank is >= the planted one
     and membership of each near-threshold value is decided by a hair.
     """
+    _check_lam(lam)
     if size < 1:
         raise ValueError(f"size must be >= 1, got size={size!r}")
     if not 0 <= rank <= size:
@@ -377,7 +382,7 @@ def gen_lowrank_matrix_problem(size=20, rank=4, degenerate=False, seed=0,
         meta={
             "kind": "lowrank",
             "rank": rank,
-            "degenerate": degenerate,
             "expected_rank": expected_rank,
+            "degenerate": degenerate,
         },
     )

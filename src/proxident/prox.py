@@ -398,6 +398,12 @@ _KINDS = {
 }
 
 
+def _check_lam(lam):
+    """Raise a ValueError unless lam is positive and finite."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+
+
 class Regularizer:
     """g = lam * r of one kind (see the module table), lam positive and
     finite, with the kind's structure collection built over ambient: n, or
@@ -406,8 +412,7 @@ class Regularizer:
     def __init__(self, kind: str, lam: float, ambient):
         if kind not in _KINDS:
             raise ValueError(f"unknown regularizer kind {kind!r}")
-        if not 0.0 < lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {lam!r}")
+        _check_lam(lam)
         collection_kind, self._kernel, self._r = _KINDS[kind]
         self.kind = kind
         self.lam = float(lam)

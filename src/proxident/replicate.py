@@ -29,7 +29,7 @@ from .problems import (
     least_squares_oracle,
 )
 from .prox import Regularizer
-from .solvers import SolverConfig, _fmt, run_pg
+from .solvers import SolverConfig, _check_count, _fmt, run_pg
 
 __all__ = ["replicate_fig1", "replicate_fig2", "replicate_fig3"]
 
@@ -127,8 +127,10 @@ def replicate_fig2(seed=0, outdir=None, instances=50):
     """Rank trajectories for well-posed and degenerate low-rank groups.
 
     Each run starts from a seeded full-rank point (spectral norm 1.5x the
-    target's) so the rank decays visibly before settling.
+    target's) so the rank decays visibly before settling. instances, the
+    count per group, must be a positive integer.
     """
+    _check_count("instances", instances)
     config = SolverConfig(gamma=FIG2_GAMMA, stop_tol=1e-9, max_iter=3000,
                           trace_every=1)
     trajectory_rows = []

@@ -38,13 +38,12 @@ synchronous ones -- so that identical runs emit byte-identical files.
 """
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import SparsityPattern
+from .manifolds import SparsityPattern, _integer
 from .prox import ProxResult
 
 __all__ = [
@@ -65,9 +64,7 @@ __all__ = [
 def _check_count(name, value):
     """Raise a ValueError naming the field unless value is an int >= 1
     (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
+    if _integer(name, value) < 1:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 

@@ -173,6 +173,40 @@ def test_bad_meta_value_rejected(tmp_path, kind, key, value, expected):
         read_bundle(tmp_path / "b")
 
 
+@pytest.mark.parametrize("meta,kind", [("kind=foo\n", "'foo'"),
+                                       ("lambda=1\nseed=2\n", "None"),
+                                       ("kind=Lasso\nlambda=-1\n", "'Lasso'")])
+def test_unknown_kind_is_checked_first(tmp_path, meta, kind):
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "meta").write_text(meta)
+    with pytest.raises(BundleError, match=f"unknown bundle kind {kind}$"):
+        read_bundle(tmp_path / "b")
+
+
+def test_unknown_kind_is_not_written(tmp_path):
+    problem = gen_lasso(20, 8, seed=3)
+    problem.meta["kind"] = "foo"
+    with pytest.raises(BundleError, match="cannot serialize problem kind 'foo'"):
+        write_bundle(tmp_path / "b", problem)
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("problem", [
+    gen_lasso(20, 8, seed=3),
+    gen_qc_lasso(n=6, s=2, delta=0.5, seed=1),
+    gen_qc_lasso(n=6, s=2, delta=0.5, seed=1, degenerate=True),
+    gen_lowrank_matrix_problem(6, 2, seed=1),
+    gen_lowrank_matrix_problem(6, 2, degenerate=True, seed=1),
+], ids=["lasso", "qc-lasso", "qc-lasso-degenerate", "lowrank",
+        "lowrank-degenerate"])
+def test_generator_meta_roundtrips_in_file_order(tmp_path, problem):
+    write_bundle(tmp_path / "b", problem)
+    read = read_bundle(tmp_path / "b")
+    assert list(read.meta.items()) == list(problem.meta.items())
+    assert [type(v) for v in read.meta.values()] == [
+        type(v) for v in problem.meta.values()]
+
+
 def test_missing_lambda_rejected(tmp_path):
     write_bundle(tmp_path / "b", gen_lasso(20, 8, seed=3))
     meta = tmp_path / "b" / "meta"

@@ -181,6 +181,35 @@ def test_unset_settings_are_left_to_the_library(qc_bundle, tmp_path,
                     {"seed": 0, "outdir": str(tmp_path), "instances": 3}]
 
 
+def test_gen_passes_the_generator_only_the_given_flags(tmp_path,
+                                                       monkeypatch):
+    import proxident.cli as cli
+
+    calls = []
+    for name in ("gen_lasso", "gen_qc_lasso", "gen_lowrank_matrix_problem"):
+        def spy(generate=getattr(cli, name), **kwargs):
+            calls.append(kwargs)
+            return generate(**kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.delenv("PROXIDENT_SEED", raising=False)
+    for number, argv in enumerate((
+            ["lasso"], ["qc-lasso"], ["lowrank"],
+            ["lasso", "--m", "30", "--noise", "0", "--components", "3"],
+            ["qc-lasso", "--m", "50", "--lam", "2", "--degenerate"],
+            ["lowrank", "--rank", "2", "--degenerate", "--seed", "3"])):
+        assert main(["gen", *argv, "--out", str(tmp_path / str(number))]) == 0
+    # a flag has a default only where the generator has none
+    assert calls == [
+        {"seed": 0, "m": 200, "n": 100},
+        {"seed": 0, "n": 20, "s": 3, "delta": 0.5},
+        {"seed": 0},
+        {"seed": 0, "m": 30, "n": 100, "noise": 0.0, "components": 3},
+        {"seed": 0, "n": 20, "m": 50, "s": 3, "delta": 0.5, "lam": 2.0,
+         "degenerate": True},
+        {"seed": 3, "rank": 2, "degenerate": True},
+    ]
+
+
 @pytest.mark.parametrize("command", [["solve", "pg", "BUNDLE"],
                                      ["replicate", "fig1"]])
 def test_malformed_config_line_exits_1(qc_bundle, tmp_path, capsys, command):
@@ -251,6 +280,15 @@ def test_replicate_fig2_small(tmp_path, capsys):
     assert (tmp_path / "fig2_trajectories.csv").exists()
     means = (tmp_path / "fig2_group_means.csv").read_text().splitlines()
     assert means[0] == "group,mean_final_rank"
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_replicate_fig2_needs_an_instance(tmp_path, capsys, count):
+    assert main(["replicate", "fig2", "--instances", count, "--outdir",
+                 str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert f"instances must be positive, got {count}" in captured.err
 
 
 def test_replicate_byte_identical(tmp_path):

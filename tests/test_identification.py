@@ -247,6 +247,24 @@ class TestQCCheck:
         assert qc_check(self._stub_problem([0.0, 1.0], [0.5, 2.0]),
                         np.inf) is False
 
+    @pytest.mark.parametrize("count,message", [
+        (0, "n_samples must be positive, got 0"),
+        (-3, "n_samples must be positive, got -3"),
+        (2.5, "n_samples must be an integer, got 2.5"),
+        (True, "n_samples must be an integer, got True"),
+    ])
+    def test_sample_count_is_a_positive_integer(self, count, message):
+        # with no draw there is no evidence: the sampled check used to
+        # certify this degenerate instance at eps = 10 (200 draws refute it)
+        p = gen_lowrank_matrix_problem(6, 2, degenerate=True, seed=1)
+        assert qc_check(p, 10.0, n_samples=200) is False
+        for eps in (0.0, 10.0, np.inf):
+            with pytest.raises(ValueError, match=message):
+                qc_check(p, eps, n_samples=count)
+            with pytest.raises(ValueError, match=message):
+                enlarged_bound_sampled(p.reg, p.ustar, 1.0, eps,
+                                       n_samples=count)
+
     def test_needs_ground_truth(self):
         from proxident.problems import gen_lasso
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,24 @@ class TestLeastSquaresOracle:
         A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
         with pytest.raises(ValueError, match="component count"):
             least_squares_oracle(A, b, components=count)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_component_count_is_an_integer(self, count):
+        rng = np.random.default_rng(8)
+        A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
+        message = f"components must be an integer, got {count!r}"
+        with pytest.raises(ValueError, match=message):
+            least_squares_oracle(A, b, components=count)
+        with pytest.raises(ValueError, match=message):
+            least_squares_oracle(A, b).split(count)
+        with pytest.raises(ValueError, match=message):
+            gen_lasso(12, 4, seed=1, components=count)
+
+    def test_numpy_integer_component_count(self):
+        rng = np.random.default_rng(8)
+        A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
+        oracle = least_squares_oracle(A, b, components=np.int64(3))
+        assert len(oracle.components) == 3
 
 
 @pytest.fixture
@@ -403,3 +423,23 @@ class TestGenLasso:
         assert np.array_equal(a.smooth.b, b.smooth.b)
         assert a.reg.lam == b.reg.lam
         assert len(a.smooth.components) == 10
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a generator drew before checking its arguments")
+
+
+@pytest.mark.parametrize("generate", [
+    lambda lam: gen_lasso(10, 5, seed=1, lam=lam),
+    lambda lam: gen_qc_lasso(8, s=2, delta=0.5, seed=1, lam=lam),
+    lambda lam: gen_lowrank_matrix_problem(6, 2, seed=1, lam=lam),
+], ids=["lasso", "qc-lasso", "lowrank"])
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+def test_generators_check_lam_before_any_draw(monkeypatch, generate, lam):
+    monkeypatch.setattr(np.random, "default_rng", _no_draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=f"lam must be positive and finite, got "
+                                 f"{lam!r}"):
+            generate(lam)

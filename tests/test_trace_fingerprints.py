@@ -114,6 +114,18 @@ def test_draw_lines_are_well_formed_and_repeatable():
                for line in lines)
 
 
+def test_gen_lines_are_well_formed_and_repeatable():
+    tool = load_tool()
+    lines = tool.gen_lines()
+    assert lines == tool.gen_lines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"cli-gen,{kind}" for kind in ("lasso-1", "lasso-2", "qc-lasso-3",
+                                       "qc-lasso-4", "lowrank-5", "lowrank-6")]
+    assert all(re.fullmatch(r"cli-gen,[a-z-]+-[0-9],[0-9a-f]{64}", line)
+               for line in lines)
+    assert len({line.split(",")[2] for line in lines}) == len(lines)
+
+
 def test_spectral_kernel_lines_are_well_formed_and_repeatable():
     tool = load_tool()
     lines = tool.spectral_kernel_lines()

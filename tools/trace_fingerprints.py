@@ -28,6 +28,9 @@ vectors where kept. Cases:
 * ``replicate-fig<N>``: one line per emitted file, keyed by file name;
 * ``cli-lasso``: ``proxident gen lasso`` then ``solve`` (exit code,
   trace.csv and report.txt);
+* ``cli-gen``: one line per ``proxident gen`` invocation in ``GEN_ARGV``,
+  keyed by kind and seed, hashing the exit code and every bundle file's
+  name and bytes; each kind is run on its defaults and on every flag given;
 * ``collections``: one line per structure collection built by
   ``coordinate_zeros``, ``adjacent_pairs`` or ``rank_levels``, hashing
   ``pattern_of`` (tol None, "auto" and a float) and ``project`` on seeded
@@ -318,6 +321,36 @@ def cli_lines():
     return lines
 
 
+GEN_ARGV = (
+    "lasso --seed 1",
+    "lasso --m 30 --n 50 --lam 0.5 --density 0.2 --noise 0 --components 3 "
+    "--seed 2",
+    "qc-lasso --seed 3",
+    "qc-lasso --n 8 --m 12 --s 2 --delta 0.3 --lam 2 --components 4 "
+    "--degenerate --seed 4",
+    "lowrank --seed 5",
+    "lowrank --size 7 --rank 2 --lam 0.5 --degenerate --seed 6",
+)
+
+
+def gen_lines():
+    """One ``cli-gen`` line per invocation in GEN_ARGV. It calls only
+    cli.main, so it runs on older checkouts too."""
+    lines = []
+    for argv in GEN_ARGV:
+        argv = argv.split()
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = os.path.join(tmp, "bundle")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["gen", *argv, "--out", bundle])
+            parts = [code]
+            for name in sorted(os.listdir(bundle)):
+                with open(os.path.join(bundle, name), "rb") as fh:
+                    parts += [name, fh.read()]
+        lines.append(f"cli-gen,{argv[0]}-{argv[-1]},{_sha(parts)}")
+    return lines
+
+
 COLLECTIONS = (
     (coordinate_zeros, (1,)), (coordinate_zeros, (7,)),
     (coordinate_zeros, (300,)), (adjacent_pairs, (2,)),
@@ -463,7 +496,8 @@ def main():
     print(reports_line(reports))
     print("\n".join(other_cases() + replicate_lines() + cli_lines()
                     + collection_lines() + kernel_lines()
-                    + lowrank_structure_lines() + spectral_kernel_lines()))
+                    + lowrank_structure_lines() + spectral_kernel_lines()
+                    + gen_lines()))
 
 
 if __name__ == "__main__":
