@@ -54,30 +54,43 @@ class DelayModel:
     """Extra task delay on top of the unit compute time.
 
     kinds: constant(d), uniform(low, high) (continuous), geometric(q)
-    (integer, support {0, 1, ...}). All have finite mean, so every worker
-    completes infinitely often.
+    (integer, support {0, 1, ...}); a is d, low or q and b is high. All have
+    finite mean, so every worker completes infinitely often. The kind and
+    its parameters are checked when the model is built.
     """
 
     kind: str
     a: float = 0.0
     b: float = 0.0
 
+    def __post_init__(self):
+        if self.kind == "constant":
+            if not (np.isfinite(self.a) and self.a >= 0):
+                raise ValueError("constant delay must be finite and >= 0")
+        elif self.kind == "uniform":
+            if not (np.isfinite(self.a) and np.isfinite(self.b)
+                    and 0 <= self.a <= self.b):
+                raise ValueError("uniform delay needs finite 0 <= low <= high")
+        elif self.kind == "geometric":
+            if not 0 < self.a <= 1:
+                raise ValueError("geometric delay needs q in (0, 1]")
+        else:
+            raise ValueError("delay kind must be constant, uniform or "
+                             f"geometric, got {self.kind!r}")
+        if self.kind != "uniform" and self.b != 0:
+            raise ValueError(f"{self.kind} delay takes one parameter, got "
+                             f"b={self.b!r}")
+
     @classmethod
     def constant(cls, d):
-        if not (np.isfinite(d) and d >= 0):
-            raise ValueError("constant delay must be finite and >= 0")
         return cls("constant", float(d))
 
     @classmethod
     def uniform(cls, low, high):
-        if not (np.isfinite(low) and np.isfinite(high) and 0 <= low <= high):
-            raise ValueError("uniform delay needs finite 0 <= low <= high")
         return cls("uniform", float(low), float(high))
 
     @classmethod
     def geometric(cls, q):
-        if not 0 < q <= 1:
-            raise ValueError("geometric delay needs q in (0, 1]")
         return cls("geometric", float(q))
 
     @classmethod
@@ -131,7 +144,8 @@ def run_dave_pg(problem, config=None, delay_model=DelayModel.constant(0.0),
     if mu <= 0:
         raise ValueError("dave-pg requires a strongly convex smooth term")
     if encoding not in ("dense", "sparse"):
-        raise ValueError("encoding must be 'dense' or 'sparse'")
+        raise ValueError(f"encoding must be 'dense' or 'sparse', got "
+                         f"{encoding!r}")
     top = 2.0 / (mu + f.lipschitz)
     gamma = _resolve_gamma(config, top, top, True, "dave-pg")
     rng = np.random.default_rng(config.seed)

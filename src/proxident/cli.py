@@ -6,6 +6,9 @@ report.txt says which). The default seed comes from --seed, then a --config
 file, then the PROXIDENT_SEED environment variable, then 0. Commands pass
 the library only the settings a flag or a config file gives, so defaults are
 the library's own; a ``gen`` flag has one only where the generator has none.
+A flag of one solver's or figure's own settings (its ``_OWN`` row) exits 1
+on any other run. A config file may hold any row's keys, so one defaults
+file serves every command, but a key that no row has exits 1.
 """
 
 import argparse
@@ -25,6 +28,7 @@ from .bundles import (
 )
 from .exploit import SubspaceSamplerConfig
 from .identification import analyze_trace, report_text, safe_screen_l1
+from .manifolds import _integer
 from .problems import gen_lasso, gen_lowrank_matrix_problem, gen_qc_lasso
 from .registry import SOLVERS, run_solver
 from .replicate import replicate_fig1, replicate_fig2, replicate_fig3
@@ -39,6 +43,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+# every solve run's settings, as (flag, keyword, cast)
+_RUN = (("gamma", "gamma", float), ("max-iter", "max_iter", int),
+        ("stop-tol", "stop_tol", float), ("trace-every", "trace_every", int))
+
+# one row per solver or figure with settings of its own: (flag, keyword,
+# cast[, help]); only the row's owner takes its flags (see _own)
+_OWN = {
+    "dave-pg": (("delay", "delay_model", DelayModel.parse,
+                 "constant:d | uniform:lo:hi | geometric:q"),
+                ("encoding", "encoding", str)),
+    "predictor-corrector": (("full-step-every", "full_step_every", int),),
+    "random-subspace": (("keep-prob", "keep_probability", float),
+                        ("refresh-wait", "refresh_wait", int)),
+    "fig2": (("instances", "instances", int),),
+}
+
+_FIGURES = ("fig1", "fig2", "fig3")
+_CONFIG_KEYS = {"seed", *(flag for row in (_RUN, *_OWN.values())
+                          for flag, *_ in row)}
 
 
 def _setting(args, conf, name, cast):
@@ -56,23 +81,49 @@ def _setting(args, conf, name, cast):
 
 
 def _given(args, conf, settings):
-    """{keyword: value} of each (name, keyword, cast) that a flag or the
-    config file gives; the library's defaults hold for the others."""
+    """{keyword: value} of each (name, keyword, cast[, help]) that a flag or
+    the config file gives; the library's defaults hold for the others."""
     values = {key: _setting(args, conf, name, cast)
-              for name, key, cast in settings}
+              for name, key, cast, *_ in settings}
     return {key: value for key, value in values.items() if value is not None}
 
 
+def _own(args, conf, owner):
+    """_given of owner's row, after refusing a flag of another's row."""
+    for other, row in _OWN.items():
+        for flag, *_ in row:
+            if other != owner and getattr(args, flag.replace("-", "_"),
+                                          None) is not None:
+                raise ValueError(f"--{flag} is a setting of {other}, not of "
+                                 f"{owner}")
+    return _given(args, conf, _OWN.get(owner, ()))
+
+
+def _config(path):
+    """The key=value defaults of a --config file ({} without one); a key
+    that no command takes is refused, naming the file."""
+    conf = read_key_values(path) if path else {}
+    for key in conf:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}: unknown key {key!r}; known: "
+                             f"{', '.join(sorted(_CONFIG_KEYS))}")
+    return conf
+
+
+def _seed(text):
+    return _integer("seed", int(text), 0)
+
+
 def _resolve_seed(args, conf):
-    seed = _setting(args, conf, "seed", int)
+    seed = _setting(args, conf, "seed", _seed)
     if seed is not None:
         return seed
     env = os.environ.get("PROXIDENT_SEED")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"PROXIDENT_SEED={env!r} is not an integer")
+            return _seed(env)
+        except ValueError as exc:
+            raise ValueError(f"PROXIDENT_SEED={env!r}: {exc}") from None
     return 0
 
 
@@ -112,27 +163,23 @@ def build_parser():
     solve = sub.add_parser("solve", help="run a solver on a bundle")
     solve.add_argument("solver", choices=sorted(SOLVERS))
     solve.add_argument("bundle")
-    solve.add_argument("--gamma", type=float)
-    solve.add_argument("--max-iter", type=int)
-    solve.add_argument("--stop-tol", type=float)
-    solve.add_argument("--trace-every", type=int)
     solve.add_argument("--seed", type=int)
-    solve.add_argument("--delay", help="constant:d | uniform:lo:hi | geometric:q")
-    solve.add_argument("--encoding", choices=["dense", "sparse"])
-    solve.add_argument("--full-step-every", type=int)
-    solve.add_argument("--keep-prob", type=float)
-    solve.add_argument("--refresh-wait", type=int)
     solve.add_argument("--out", help="output directory (default: bundle dir)")
     solve.add_argument("--config", help="key=value defaults file")
     solve.set_defaults(func=cmd_solve)
 
     rep = sub.add_parser("replicate", help="run a canned figure experiment")
-    rep.add_argument("figure", choices=["fig1", "fig2", "fig3"])
+    rep.add_argument("figure", choices=_FIGURES)
     rep.add_argument("--seed", type=int)
     rep.add_argument("--outdir", default=".")
-    rep.add_argument("--instances", type=int)
     rep.add_argument("--config", help="key=value defaults file")
     rep.set_defaults(func=cmd_replicate)
+
+    for owner, row in (("solve", _RUN), *_OWN.items()):
+        p = rep if owner in _FIGURES else solve
+        for flag, _, cast, *text in row:
+            p.add_argument("--" + flag, help=text[0] if text else None,
+                           type=cast if cast in (int, float) else None)
 
     screen = sub.add_parser(
         "screen", help="certified zero coordinates from a region"
@@ -157,27 +204,13 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    conf = read_key_values(args.config) if args.config else {}
+    conf = _config(args.config)
     seed = _resolve_seed(args, conf)
-    config = SolverConfig(seed=seed, **_given(args, conf, (
-        ("gamma", "gamma", float),
-        ("max-iter", "max_iter", int),
-        ("stop-tol", "stop_tol", float),
-        ("trace-every", "trace_every", int),
-    )))
+    config = SolverConfig(seed=seed, **_given(args, conf, _RUN))
+    kwargs = _own(args, conf, args.solver)
+    if args.solver == "random-subspace":
+        kwargs = {"sampler": SubspaceSamplerConfig(seed=seed, **kwargs)}
     problem = read_bundle(args.bundle)
-    kwargs = {}
-    if args.solver == "dave-pg":
-        kwargs = _given(args, conf, (
-            ("delay", "delay_model", DelayModel.parse),
-            ("encoding", "encoding", str)))
-    elif args.solver == "predictor-corrector":
-        kwargs = _given(args, conf,
-                        (("full-step-every", "full_step_every", int),))
-    elif args.solver == "random-subspace":
-        kwargs["sampler"] = SubspaceSamplerConfig(seed=seed, **_given(
-            args, conf, (("keep-prob", "keep_probability", float),
-                         ("refresh-wait", "refresh_wait", int))))
     point, trace = run_solver(args.solver, problem, config, **kwargs)
     for path in write_solve_outputs(args.out or args.bundle, problem, point,
                                     trace):
@@ -216,20 +249,21 @@ def write_solve_outputs(outdir, problem, point, trace):
 
 
 def cmd_replicate(args):
-    conf = read_key_values(args.config) if args.config else {}
+    conf = _config(args.config)
     seed = _resolve_seed(args, conf)
+    settings = _own(args, conf, args.figure)
+    # looked up per run, so a replaced module attribute is the one called
+    run = {"fig1": replicate_fig1, "fig2": replicate_fig2,
+           "fig3": replicate_fig3}[args.figure]
     os.makedirs(args.outdir, exist_ok=True)
+    result = run(seed=seed, outdir=args.outdir, **settings)
     if args.figure == "fig1":
-        result = replicate_fig1(seed=seed, outdir=args.outdir)
         print(f"shared_axis={int(result['shared_axis'])}")
         print(f"ls_relative_change={result['ls_relative_change']!r}")
     elif args.figure == "fig2":
-        result = replicate_fig2(seed=seed, outdir=args.outdir, **_given(
-            args, conf, (("instances", "instances", int),)))
         for group, mean in result["means"].items():
             print(f"mean_final_rank[{group}]={mean!r}")
     else:
-        result = replicate_fig3(seed=seed, outdir=args.outdir)
         print(f"comm_dense_at_gap={result['comm_at_gap']['dense']}")
         print(f"comm_sparse_at_gap={result['comm_at_gap']['sparse']}")
         print(f"ratio={result['ratio']!r}")

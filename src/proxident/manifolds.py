@@ -88,10 +88,13 @@ def pattern_leq(a: SparsityPattern, b: SparsityPattern) -> bool:
     return bool(np.all(a.bits <= b.bits))
 
 
-def _integer(name, value) -> int:
-    """value as an int, or a ValueError naming it (a bool is no integer)."""
+def _integer(name, value, low=None) -> int:
+    """value as an int, or a ValueError naming it (a bool is no integer);
+    with low, also one naming it when value < low."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {name}={value!r}")
     return int(value)
 
 

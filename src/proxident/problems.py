@@ -251,13 +251,16 @@ def gen_lasso(m, n, seed, density=0.1, noise=0.1, lam=None, components=10):
     """Random lasso instance: Gaussian design, sparse planted signal.
 
     lam defaults to 0.1 * ||A^T b||_inf. components row-partitions the rows
-    for the finite-sum solvers (clipped to m). m and n must be >= 1, density
-    in (0, 1] and noise finite and nonnegative.
+    for the finite-sum solvers (clipped to m). m, n and components must be
+    integers >= 1, seed an integer >= 0, density in (0, 1] and noise finite
+    and nonnegative; every argument is checked before the first draw.
     """
     if lam is not None:
         _check_lam(lam)
-    if min(m, n) < 1:
-        raise ValueError(f"m and n must be >= 1, got m={m!r}, n={n!r}")
+    _integer("m", m, 1)
+    _integer("n", n, 1)
+    _integer("components", components, 1)
+    _integer("seed", seed, 0)
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density!r}")
     if not 0.0 <= noise < math.inf:
@@ -292,12 +295,15 @@ def gen_qc_lasso(n, s, delta, seed, m=None, lam=1.0, components=10,
     the boundary, so no stability margin exists.
 
     Requires m >= n (unique minimizer through a full-column-rank design).
+    The sizes, components and seed are integers, checked with every other
+    argument before the first draw.
     """
     _check_lam(lam)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got n={n!r}")
-    if m is None:
-        m = 2 * n
+    _integer("n", n, 1)
+    m = _integer("m", 2 * n if m is None else m, 1)
+    _integer("s", s)
+    _integer("components", components, 1)
+    _integer("seed", seed, 0)
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     if s > min(m, n) or s < 1:
@@ -347,10 +353,12 @@ def gen_lowrank_matrix_problem(size=20, rank=4, degenerate=False, seed=0,
     requested rank. The degenerate variant instead places four tail values in
     a narrow band straddling lam, so the optimal rank is >= the planted one
     and membership of each near-threshold value is decided by a hair.
+    size, rank and seed are integers, checked before the first draw.
     """
     _check_lam(lam)
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got size={size!r}")
+    _integer("size", size, 1)
+    _integer("rank", rank)
+    _integer("seed", seed, 0)
     if not 0 <= rank <= size:
         raise ValueError(f"rank must be in 0..size={size}, got {rank!r}")
     rng = np.random.default_rng(seed)

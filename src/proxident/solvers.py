@@ -76,8 +76,8 @@ class SolverConfig:
     explicit value is validated against the algorithm's admissible range.
     keep_u stores a copy of u_k on each trace record (diagnostics; never
     serialized to CSV). max_iter and trace_every must be positive integers
-    (not bools) and stop_tol finite and nonnegative; a bad value raises a
-    ValueError that names its field.
+    (not bools), seed a nonnegative integer and stop_tol finite and
+    nonnegative; a bad value raises a ValueError that names its field.
     """
 
     gamma: float | None = None
@@ -90,6 +90,7 @@ class SolverConfig:
     def __post_init__(self):
         _check_count("max_iter", self.max_iter)
         _check_count("trace_every", self.trace_every)
+        _integer("seed", self.seed, 0)
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError("stop_tol must be finite and nonnegative, "
                              f"got {self.stop_tol!r}")

@@ -33,6 +33,23 @@ class TestDelayModel:
         with pytest.raises(ValueError):
             DelayModel.constant(np.inf)
 
+    @pytest.mark.parametrize("args,message", [
+        (("bogus", 0.5), "delay kind must be constant, uniform or geometric, "
+                         "got 'bogus'"),
+        (("constant", -1.0), "constant delay must be finite and >= 0"),
+        (("constant", np.nan), "constant delay must be finite and >= 0"),
+        (("uniform", 3.0, 1.0), "uniform delay needs finite 0 <= low <= high"),
+        (("uniform", -1.0, 1.0), "uniform delay needs finite 0 <= low <= high"),
+        (("geometric", 0.0), r"geometric delay needs q in \(0, 1\]"),
+        (("geometric", 1.5), r"geometric delay needs q in \(0, 1\]"),
+        (("constant", 1.0, 2.0), "constant delay takes one parameter, got "
+                                 "b=2.0"),
+        (("geometric", 0.5, 1.0), "geometric delay takes one parameter"),
+    ])
+    def test_constructor_checks_kind_and_parameters(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            DelayModel(*args)
+
     def test_sampling_ranges(self):
         rng = np.random.default_rng(0)
         u = DelayModel.uniform(1, 2)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import proxident
+from proxident.asynchronous import DelayModel
 from proxident.bundles import read_bundle, write_vector
 from proxident.cli import main, write_solve_outputs
 from proxident.prox import prox_l1
-from proxident.registry import run_solver
+from proxident.registry import SOLVERS, run_solver
 from proxident.solvers import SolverConfig
 
 
@@ -162,13 +163,34 @@ def test_unset_settings_are_left_to_the_library(qc_bundle, tmp_path,
                  "--out", str(tmp_path / "rs")]) == 0
     assert calls == [(SolverConfig(seed=4),
                       {"sampler": SubspaceSamplerConfig(seed=4)})]
+    # one defaults file for every solver: each takes only its own row
     conf = tmp_path / "conf"
-    conf.write_text("stop-tol=1e-9\nrefresh-wait=3\n")
+    conf.write_text("stop-tol=1e-9\nrefresh-wait=3\nencoding=sparse\n"
+                    "full-step-every=4\n")
     assert main(["solve", "random-subspace", str(qc_bundle), "--seed", "4",
                  "--config", str(conf), "--keep-prob", "0.25",
                  "--out", str(tmp_path / "rs")]) == 0
     assert calls[1] == (SolverConfig(seed=4, stop_tol=1e-9), {
         "sampler": SubspaceSamplerConfig(0.25, 3, seed=4)})
+    del calls[:]
+    for argv in (["dave-pg"], ["dave-pg", "--delay", "uniform:0:2"],
+                 ["predictor-corrector"],
+                 ["predictor-corrector", "--full-step-every", "2"],
+                 ["pg", "--config", str(conf)]):
+        assert main(["solve", argv[0], str(qc_bundle), *argv[1:],
+                     "--out", str(tmp_path / "out")]) in (0, 2)
+    assert calls == [
+        (SolverConfig(), {}),
+        (SolverConfig(), {"delay_model": DelayModel.uniform(0, 2)}),
+        (SolverConfig(), {}), (SolverConfig(), {"full_step_every": 2}),
+        (SolverConfig(stop_tol=1e-9), {})]
+    main(["solve", "dave-pg", str(qc_bundle), "--config", str(conf),
+          "--out", str(tmp_path / "out")])
+    main(["solve", "predictor-corrector", str(qc_bundle), "--config",
+          str(conf), "--out", str(tmp_path / "out")])
+    assert calls[5:] == [(SolverConfig(stop_tol=1e-9), {"encoding": "sparse"}),
+                         (SolverConfig(stop_tol=1e-9),
+                          {"full_step_every": 4})]
 
     fig2 = []
     monkeypatch.delenv("PROXIDENT_SEED", raising=False)
@@ -208,6 +230,101 @@ def test_gen_passes_the_generator_only_the_given_flags(tmp_path,
          "degenerate": True},
         {"seed": 3, "rank": 2, "degenerate": True},
     ]
+
+
+OWN_FLAGS = {"dave-pg": [("--delay", "constant:1"), ("--encoding", "sparse")],
+             "predictor-corrector": [("--full-step-every", "3")],
+             "random-subspace": [("--keep-prob", "0.25"),
+                                 ("--refresh-wait", "3")]}
+
+
+@pytest.mark.parametrize("solver,flag,value", [
+    (solver, flag, value) for solver in sorted(SOLVERS)
+    for owner, flags in OWN_FLAGS.items() if owner != solver
+    for flag, value in flags])
+def test_another_solvers_flag_exits_1_naming_it(qc_bundle, capsys, solver,
+                                                flag, value):
+    assert main(["solve", solver, str(qc_bundle), flag, value]) == 1
+    err = capsys.readouterr().err
+    owner = next(o for o, flags in OWN_FLAGS.items() if (flag, value) in flags)
+    assert f"{flag} is a setting of {owner}, not of {solver}" in err
+    assert not (qc_bundle / "trace.csv").exists()
+    assert not (qc_bundle / "report.txt").exists()
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig3"])
+def test_another_figures_flag_exits_1_naming_it(tmp_path, capsys, figure):
+    out = tmp_path / "figures"
+    assert main(["replicate", figure, "--instances", "3", "--outdir",
+                 str(out)]) == 1
+    assert (f"--instances is a setting of fig2, not of {figure}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_another_solvers_flag_is_refused_before_the_bundle_is_read(
+        tmp_path, capsys):
+    assert main(["solve", "pg", str(tmp_path / "nope"), "--keep-prob",
+                 "0.5"]) == 1
+    assert "--keep-prob is a setting of random-subspace" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_encoding_exits_1_naming_it(qc_bundle, tmp_path, capsys, source):
+    conf = tmp_path / "conf"
+    conf.write_text("encoding=Sparse\n")
+    extra = (["--encoding", "Sparse"] if source == "flag"
+             else ["--config", str(conf)])
+    assert main(["solve", "dave-pg", str(qc_bundle), *extra]) == 1
+    assert ("encoding must be 'dense' or 'sparse', got 'Sparse'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["solve", "pg", "BUNDLE"],
+                                     ["replicate", "fig1"]])
+@pytest.mark.parametrize("line", ["stop_tol=1e-3", "max_iters=5"])
+def test_unknown_config_key_exits_1_naming_file_and_key(
+        qc_bundle, tmp_path, capsys, command, line):
+    conf = tmp_path / "conf"
+    conf.write_text("max-iter=4\n" + line + "\n")
+    argv = [str(qc_bundle) if a == "BUNDLE" else a for a in command]
+    assert main(argv + ["--config", str(conf), "--outdir" if
+                        command[0] == "replicate" else "--out",
+                        str(tmp_path / "out")]) == 1
+    key = line.split("=")[0]
+    assert f"{conf}: unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    (["solve", "saga", "BUNDLE", "--seed", "-1"], None,
+     "seed must be >= 0, got seed=-1"),
+    (["gen", "lasso", "--seed", "-3"], None, "seed must be >= 0, got seed=-3"),
+    (["gen", "lasso"], "-2",
+     "PROXIDENT_SEED='-2': seed must be >= 0, got seed=-2"),
+    (["gen", "lasso"], "x1", "PROXIDENT_SEED='x1': invalid literal"),
+    (["solve", "pg", "BUNDLE", "--config", "CONF"], None,
+     "config seed='-4': seed must be >= 0, got seed=-4"),
+    (["replicate", "fig1", "--config", "CONF"], None,
+     "config seed='-4': seed must be >= 0, got seed=-4"),
+], ids=["solve-flag", "gen-flag", "env", "env-not-an-integer", "solve-config",
+        "replicate-config"])
+def test_negative_seed_exits_1_naming_its_source(qc_bundle, tmp_path,
+                                                 monkeypatch, capsys, argv,
+                                                 env, message):
+    conf = tmp_path / "conf"
+    conf.write_text("seed=-4\n")
+    if env is None:
+        monkeypatch.delenv("PROXIDENT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PROXIDENT_SEED", env)
+    monkeypatch.chdir(tmp_path)
+    paths = {"BUNDLE": str(qc_bundle), "CONF": str(conf)}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    assert message in capsys.readouterr().err
+    assert not (qc_bundle / "trace.csv").exists()
+    assert sorted(os.listdir(tmp_path)) == ["conf", "qc"]
 
 
 @pytest.mark.parametrize("command", [["solve", "pg", "BUNDLE"],

@@ -443,3 +443,41 @@ def test_generators_check_lam_before_any_draw(monkeypatch, generate, lam):
                            match=f"lam must be positive and finite, got "
                                  f"{lam!r}"):
             generate(lam)
+
+
+@pytest.mark.parametrize("generate,message", [
+    (lambda: gen_lowrank_matrix_problem(size=5.5, rank=2),
+     "size must be an integer, got 5.5"),
+    (lambda: gen_lowrank_matrix_problem(size=True, rank=True),
+     "size must be an integer, got True"),
+    (lambda: gen_lowrank_matrix_problem(size=6, rank=2.0),
+     "rank must be an integer, got 2.0"),
+    (lambda: gen_lowrank_matrix_problem(6, 2, seed=-1),
+     "seed must be >= 0, got seed=-1"),
+    (lambda: gen_qc_lasso(8, s=2.5, delta=0.5, seed=1),
+     "s must be an integer, got 2.5"),
+    (lambda: gen_qc_lasso(8.0, s=2, delta=0.5, seed=1),
+     "n must be an integer, got 8.0"),
+    (lambda: gen_qc_lasso(8, s=2, delta=0.5, seed=1, m=12.5),
+     "m must be an integer, got 12.5"),
+    (lambda: gen_qc_lasso(8, s=2, delta=0.5, seed=1, components=0),
+     "components must be >= 1, got components=0"),
+    (lambda: gen_qc_lasso(8, s=2, delta=0.5, seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: gen_lasso(10.5, 5, seed=1), "m must be an integer, got 10.5"),
+    (lambda: gen_lasso(10, 0, seed=1), "n must be >= 1, got n=0"),
+    (lambda: gen_lasso(10, 5, seed=1, components=-2),
+     "components must be >= 1, got components=-2"),
+    (lambda: gen_lasso(10, 5, seed=True), "seed must be an integer, got True"),
+    (lambda: gen_lasso(10, 5, seed=-3), "seed must be >= 0, got seed=-3"),
+], ids=["lowrank-size", "lowrank-bools", "lowrank-rank", "lowrank-seed",
+        "qc-s", "qc-n", "qc-m", "qc-components", "qc-seed", "lasso-m",
+        "lasso-n", "lasso-components", "lasso-bool-seed", "lasso-seed"])
+def test_generators_check_integers_before_any_draw(monkeypatch, generate,
+                                                   message):
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=message):
+        generate()
+    assert draws == []

@@ -66,6 +66,9 @@ class TestSolverConfig:
         ({"trace_every": 2.5}, "trace_every"),
         ({"trace_every": False}, "trace_every"),
         ({"trace_every": -1}, "trace_every"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": -1}, "seed must be >= 0, got seed=-1"),
     ])
     def test_rejects_bad_settings_naming_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):

@@ -126,6 +126,19 @@ def test_gen_lines_are_well_formed_and_repeatable():
     assert len({line.split(",")[2] for line in lines}) == len(lines)
 
 
+def test_solve_lines_are_well_formed_and_repeatable():
+    tool = load_tool()
+    lines = tool.solve_lines()
+    assert lines == tool.solve_lines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"cli-solve,{run}" for run in ("dave-pg-1", "dave-pg-2",
+                                       "predictor-corrector-3",
+                                       "random-subspace-4", "pg-5")]
+    assert all(re.fullmatch(r"cli-solve,[a-z-]+-[0-9],[0-9a-f]{64}", line)
+               for line in lines)
+    assert len({line.split(",")[2] for line in lines}) == len(lines)
+
+
 def test_spectral_kernel_lines_are_well_formed_and_repeatable():
     tool = load_tool()
     lines = tool.spectral_kernel_lines()

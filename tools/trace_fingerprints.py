@@ -31,6 +31,10 @@ vectors where kept. Cases:
 * ``cli-gen``: one line per ``proxident gen`` invocation in ``GEN_ARGV``,
   keyed by kind and seed, hashing the exit code and every bundle file's
   name and bytes; each kind is run on its defaults and on every flag given;
+* ``cli-solve``: one line per ``proxident solve`` invocation in
+  ``SOLVE_ARGV`` on the ``cli-lasso`` bundle, keyed by solver and seed,
+  hashing the exit code, trace.csv and report.txt: each solver-specific
+  flag, and a ``pg`` run whose settings come from a ``--config`` file;
 * ``collections``: one line per structure collection built by
   ``coordinate_zeros``, ``adjacent_pairs`` or ``rank_levels``, hashing
   ``pattern_of`` (tol None, "auto" and a float) and ``project`` on seeded
@@ -351,6 +355,45 @@ def gen_lines():
     return lines
 
 
+STOP = "--stop-tol 1e-9 --max-iter 20000"
+SOLVE_ARGV = (
+    f"dave-pg {STOP} --delay uniform:0:3 --encoding sparse --seed 1",
+    f"dave-pg {STOP} --delay geometric:0.5 --seed 2",
+    f"predictor-corrector {STOP} --full-step-every 3 --seed 3",
+    f"random-subspace {STOP} --keep-prob 0.25 --refresh-wait 3 --seed 4",
+    "pg --config CONF --seed 5",
+)
+# pg's settings, plus keys of other solvers' rows, which pg leaves alone
+SOLVE_CONFIG = ("gamma=0.005\nmax-iter=400\nstop-tol=1e-7\n"
+                "trace-every=3\ndelay=constant:2\nkeep-prob=0.9\n")
+
+
+def solve_lines():
+    """One ``cli-solve`` line per invocation in SOLVE_ARGV, run on the
+    ``cli-lasso`` bundle. It calls only cli.main, so it runs on older
+    checkouts too."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle, conf = os.path.join(tmp, "lasso"), os.path.join(tmp, "conf")
+        with open(conf, "w") as fh:
+            fh.write(SOLVE_CONFIG)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["gen", "lasso", "--m", "80", "--n", "40", "--seed", "3",
+                      "--out", bundle])
+        for number, argv in enumerate(SOLVE_ARGV):
+            argv = [conf if a == "CONF" else a for a in argv.split()]
+            out = os.path.join(tmp, str(number))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["solve", argv[0], bundle, *argv[1:],
+                                 "--out", out])
+            parts = [code]
+            for fname in ("trace.csv", "report.txt"):
+                with open(os.path.join(out, fname), "rb") as fh:
+                    parts.append(fh.read())
+            lines.append(f"cli-solve,{argv[0]}-{argv[-1]},{_sha(parts)}")
+    return lines
+
+
 COLLECTIONS = (
     (coordinate_zeros, (1,)), (coordinate_zeros, (7,)),
     (coordinate_zeros, (300,)), (adjacent_pairs, (2,)),
@@ -497,7 +540,7 @@ def main():
     print("\n".join(other_cases() + replicate_lines() + cli_lines()
                     + collection_lines() + kernel_lines()
                     + lowrank_structure_lines() + spectral_kernel_lines()
-                    + gen_lines()))
+                    + gen_lines() + solve_lines()))
 
 
 if __name__ == "__main__":
