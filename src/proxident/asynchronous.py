@@ -29,10 +29,13 @@ sends to workers (the messages whose size the encoding changes): n per
 message for the dense encoding, the number of nonzero entries for the
 sparse key-value encoding. The initial broadcast of x_0 to the m workers is
 included. comm_coords in the trace is cumulative; the wallclock column holds
-the simulated event time.
+the simulated event time. Delays are finite, but their sum can overflow: the
+run ends "diverged" when the next event time is not finite, so every record
+carries a finite wallclock.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,7 @@ import numpy as np
 from .solvers import (
     SolverConfig,
     _advance,
+    _Diverged,
     _block_draws,
     _iterate,
     _resolve_gamma,
@@ -178,6 +182,8 @@ def run_dave_pg(problem, config=None, delay_model=DelayModel.constant(0.0),
                 seq += 1
             u_prev = np.add.reduce(contrib, 0) / m
         t, _, j = heapq.heappop(events)
+        if not math.isfinite(t):  # the simulated clock overflowed
+            raise _Diverged
         batch = [j]
         while events and events[0][0] == t:
             batch.append(heapq.heappop(events)[2])

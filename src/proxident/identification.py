@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import SparsityPattern
+from .manifolds import SparsityPattern, _integer
 from .prox import Regularizer
-from .solvers import _check_count
 
 __all__ = [
     "IdentificationReport",
@@ -112,7 +111,7 @@ def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
     whole space) it is the all-ones pattern, as the closed form is.
     """
     _check_eps(eps)
-    _check_count("n_samples", n_samples)
+    _integer("n_samples", n_samples, 1)
     ustar = np.asarray(ustar, dtype=float)
     base = reg.prox(ustar, gamma).pattern
     if eps == 0:
@@ -137,7 +136,7 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
     if not problem.has_ground_truth:
         raise ValueError("qc_check needs a problem with ground truth")
     _check_eps(eps)
-    _check_count("n_samples", n_samples)
+    _integer("n_samples", n_samples, 1)
     reg = problem.reg
     gamma = problem.cert_gamma
     ustar = np.asarray(problem.ustar, dtype=float)

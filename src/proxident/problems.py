@@ -5,6 +5,10 @@ subclass (least squares or masked matrix least squares here), and g a
 structure-inducing regularizer from the prox catalog. Generators can attach
 a certified optimal pair (xstar, ustar) so that identification claims can
 be checked against ground truth.
+
+scipy is not imported here: ``LeastSquaresOracle.prox``, which only
+Douglas-Rachford calls, imports scipy.linalg when it builds its first
+Cholesky factor, so importing the package loads numpy alone.
 """
 
 import functools
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .manifolds import _integer
 from .prox import Regularizer, _check_lam, prox_nuclear
@@ -78,7 +81,9 @@ class LeastSquaresOracle(SmoothOracle):
     cached. components=None (the default) means no finite-sum view.
 
     prox solves (I + gamma A^T A) x = v + gamma A^T b via a Cholesky
-    factorization cached per gamma.
+    factorization cached per gamma; scipy.linalg is imported when the first
+    factor is built, so only a run that calls prox (Douglas-Rachford) loads
+    it, and a run's later iterations only look the factor up.
     """
 
     def __init__(self, A, b, components=None):
@@ -133,12 +138,14 @@ class LeastSquaresOracle(SmoothOracle):
 
     def prox(self, v, gamma):
         key = float(gamma)
-        if key not in self._prox_cache:
+        solve = self._prox_cache.get(key)
+        if solve is None:
+            from scipy.linalg import cho_factor, cho_solve
+
             n = self.gram.shape[0]
-            self._prox_cache[key] = scipy.linalg.cho_factor(
-                np.eye(n) + key * self.gram
-            )
-        return scipy.linalg.cho_solve(self._prox_cache[key], v + gamma * self.Atb)
+            solve = self._prox_cache[key] = functools.partial(
+                cho_solve, cho_factor(np.eye(n) + key * self.gram))
+        return solve(v + gamma * self.Atb)
 
     def split(self, n_components):
         """Row-partition into k blocks f^j with f = (1/k) sum_j f^j.

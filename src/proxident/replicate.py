@@ -22,6 +22,7 @@ import os
 import numpy as np
 
 from .asynchronous import DelayModel, run_dave_pg
+from .manifolds import _integer
 from .problems import (
     CompositeProblem,
     gen_lasso,
@@ -29,7 +30,7 @@ from .problems import (
     least_squares_oracle,
 )
 from .prox import Regularizer
-from .solvers import SolverConfig, _check_count, _fmt, run_pg
+from .solvers import SolverConfig, _fmt, run_pg
 
 __all__ = ["replicate_fig1", "replicate_fig2", "replicate_fig3"]
 
@@ -130,7 +131,7 @@ def replicate_fig2(seed=0, outdir=None, instances=50):
     target's) so the rank decays visibly before settling. instances, the
     count per group, must be a positive integer.
     """
-    _check_count("instances", instances)
+    _integer("instances", instances, 1)
     config = SolverConfig(gamma=FIG2_GAMMA, stop_tol=1e-9, max_iter=3000,
                           trace_every=1)
     trajectory_rows = []

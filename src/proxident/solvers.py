@@ -61,13 +61,6 @@ __all__ = [
 ]
 
 
-def _check_count(name, value):
-    """Raise a ValueError naming the field unless value is an int >= 1
-    (not a bool)."""
-    if _integer(name, value) < 1:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
 @dataclass
 class SolverConfig:
     """Shared solver knobs.
@@ -88,8 +81,8 @@ class SolverConfig:
     keep_u: bool = False
 
     def __post_init__(self):
-        _check_count("max_iter", self.max_iter)
-        _check_count("trace_every", self.trace_every)
+        _integer("max_iter", self.max_iter, 1)
+        _integer("trace_every", self.trace_every, 1)
         _integer("seed", self.seed, 0)
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError("stop_tol must be finite and nonnegative, "
@@ -117,7 +110,8 @@ DIVERGED = "diverged"
 
 class TraceLog(list):
     """List of TraceRecord plus run metadata; status is CONVERGED, MAX_ITER
-    or DIVERGED once the run has ended."""
+    or DIVERGED once the run has ended. While the pattern stays the same,
+    consecutive records hold the same pattern object (see ``_iterate``)."""
 
     def __init__(self, gamma, seed):
         super().__init__()
@@ -218,6 +212,11 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
 
     The returned result is the last step's; when the first step diverges,
     it is ProxResult(x, pattern) of the start point and the given pattern.
+
+    A record whose pattern has the previous record's bit bytes stores the
+    previous record's pattern object and count, so a trace holds one
+    pattern object per pattern change. Patterns are read-only and compare
+    by their bytes, so sharing changes nothing a reader of the trace sees.
     """
     log = TraceLog(gamma, config.seed)
     f_value = problem.smooth.value
@@ -227,9 +226,8 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
         u_prev = x
     status = MAX_ITER
     res = None
-    # the recorded pattern's bit bytes and count: a record whose pattern has
-    # the previous record's bytes reuses its count
-    counted_key = count = None
+    # the last recorded pattern object, its bit bytes and its count
+    shared = shared_key = count = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(1, config.max_iter + 1):
@@ -238,10 +236,11 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
                 log.iterations = k
                 if (k - 1) % every == 0:
                     key = pattern.bits.tobytes()
-                    if key != counted_key:
-                        counted_key, count = key, structure_count(pattern)
+                    if key != shared_key:
+                        shared, shared_key = pattern, key
+                        count = structure_count(pattern)
                     log.append(TraceRecord(
-                        k=k, objective=f_value(x) + res.value, pattern=pattern,
+                        k=k, objective=f_value(x) + res.value, pattern=shared,
                         nnz=count, u_step=u_step,
                         u=u.copy() if keep_u else None, **extras,
                     ))

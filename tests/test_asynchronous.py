@@ -206,6 +206,27 @@ class TestDivergence:
         assert len(log) == log.iterations > 0
         assert np.isfinite(point.point).all()
 
+    @pytest.mark.parametrize("delay", [DelayModel.constant(1e308),
+                                       DelayModel.uniform(1e307, 1e308)])
+    def test_clock_overflow_ends_diverged(self, delay):
+        # each delay is finite, but the event times overflow to inf within a
+        # few rounds; the run ends there, every recorded time finite
+        p = gen_qc_lasso(n=10, s=3, delta=0.5, seed=3)
+        point, log = run_dave_pg(p, SolverConfig(max_iter=500),
+                                 delay_model=delay)
+        assert log.status == "diverged"
+        assert 0 < len(log) == log.iterations < 500
+        assert all(np.isfinite(r.wallclock) for r in log)
+        assert log[-1].pattern == point.pattern
+        assert np.isfinite(point.point).all()
+
+    def test_constant_overflow_keeps_the_lockstep_round(self):
+        # the ten workers finish together at 1e308 and would next meet at inf
+        p = gen_qc_lasso(n=10, s=3, delta=0.5, seed=3)
+        _, log = run_dave_pg(p, SolverConfig(max_iter=50),
+                             delay_model=DelayModel.constant(1e308))
+        assert [r.wallclock for r in log] == [1e308]
+
 
 class TestMatrixIterate:
     def test_matrix_components(self):

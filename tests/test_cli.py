@@ -405,7 +405,7 @@ def test_replicate_fig2_needs_an_instance(tmp_path, capsys, count):
                  str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "nan" not in captured.out
-    assert f"instances must be positive, got {count}" in captured.err
+    assert f"instances must be >= 1, got instances={count}" in captured.err
 
 
 def test_replicate_byte_identical(tmp_path):
@@ -476,6 +476,15 @@ def test_diverging_run_exits_2_with_status(tmp_path):
     report = (path / "report.txt").read_text()
     assert "converged=0\n" in report and "status=diverged\n" in report
     assert len((path / "trace.csv").read_text().splitlines()) > 1
+
+
+def test_clock_overflow_exits_2_with_finite_trace(qc_bundle):
+    out = qc_bundle.parent / "dave-out"
+    assert main(["solve", "dave-pg", str(qc_bundle), "--delay",
+                 "constant:1e308", "--max-iter", "50", "--out", str(out)]) == 2
+    assert "status=diverged\n" in (out / "report.txt").read_text()
+    trace = (out / "trace.csv").read_text()
+    assert "inf" not in trace and len(trace.splitlines()) > 1
 
 
 def test_non_finite_design_is_a_bundle_error(qc_bundle, capsys):

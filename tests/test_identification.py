@@ -248,8 +248,8 @@ class TestQCCheck:
                         np.inf) is False
 
     @pytest.mark.parametrize("count,message", [
-        (0, "n_samples must be positive, got 0"),
-        (-3, "n_samples must be positive, got -3"),
+        (0, "n_samples must be >= 1, got n_samples=0"),
+        (-3, "n_samples must be >= 1, got n_samples=-3"),
         (2.5, "n_samples must be an integer, got 2.5"),
         (True, "n_samples must be an integer, got True"),
     ])

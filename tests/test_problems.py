@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import proxident
 from proxident.bundles import read_bundle, write_bundle
 from proxident.manifolds import pattern_of
 from proxident.problems import (
@@ -249,6 +253,48 @@ class TestExactConstants:
             _, trace = run_apg(p, SolverConfig(max_iter=1))
             sigma_max = np.linalg.svd(p.smooth.A, compute_uv=False)[0]
             assert trace.gamma * sigma_max ** 2 <= 1.0 + 1e-14
+
+
+def _python(code):
+    """stdout of code run in a fresh interpreter that imports this
+    package."""
+    src = os.path.dirname(os.path.dirname(proxident.__file__))
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    return done.stdout.splitlines()
+
+
+# a dr run, with whether scipy.linalg is loaded before and after it
+DR_RUN = """
+import sys
+{preload}
+import proxident, proxident.cli, proxident.bundles
+from proxident.problems import gen_lasso
+from proxident.solvers import SolverConfig, run_dr, trace_csv_text
+print('scipy.linalg' in sys.modules)
+point, log = run_dr(gen_lasso(30, 12, seed=2), SolverConfig(max_iter=60))
+print('scipy.linalg' in sys.modules)
+print(point.point.tobytes().hex(), log.status)
+print(trace_csv_text(log))
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("module", ["proxident", "proxident.cli",
+                                        "proxident.bundles"])
+    def test_import_leaves_scipy_linalg_out(self, module):
+        assert _python(f"import sys, {module}\n"
+                       "print('scipy.linalg' in sys.modules)") == ["False"]
+
+    def test_dr_loads_it_and_runs_as_with_it_preloaded(self):
+        lazy = _python(DR_RUN.format(preload=""))
+        eager = _python(DR_RUN.format(preload="import scipy.linalg"))
+        assert lazy[:2] == ["False", "True"]
+        assert eager[:2] == ["True", "True"]
+        assert lazy[2:] == eager[2:] and len(lazy) > 4
 
 
 class TestProxF:

@@ -6,8 +6,8 @@ from proxident.replicate import replicate_fig2
 
 
 @pytest.mark.parametrize("instances,message", [
-    (0, "instances must be positive, got 0"),
-    (-2, "instances must be positive, got -2"),
+    (0, "instances must be >= 1, got instances=0"),
+    (-2, "instances must be >= 1, got instances=-2"),
     (2.5, "instances must be an integer, got 2.5"),
     (True, "instances must be an integer, got True"),
 ])

@@ -321,6 +321,20 @@ class TestDeterminismAndCSV:
             record.note = "slotted"
 
 
+class TestSharedPatterns:
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("name", ["pg", "saga", "dave-pg"])
+    def test_one_pattern_object_per_change(self, name, every):
+        problem = gen_qc_lasso(n=20, s=5, delta=0.5, seed=1)
+        point, log = run_solver(name, problem, SolverConfig(trace_every=every))
+        keys = [r.pattern.bits.tobytes() for r in log]
+        same = [a == b for a, b in zip(keys, keys[1:])]
+        assert True in same and False in same
+        assert [b.pattern is a.pattern for a, b in zip(log, log[1:])] == same
+        assert len({id(r.pattern) for r in log}) == same.count(False) + 1
+        assert log[-1].pattern == point.pattern
+
+
 class TestCrossSolverAgreement:
     def test_all_four_agree(self):
         p = gen_lasso(50, 20, seed=11)
