@@ -228,8 +228,8 @@ def write_solve_outputs(outdir, problem, point, trace):
     first step) problem.objective(point.point); the last finite iterate of a
     diverged run can overflow that, and the report then says objective=inf.
     """
-    if trace and trace[-1].k == trace.iterations:
-        objective = float(trace[-1].objective)
+    if trace and trace.k[-1] == trace.iterations:
+        objective = trace.objective[-1]
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             objective = problem.objective(point.point)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .manifolds import SparsityPattern, _integer
 from .prox import Regularizer
+from .solvers import TraceLog
 
 __all__ = [
     "IdentificationReport",
@@ -45,22 +46,23 @@ class IdentificationReport:
 
 
 def analyze_trace(trace) -> IdentificationReport:
-    """Fold a trace's records into a stability report.
+    """Fold a trace (a TraceLog or TraceRecords) into a stability report.
 
-    One pass over the records' bit bytes: each adjacent pair is compared
-    once, and the position of the last change is the first stable one.
-    monotone reads each record's nnz, which is the rank for rank
+    One pass over the rows' pattern bit bytes: each adjacent pair is
+    compared once, and the position of the last change is the first stable
+    one. monotone reads the nnz column, which is the rank for rank
     collections.
     """
-    if not trace:
+    log = TraceLog.of(trace)
+    if not log:
         raise ValueError("empty trace")
-    keys = [r.pattern.bits.tobytes() for r in trace]
-    counts = [r.nnz for r in trace]
+    keys = log.pattern_keys()
+    counts = log.nnz
     changes = [i for i, (a, b) in enumerate(zip(keys, keys[1:]), 1) if a != b]
     monotone = all(a >= b for a, b in zip(counts, counts[1:]))
     return IdentificationReport(
         first_stable_iter=changes[-1] if changes else 0,
-        pattern_final=trace[-1].pattern,
+        pattern_final=log.patterns[-1],
         monotone=monotone,
         oscillation_count=len(changes),
     )

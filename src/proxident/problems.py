@@ -137,15 +137,21 @@ class LeastSquaresOracle(SmoothOracle):
         return self.gram @ x - self.Atb
 
     def prox(self, v, gamma):
+        """(I + gamma*gram)^{-1} (v + gamma*Atb), by LAPACK's potrs on the
+        Cholesky factor kept for this gamma: the call scipy's cho_solve
+        makes, without its finiteness check, so a non-finite v gives a
+        non-finite result rather than a ValueError."""
         key = float(gamma)
-        solve = self._prox_cache.get(key)
-        if solve is None:
-            from scipy.linalg import cho_factor, cho_solve
+        cached = self._prox_cache.get(key)
+        if cached is None:
+            from scipy.linalg import cho_factor, get_lapack_funcs
 
             n = self.gram.shape[0]
-            solve = self._prox_cache[key] = functools.partial(
-                cho_solve, cho_factor(np.eye(n) + key * self.gram))
-        return solve(v + gamma * self.Atb)
+            factor, lower = cho_factor(np.eye(n) + key * self.gram)
+            potrs, = get_lapack_funcs(("potrs",), (factor,))
+            cached = self._prox_cache[key] = (potrs, factor, lower)
+        potrs, factor, lower = cached
+        return potrs(factor, v + gamma * self.Atb, lower=lower)[0]
 
     def split(self, n_components):
         """Row-partition into k blocks f^j with f = (1/k) sum_j f^j.

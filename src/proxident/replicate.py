@@ -18,6 +18,7 @@ All randomness flows from the given seed, so emitted CSVs are byte-stable.
 """
 
 import os
+from itertools import repeat
 
 import numpy as np
 
@@ -149,8 +150,8 @@ def replicate_fig2(seed=0, outdir=None, instances=50):
             target_norm = np.linalg.norm(problem.smooth.target, 2)
             x0 *= 1.5 * target_norm / np.linalg.norm(x0, 2)
             point, trace = run_pg(problem, config, x0=x0)
-            for record in trace:
-                trajectory_rows.append((group, idx, record.k, record.nnz))
+            trajectory_rows += zip(repeat(group), repeat(idx), trace.k,
+                                   trace.nnz)
             final_rank = problem.reg.collection.structure_count(point.pattern)
             finals[group].append(final_rank)
             summary_rows.append(
@@ -196,12 +197,12 @@ def replicate_fig3(seed=0, outdir=None):
                               trace_every=1)
         point, trace = run_dave_pg(problem, config,
                                    delay_model=FIG3_DELAYS, encoding=encoding)
-        for record in trace:
-            rows.append((encoding, record.k, record.objective,
-                         record.comm_coords, record.nnz))
-        hit = next((r for r in trace if r.objective - f_star <= FIG3_GAP),
-                   None)
-        comm_at_gap[encoding] = None if hit is None else hit.comm_coords
+        rows += zip(repeat(encoding), trace.k, trace.objective,
+                    trace.comm_coords, trace.nnz)
+        comm_at_gap[encoding] = next(
+            (comm for objective, comm in zip(trace.objective,
+                                             trace.comm_coords)
+             if objective - f_star <= FIG3_GAP), None)
     ratio = None
     if comm_at_gap["dense"]:
         ratio = (comm_at_gap["sparse"] or float("nan")) / comm_at_gap["dense"]

@@ -17,13 +17,17 @@ DAve-PG, predictor-corrector and random subspace descent pass their own
 rule holds, "max_iter" when the iterations run out, and "diverged" when a
 step or stop rule raises ``_Diverged``: ``_advance`` does so when the
 u-step is not finite, before the prox. Each run holds numpy's overflow and
-invalid-value warnings off, so a diverging run ends with that status and
-no RuntimeWarning.
+invalid-value warnings off (``_quiet``; Douglas-Rachford's start prox
+included), so a diverging run ends with that status and no RuntimeWarning.
 
 A run returns (ProxResult, TraceLog): the prox result of its last (finite)
 iterate, which holds the point, its exact pattern and g at the point, and
 the trace so far, whose ``status`` says how the run ended (a run whose
-first step diverges returns its start point, with value None).
+first step diverges returns its start point, with value None). The trace
+is a ``TraceLog``: one typed array per numeric column and one list of
+shared pattern objects, so a row costs a few machine words rather than a
+record object; ``TraceRecord`` rows are built only when the log is
+indexed or iterated.
 
 Default stepsizes are taken from the oracle constants: gamma = 1/L for the
 proximal gradient and its accelerated variant, 1/(3*L_max) for SAGA
@@ -38,8 +42,10 @@ synchronous ones -- so that identical runs emit byte-identical files.
 """
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -91,6 +97,8 @@ class SolverConfig:
 
 @dataclass(slots=True)
 class TraceRecord:
+    """One trace row: what ``TraceLog`` indexing and iteration give back."""
+
     k: int
     objective: float
     pattern: SparsityPattern
@@ -108,21 +116,113 @@ MAX_ITER = "max_iter"
 DIVERGED = "diverged"
 
 
-class TraceLog(list):
-    """List of TraceRecord plus run metadata; status is CONVERGED, MAX_ITER
-    or DIVERGED once the run has ended. While the pattern stays the same,
-    consecutive records hold the same pattern object (see ``_iterate``)."""
+class TraceLog:
+    """A run's trace, one column per record field, plus run metadata.
 
-    def __init__(self, gamma, seed):
-        super().__init__()
+    k, nnz and comm_coords are ``array('q')``; objective, u_step and
+    wallclock are ``array('d')``, which give each float64 back exactly.
+    patterns is a list with one pattern object per row: while the pattern
+    stays the same, consecutive rows hold the same object (see
+    ``_iterate``). The first row decides the optional columns:
+    accel_active and enforced_count are ``array('q')`` columns when it
+    reports either (a value not reported reads 0, as in the CSV), and u is
+    a list when it carries u (keep_u); otherwise they are None, and later
+    rows' values for them are not kept. status is CONVERGED, MAX_ITER or
+    DIVERGED once the run has ended; iterations counts the iterations run,
+    recorded or not.
+
+    Rows read as TraceRecords built on demand: ``log[i]``, ``log[a:b]`` (a
+    list, as a list's slice) and iteration. ``len`` counts the rows.
+    """
+
+    def __init__(self, gamma=None, seed=None):
         self.gamma = gamma
         self.seed = seed
         self.status = None
         self.iterations = 0
+        self.k = array("q")
+        self.objective = array("d")
+        self.patterns = []
+        self.nnz = array("q")
+        self.u_step = array("d")
+        self.comm_coords = array("q")
+        self.wallclock = array("d")
+        self.accel_active = self.enforced_count = self.u = None
+
+    @classmethod
+    def of(cls, trace):
+        """trace as a TraceLog: a TraceLog itself, or a log holding the
+        rows of an iterable of TraceRecords."""
+        if isinstance(trace, cls):
+            return trace
+        log = cls()
+        for r in trace:
+            log.append(r.k, r.objective, r.pattern, r.nnz, r.u_step,
+                       r.comm_coords, r.wallclock, r.accel_active,
+                       r.enforced_count, r.u)
+        return log
+
+    def append(self, k, objective, pattern, nnz, u_step, comm_coords=0,
+               wallclock=0.0, accel_active=None, enforced_count=None,
+               u=None):
+        """Add one row (the TraceRecord fields, in their order)."""
+        if not self.k:
+            if accel_active is not None or enforced_count is not None:
+                self.accel_active, self.enforced_count = array("q"), array("q")
+            if u is not None:
+                self.u = []
+        self.k.append(k)
+        self.objective.append(objective)
+        self.patterns.append(pattern)
+        self.nnz.append(nnz)
+        self.u_step.append(u_step)
+        self.comm_coords.append(comm_coords)
+        self.wallclock.append(wallclock)
+        if self.accel_active is not None:
+            self.accel_active.append(0 if accel_active is None
+                                     else accel_active)
+            self.enforced_count.append(0 if enforced_count is None
+                                       else enforced_count)
+        if self.u is not None:
+            self.u.append(u)
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
+
+    def pattern_keys(self):
+        """Each row's pattern bit bytes, read only where the pattern object
+        changes."""
+        keys = []
+        last = key = None
+        for pattern in self.patterns:
+            if pattern is not last:
+                last, key = pattern, pattern.bits.tobytes()
+            keys.append(key)
+        return keys
+
+    def __len__(self):
+        return len(self.k)
+
+    def _records(self, index=None):
+        """TraceRecords for the rows the slice index selects; every row,
+        read from the columns without a copy, when index is None."""
+        columns = (self.k, self.objective, self.patterns, self.nnz,
+                   self.u_step, self.comm_coords, self.wallclock,
+                   self.accel_active, self.enforced_count, self.u)
+        if index is not None:
+            columns = [None if c is None else c[index] for c in columns]
+        return map(TraceRecord, *(repeat(None) if c is None else c
+                                  for c in columns))
+
+    def __iter__(self):
+        return self._records()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._records(index))
+        i = range(len(self.k))[index]
+        return next(self._records(slice(i, i + 1)))
 
 
 TRACE_COLUMNS = "k,objective,nnz,pattern_hash,u_step,comm_coords,wallclock_s"
@@ -134,28 +234,28 @@ def _fmt(v: float) -> str:
 
 
 def trace_csv_text(trace) -> str:
-    """Render a trace in the canonical CSV schema (extra columns appear when
-    the records carry structure-adaptation fields). Each distinct pattern
-    is packed once, looked up by its bit bytes."""
-    extras = bool(trace) and (
-        trace[0].accel_active is not None or trace[0].enforced_count is not None
-    )
-    lines = [TRACE_COLUMNS + (_EXTRA_COLUMNS if extras else "")]
+    """Render a trace (a TraceLog or TraceRecords) in the canonical CSV
+    schema; the extra columns appear when the log has them. Each distinct
+    pattern is packed once, looked up by its bit bytes."""
+    log = TraceLog.of(trace)
+    keys = log.pattern_keys()
     hexes = {}
-    for r in trace:
-        key = r.pattern.bits.tobytes()
-        pattern_hex = hexes.get(key)
-        if pattern_hex is None:
-            pattern_hex = hexes[key] = r.pattern.packed_hex()
-        row = (
-            f"{r.k},{_fmt(r.objective)},{r.nnz},{pattern_hex},"
-            f"{_fmt(r.u_step)},{r.comm_coords},{_fmt(r.wallclock)}"
-        )
-        if extras:
-            row += f",{0 if r.accel_active is None else r.accel_active}"
-            row += f",{0 if r.enforced_count is None else r.enforced_count}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    for key, pattern in zip(keys, log.patterns):
+        if key not in hexes:
+            hexes[key] = pattern.packed_hex()
+    rows = [
+        f"{k},{_fmt(objective)},{nnz},{hexes[key]},{_fmt(u_step)},"
+        f"{comm},{_fmt(wallclock)}"
+        for k, objective, nnz, key, u_step, comm, wallclock in zip(
+            log.k, log.objective, log.nnz, keys, log.u_step,
+            log.comm_coords, log.wallclock)
+    ]
+    header = TRACE_COLUMNS
+    if log.accel_active is not None:
+        header += _EXTRA_COLUMNS
+        rows = [f"{row},{a},{e}" for row, a, e in zip(
+            rows, log.accel_active, log.enforced_count)]
+    return "\n".join([header] + rows) + "\n"
 
 
 def trace_to_csv(trace, path):
@@ -191,6 +291,13 @@ class _Diverged(Exception):
     the run there with status DIVERGED."""
 
 
+def _quiet():
+    """The numpy error state a run computes in: overflow and invalid values
+    give inf and NaN without a RuntimeWarning, and the run's own checks end
+    it."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _advance(g, u, u_prev, gamma):
     """(||u - u_prev||, prox_{gamma g}(u)); raises _Diverged before the prox
     when the u-step is not finite."""
@@ -206,15 +313,16 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
 
     step(k, x, pattern, u_prev) -> (u, u_step, res, extras) computes
     iteration k from the previous iterate: res is the prox result holding
-    x_k and its pattern, extras the solver's extra TraceRecord fields.
+    x_k and its pattern, extras the solver's extra trace fields
+    (comm_coords, wallclock, accel_active, enforced_count).
     stop(k, u_step, x_k), asked after iteration k is recorded, defaults to
     k > 1 and u_step <= stop_tol. Either may raise _Diverged.
 
     The returned result is the last step's; when the first step diverges,
     it is ProxResult(x, pattern) of the start point and the given pattern.
 
-    A record whose pattern has the previous record's bit bytes stores the
-    previous record's pattern object and count, so a trace holds one
+    A row whose pattern has the previous row's bit bytes stores the
+    previous row's pattern object and count, so a trace holds one
     pattern object per pattern change. Patterns are read-only and compare
     by their bytes, so sharing changes nothing a reader of the trace sees.
     """
@@ -228,7 +336,7 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
     res = None
     # the last recorded pattern object, its bit bytes and its count
     shared = shared_key = count = None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         try:
             for k in range(1, config.max_iter + 1):
                 u, u_step, res, extras = step(k, x, pattern, u_prev)
@@ -239,11 +347,9 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
                     if key != shared_key:
                         shared, shared_key = pattern, key
                         count = structure_count(pattern)
-                    log.append(TraceRecord(
-                        k=k, objective=f_value(x) + res.value, pattern=shared,
-                        nnz=count, u_step=u_step,
-                        u=u.copy() if keep_u else None, **extras,
-                    ))
+                    log.append(k, f_value(x) + res.value, shared, count,
+                               u_step, u=u.copy() if keep_u else None,
+                               **extras)
                 if (stop(k, u_step, x) if stop is not None
                         else k > 1 and u_step <= tol):
                     status = CONVERGED
@@ -335,7 +441,8 @@ def run_dr(problem, config=None, x0=None):
     default = 1.0 / f.lipschitz if f.lipschitz > 0 else 1.0
     gamma = _resolve_gamma(config, default, np.inf, False, "dr")
     u0 = _start_point(problem, x0)
-    res = g.prox(u0, gamma)
+    with _quiet():  # x_0 = prox(u_0) may overflow g's value, as a step can
+        res = g.prox(u0, gamma)
 
     def step(k, x, pattern, u_prev):
         u = f.prox(2.0 * x - u_prev, gamma) + u_prev - x

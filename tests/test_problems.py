@@ -320,6 +320,24 @@ class TestProxF:
         assert np.linalg.norm(residual) <= 1e-10
 
 
+    def test_equals_cho_solve_byte_for_byte(self):
+        from scipy.linalg import cho_factor, cho_solve
+
+        rng = np.random.default_rng(7)
+        p = gen_qc_lasso(n=20, s=5, delta=0.5, seed=1)
+        o = p.smooth
+        for gamma in (1.0 / o.lipschitz, 0.37, 10.0):
+            factor = cho_factor(np.eye(20) + gamma * o.gram)
+            for v in rng.standard_normal((200, 20)):
+                want = cho_solve(factor, v + gamma * o.Atb)
+                assert o.prox(v, gamma).tobytes() == want.tobytes()
+
+    def test_non_finite_input_gives_a_non_finite_result(self):
+        o = least_squares_oracle(np.eye(3), np.ones(3))
+        x = o.prox(np.array([np.inf, 0.0, 1.0]), 0.5)
+        assert not np.isfinite(x).all()
+
+
 def _package_oracles(tmp_path):
     """(name, oracle) for every smooth term the package builds: the two
     builders with and without components or a mask, each component, and

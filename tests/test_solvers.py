@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CallableSmooth, trace_csv_text_reference
+from oracles import (
+    CallableSmooth,
+    analyze_trace_reference,
+    trace_csv_text_reference,
+)
 
+from proxident.asynchronous import DelayModel
+from proxident.identification import analyze_trace, report_text
 from proxident.manifolds import pattern_of
 from proxident.problems import (
     CompositeProblem,
@@ -21,6 +29,7 @@ from proxident.registry import SOLVERS, run_solver
 from proxident.manifolds import SparsityPattern
 from proxident.solvers import (
     SolverConfig,
+    TraceLog,
     TraceRecord,
     fixed_point_residual,
     run_apg,
@@ -335,6 +344,121 @@ class TestSharedPatterns:
         assert log[-1].pattern == point.pattern
 
 
+def _drawn_records(data, mixed):
+    """TraceRecords as runs make them: k at a cadence of 1 to 3
+    (trace_every), patterns drawn from a few distinct ones, each row
+    holding the shared object or an equal copy, and a u vector on every
+    row or on none (keep_u). When mixed, each extra field of each row is
+    an int or None; otherwise every row reports both or neither."""
+    distinct = data.draw(st.lists(
+        st.lists(st.integers(0, 1), max_size=8), min_size=1, max_size=3))
+    shared = [SparsityPattern(bits) for bits in distinct]
+    every = data.draw(st.integers(1, 3))
+    keep_u, extras = data.draw(st.booleans()), data.draw(st.booleans())
+    extra = st.none() | st.integers(0, 5)
+    records = []
+    for i in range(data.draw(st.integers(0, 12))):
+        j = data.draw(st.integers(0, len(distinct) - 1))
+        if mixed:
+            accel, enforced = data.draw(extra), data.draw(extra)
+        else:
+            accel, enforced = (i % 2, i % 3) if extras else (None, None)
+        records.append(TraceRecord(
+            k=1 + i * every, objective=data.draw(st.floats()),
+            pattern=(shared[j] if data.draw(st.booleans())
+                     else SparsityPattern(distinct[j])),
+            nnz=data.draw(st.integers(0, 8)),
+            u_step=data.draw(st.floats(0.0, 1.0)),
+            comm_coords=data.draw(st.integers(0, 10**6)),
+            wallclock=data.draw(st.floats(0.0, 1e6)),
+            accel_active=accel, enforced_count=enforced,
+            u=np.full(2, float(i)) if keep_u else None,
+        ))
+    return records
+
+
+def _row(record):
+    """A record's fields, floats by repr (NaN and -0.0 included) and the
+    pattern and u by identity."""
+    r = record
+    return (r.k, repr(r.objective), id(r.pattern), r.nnz, repr(r.u_step),
+            r.comm_coords, repr(r.wallclock), r.accel_active,
+            r.enforced_count, id(r.u))
+
+
+class TestColumnarLog:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_csv_and_report_match_the_references(self, data):
+        records = _drawn_records(data, mixed=data.draw(st.booleans()))
+        log = TraceLog.of(records)
+        assert trace_csv_text(log) == trace_csv_text_reference(records)
+        assert trace_csv_text(records) == trace_csv_text(log)
+        if not records:
+            with pytest.raises(ValueError):
+                analyze_trace(log)
+            return
+        got, want = analyze_trace(log), analyze_trace_reference(records)
+        assert got == want and report_text(got) == report_text(want)
+        assert got.pattern_final is records[-1].pattern
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_read_back_as_appended(self, data):
+        records = _drawn_records(data, mixed=False)
+        log = TraceLog.of(records)
+        n = len(records)
+        want = [_row(r) for r in records]
+        assert len(log) == n and bool(log) == bool(records)
+        assert [_row(r) for r in log] == want
+        assert [_row(log[i]) for i in range(-n, n)] == want + want
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        index = slice(data.draw(bound), data.draw(bound),
+                      data.draw(st.sampled_from([None, 1, 2, -1, -3])))
+        rows = log[index]
+        assert isinstance(rows, list)
+        assert [_row(r) for r in rows] == want[index]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                log[i]
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_run_logs_match_the_references(self, name):
+        p = gen_qc_lasso(n=10, s=3, delta=0.5, seed=2)
+        config = SolverConfig(stop_tol=1e-9, trace_every=3, keep_u=True)
+        _, log = run_solver(name, p, config)
+        records = list(log)
+        assert trace_csv_text(log) == trace_csv_text_reference(records)
+        assert analyze_trace(log) == analyze_trace_reference(records)
+        assert all(r.u is u for r, u in zip(records, log.u))
+        again = TraceLog.of(records)
+        assert [_row(r) for r in again] == [_row(r) for r in records]
+
+
+class TestTraceMemory:
+    def test_a_row_holds_at_most_120_bytes(self):
+        # about 1130 rows; one record object per row held about 270 bytes
+        # a row, the typed columns about 80
+        problem = gen_qc_lasso(20, 5, 0.5, seed=1)
+        config = SolverConfig(stop_tol=0.0, max_iter=5000)
+        delays = DelayModel.uniform(0.0, 3.0)
+        run_solver("dave-pg", problem, config, delay_model=delays)  # caches
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            point, log = run_solver("dave-pg", problem, config,
+                                    delay_model=delays)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(log) > 1000
+        assert held / len(log) <= 120
+
+
 class TestCrossSolverAgreement:
     def test_all_four_agree(self):
         p = gen_lasso(50, 20, seed=11)
@@ -455,6 +579,15 @@ class TestRunStatus:
         assert log.status == "diverged" and not log.converged
         assert 0 < len(log) and log[-1].k == log.iterations < 100_000
         assert np.isfinite(point.point).all()
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_overflowing_start_ends_diverged(self, name):
+        p = gen_qc_lasso(n=20, s=5, delta=0.5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the run
+            point, log = run_solver(name, p, SolverConfig(),
+                                    x0=np.full(20, 1e308))
+        assert log.status == "diverged" and not log.converged
 
     def test_first_step_divergence_returns_the_start(self):
         # an infinite gradient makes the first u-step inf, before any prox

@@ -114,6 +114,17 @@ def test_draw_lines_are_well_formed_and_repeatable():
                for line in lines)
 
 
+def test_diverge_start_lines_hash_a_diverged_empty_run():
+    tool = load_tool()
+    lines = tool.diverge_start_lines()
+    assert lines == tool.diverge_start_lines()
+    assert [line.split(",")[:2] for line in lines] == [
+        ["diverge-start", name] for name in SOLVERS]
+    # every run ends on its first step, before any row is recorded
+    empty = tool._sha(["diverged", 0, tool.trace_csv_text([])])
+    assert [line.split(",")[2] for line in lines] == [empty] * len(SOLVERS)
+
+
 def test_gen_lines_are_well_formed_and_repeatable():
     tool = load_tool()
     lines = tool.gen_lines()

@@ -18,6 +18,9 @@ vectors where kept. Cases:
   (``report_text(analyze_trace(trace))``) of each of those 800 runs;
 * ``lasso-every3``: a 60x120 lasso at ``trace_every=3``;
 * ``diverge-*``: the seed-7008 DAve-PG run and an overshooting problem;
+* ``diverge-start``: one line per solver started from x0 = 1e308 on
+  gate-shaped instance 1, hashing its status, iteration count and trace
+  CSV, or ``raised <type>`` when the run raises;
 * ``draws-*``: the solvers that draw from a generator, off the gate's
   settings: DAve-PG under ``constant:2`` and ``geometric:0.5`` delays, and
   SAGA over 3 components;
@@ -243,6 +246,22 @@ def _overshooting_problem(n=4):
                             Regularizer.l1(n, 1e-3))
 
 
+def diverge_start_lines():
+    """The ``diverge-start`` lines: every solver from x0 = 1e308, where
+    the first step overflows."""
+    problem = gen_qc_lasso(seed=1, **QC_SHAPE)
+    x0 = np.full(QC_SHAPE["n"], 1e308)
+    lines = []
+    for name in SOLVERS:
+        try:
+            _, trace = run_solver(name, problem, SolverConfig(), x0=x0)
+            parts = [trace.status, trace.iterations, trace_csv_text(trace)]
+        except Exception as exc:  # hashed, so the other lines still print
+            parts = [f"raised {type(exc).__name__}"]
+        lines.append(f"diverge-start,{name},{_sha(parts)}")
+    return lines
+
+
 KINDS_CONFIG = SolverConfig(stop_tol=1e-9, max_iter=2000, keep_u=True)
 
 
@@ -276,6 +295,7 @@ def other_cases():
         {"dave-pg": {"delay_model": DelayModel.uniform(0.0, 3.0)}})
     lines += solver_lines("diverge-overshoot", _overshooting_problem(),
                           SolverConfig(max_iter=100_000, keep_u=True))
+    lines += diverge_start_lines()
     lines += draw_lines()
     config = KINDS_CONFIG
     for case, problem in _lowrank_problems():
