@@ -55,7 +55,14 @@ _OWN = {
     "dave-pg": (("delay", "delay_model", DelayModel.parse,
                  "constant:d | uniform:lo:hi | geometric:q"),
                 ("encoding", "encoding", str)),
-    "predictor-corrector": (("full-step-every", "full_step_every", int),),
+    "predictor-corrector": (("full-step-every", "full_step_every", int,
+                             "r: the first step and every r-th one after "
+                             "it are full proximal gradient steps. For "
+                             "r > 1, a full step whose pattern held since "
+                             "the last one starts from the exact minimiser "
+                             "of f + g on that flat, unless f is not least "
+                             "squares, the flat's system is singular or a "
+                             "sign flips"),),
     "random-subspace": (("keep-prob", "keep_probability", float),
                         ("refresh-wait", "refresh_wait", int)),
     "fig2": (("instances", "instances", int),),

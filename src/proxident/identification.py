@@ -129,11 +129,15 @@ def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
 def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
     """Is the prox pattern constant over the eps-ball around ustar?
 
-    True guarantees that any method whose u-iterates enter that ball produces
-    iterates with exactly the optimal pattern. Closed form for l1; for other
-    kinds a sampled check (all draws reproducing the optimal pattern), which
-    can only over-accept, and False for eps = inf, as the closed form is.
-    n_samples must be a positive integer, whatever the kind.
+    For l1 the answer is the closed form, and True guarantees that any
+    method whose u-iterates enter that ball produces iterates with exactly
+    the optimal pattern. For other kinds True is an estimate: all
+    n_samples draws in the ball reproduced the optimal pattern. It can
+    over-accept, since a point the draws missed may change the pattern (a
+    rank-one move that crosses a singular value, for the nuclear norm), so
+    it guarantees nothing; False is always right. eps = inf gives False for
+    every kind, as the closed form does. n_samples must be a positive
+    integer, whatever the kind.
     """
     if not problem.has_ground_truth:
         raise ValueError("qc_check needs a problem with ground truth")

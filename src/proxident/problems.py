@@ -40,7 +40,8 @@ class SmoothOracle:
     lipschitz (the gradient's Lipschitz constant) and inherits value and
     gradient, which call them. It overrides the defaults strong_convexity
     = 0.0 and components = None when it has more (a list of oracles f^j
-    with f = (1/m) * sum_j f^j), and prox when it has one.
+    with f = (1/m) * sum_j f^j), prox when it has one, and restricted_solve
+    when it can minimise itself on a flat.
     """
 
     strong_convexity = 0.0
@@ -54,6 +55,12 @@ class SmoothOracle:
 
     def prox(self, v, gamma):
         raise NotImplementedError("this smooth term has no proximal operator")
+
+    def restricted_solve(self, reduce, c):
+        """The z minimising f(B z) + c.z over the flat spanned by the
+        columns of a basis B, given as reduce(M) = B^T M; None when f has
+        no such solve, as here, or the minimiser is not unique."""
+        return None
 
     @property
     def has_prox(self) -> bool:
@@ -84,6 +91,9 @@ class LeastSquaresOracle(SmoothOracle):
     factorization cached per gamma; scipy.linalg is imported when the first
     factor is built, so only a run that calls prox (Douglas-Rachford) loads
     it, and a run's later iterations only look the factor up.
+
+    restricted_solve minimises f + c.z on a flat from the cached Gram and
+    A^T b, for predictor-corrector's flat step.
     """
 
     def __init__(self, A, b, components=None):
@@ -152,6 +162,20 @@ class LeastSquaresOracle(SmoothOracle):
             cached = self._prox_cache[key] = (potrs, factor, lower)
         potrs, factor, lower = cached
         return potrs(factor, v + gamma * self.Atb, lower=lower)[0]
+
+    def restricted_solve(self, reduce, c):
+        """The z solving B^T G B z = B^T A^T b - c, with G the cached Gram
+        and reduce(M) = B^T M: the minimiser of f(B z) + c.z. None when the
+        system is singular: B has more columns than A has rows, or
+        np.linalg.solve finds it singular or returns a non-finite z."""
+        rhs = reduce(self.Atb) - c
+        if rhs.size > self.A.shape[0]:
+            return None
+        try:
+            z = np.linalg.solve(reduce(reduce(self.gram).T), rhs)
+        except np.linalg.LinAlgError:
+            return None
+        return z if np.isfinite(z).all() else None
 
     def split(self, n_components):
         """Row-partition into k blocks f^j with f = (1/k) sum_j f^j.

@@ -9,10 +9,18 @@ form; the Potts oracle enumerates all 2^(n-1) breakpoint masks.
 import numpy as np
 
 from proxident.identification import IdentificationReport
-from proxident.manifolds import SparsityPattern
+from proxident.manifolds import SparsityPattern, project
 from proxident.problems import SmoothOracle
 from proxident.prox import ProxResult, _check_input
-from proxident.solvers import TRACE_COLUMNS
+from proxident.solvers import (
+    TRACE_COLUMNS,
+    SolverConfig,
+    _advance,
+    _iterate,
+    _resolve_gamma,
+    _start_point,
+    _step_norm,
+)
 
 
 class CallableSmooth(SmoothOracle):
@@ -382,3 +390,89 @@ def trace_csv_text_reference(trace):
             row += f",{0 if r.enforced_count is None else r.enforced_count}"
         lines.append(row)
     return "\n".join(lines) + "\n"
+
+
+def flat_basis_reference(kind, bits):
+    """The dense basis B of a pattern's flat: one column per kept
+    coordinate (coordinate collections) or per segment (adjacent-equality
+    collections, a column of ones on the segment's coordinates)."""
+    bits = np.asarray(bits)
+    if kind == "coordinate_zero":
+        return np.eye(bits.size)[:, bits == 1]
+    n = bits.size + 1
+    columns = []
+    start = 0
+    for i in range(n):
+        if i == n - 1 or bits[i] == 1:  # the segment ends at i
+            column = np.zeros(n)
+            column[start:i + 1] = 1.0
+            columns.append(column)
+            start = i + 1
+    return np.array(columns).T
+
+
+def flat_point_reference(reg, gram, Atb, pattern, x):
+    """The minimiser of 0.5 ||A y - b||^2 + g(y) on the flat of pattern
+    through x, for y = B z: B z with z solving B^T G B z = B^T Atb - c.
+    c is g's linear part on the flat at x's signs: lam * sign(x_S) for l1,
+    lam * (sig_{k-1} - sig_k) over the jump signs sig of x's segment
+    values for tv1d (sig_0 = sig_K = 0), and 0 for l0 and potts1d.
+    Returns (B z, whether the signs that built c hold at z)."""
+    B = flat_basis_reference(reg.collection.kind, pattern.bits)
+    # a column's first coordinate is a coordinate of its flat value
+    v = np.array([x[np.flatnonzero(col)[0]] for col in B.T])
+    K = v.size
+    c = np.zeros(K)
+    signs_hold = True
+    if reg.kind == "l1":
+        c = reg.lam * np.sign(v)
+    if reg.kind == "tv1d":
+        sig = np.zeros(K + 1)
+        for j in range(1, K):
+            sig[j] = np.sign(v[j] - v[j - 1])
+        for k in range(K):
+            c[k] = reg.lam * (sig[k] - sig[k + 1])
+    z = np.linalg.solve(B.T @ gram @ B, B.T @ Atb - c)
+    if reg.kind == "l1":
+        signs_hold = bool(np.all(np.sign(z) == np.sign(v)))
+    if reg.kind == "tv1d":
+        signs_hold = all(np.sign(z[j] - z[j - 1]) == sig[j]
+                         for j in range(1, K))
+    return B @ z, signs_hold
+
+
+def predictor_corrector_reference(problem, config=None, full_step_every=5,
+                                  x0=None):
+    """``exploit.run_predictor_corrector`` before its flat step: projected
+    gradient steps between plain proximal gradient full steps, stopped on
+    a full step's x-step. Kept to pin the bytes of a run that takes no flat
+    step."""
+    config = config or SolverConfig()
+    f, g = problem.smooth, problem.reg
+    collection = g.collection
+    gamma = _resolve_gamma(
+        config, 1.0 / f.lipschitz, 2.0 / f.lipschitz, False,
+        "predictor-corrector"
+    )
+    x_prev = None
+
+    def step(k, x, pattern, u_prev):
+        nonlocal x_prev
+        grad = f.gradient(x)
+        if (k - 1) % full_step_every == 0:
+            enforced = 0
+        else:
+            enforced = len(pattern) - pattern.count_ones()
+            if enforced:
+                grad = project(collection, pattern, grad)
+        u = x - gamma * grad
+        u_step, res = _advance(g, u, u_prev, gamma)
+        x_prev = x
+        return u, u_step, res, {"accel_active": 0, "enforced_count": enforced}
+
+    def stop(k, u_step, x):
+        return (k > 1 and (k - 1) % full_step_every == 0
+                and _step_norm(x, x_prev) <= config.stop_tol)
+
+    return _iterate(problem, config, gamma, step, _start_point(problem, x0),
+                    stop=stop)

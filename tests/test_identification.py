@@ -234,6 +234,26 @@ class TestQCCheck:
         # near-threshold singular values flip under tiny perturbations
         assert not qc_check(pd, 0.2, n_samples=200)
 
+    def test_sampled_true_is_an_estimate_that_over_accepts(self):
+        # the nuclear prox's rank changes within the Weyl radius
+        # min_i |sigma_i(u*) - gamma*lam| of u*: at 1.5 times it, 200 draws
+        # all keep the rank, yet the rank-one move of 1.25 times it along
+        # the nearest singular pair, inside the ball, changes it
+        for seed in range(20):
+            for degenerate in (False, True):
+                p = gen_lowrank_matrix_problem(20, 4, degenerate=degenerate,
+                                               seed=seed)
+                gamma, u = p.cert_gamma, p.ustar
+                w, sigma, vt = np.linalg.svd(u)
+                gap = sigma - gamma * p.reg.lam
+                i = int(np.argmin(np.abs(gap)))
+                radius = abs(gap[i])
+                assert qc_check(p, 1.5 * radius, n_samples=200)
+                move = -1.25 * radius * np.sign(gap[i]) * np.outer(w[:, i],
+                                                                   vt[i])
+                assert (p.reg.prox(u + move, gamma).pattern
+                        != p.reg.prox(u, gamma).pattern)
+
     def test_nan_eps_rejected(self):
         p = self._stub_problem([0.0, 1.0], [0.5, 2.0])
         with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):

@@ -182,14 +182,30 @@ def test_spectral_cases_put_thresholds_on_singular_values():
                 assert np.sqrt(2.0 * gamma * lam) in s  # the hard threshold
 
 
+def test_flat_step_lines_are_the_printed_lines():
+    tool = load_tool()
+    lines = tool.flat_step_lines()
+    seeds = len(tool.FLAT_QC_SEEDS)
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"qc-{seed},predictor-corrector" for seed in tool.FLAT_QC_SEEDS] + [
+        f"{kind},predictor-corrector" for kind in ("tv1d", "potts1d", "l0")]
+    for seed, line in zip(tool.FLAT_QC_SEEDS, lines):
+        assert line in tool.qc_case(seed)
+    kinds = [line for case, problem in tool._vector_kind_problems()
+             for line in tool.solver_lines(case, problem, tool.KINDS_CONFIG)]
+    assert set(lines[seeds:]) <= set(kinds)
+
+
 THREAD_INVARIANT = (
     "import trace_fingerprints as t; print(*t.kernel_lines(), "
-    "*t.spectral_kernel_lines(), *t.collection_lines(), sep='\\n')")
+    "*t.spectral_kernel_lines(), *t.collection_lines(), "
+    "*t.flat_step_lines(), sep='\\n')")
 
 
 def _lines_at(threads):
-    """The tool's kernels-1d, kernels-spectral and collections lines,
-    computed in a fresh interpreter at the given BLAS thread count."""
+    """The tool's kernels-1d, kernels-spectral, collections and flat-step
+    lines, computed in a fresh interpreter at the given BLAS thread
+    count."""
     path = [os.path.dirname(TOOL), SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(p for p in path if p))
@@ -199,11 +215,13 @@ def _lines_at(threads):
 
 
 def test_kernel_and_collection_lines_are_thread_invariant():
-    # the determinism scope: these lines do not depend on the BLAS thread
-    # count (fig3_comm.csv's line does, see the README)
+    # the determinism scope: these lines, the flat-step lines included, do
+    # not depend on the BLAS thread count (fig3_comm.csv's line does, see
+    # the README)
     tool = load_tool()
     one = _lines_at(1)
     assert len(one) == (len(tool.KERNEL_SIZES) * 2
                         + len(tool.SPECTRAL_SHAPES) * 2
-                        + len(tool.COLLECTIONS))
+                        + len(tool.COLLECTIONS)
+                        + len(tool.FLAT_QC_SEEDS) + 3)
     assert one == _lines_at(2)

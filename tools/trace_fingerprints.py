@@ -58,7 +58,9 @@ vectors where kept. Cases:
 
 A solver that rejects a problem fingerprints its error message. The BLAS
 thread count changes trace bytes, so it is pinned to 1 unless
-OPENBLAS_NUM_THREADS is already set.
+OPENBLAS_NUM_THREADS is already set. ``flat_step_lines`` gives the
+printed predictor-corrector lines whose runs take its flat step, which the
+tests compare at 1 and 2 threads.
 """
 
 import contextlib
@@ -173,6 +175,18 @@ def solver_lines(case, problem, config, names=None, kwargs=None,
     return lines
 
 
+def _qc_settings(name, seed):
+    """The gate's (config, solver_lines kwargs) for solver name on
+    certified instance seed."""
+    tol = 1e-9 if name in ("saga", "dave-pg", "random-subspace") else 1e-10
+    config = SolverConfig(stop_tol=tol, max_iter=500_000, seed=seed,
+                          keep_u=True)
+    kwargs = {"dave-pg": {"delay_model": DelayModel.uniform(0.0, 3.0)},
+              "random-subspace": {
+                  "sampler": SubspaceSamplerConfig(seed=seed)}}
+    return config, kwargs
+
+
 def qc_case(seed, outcomes=None, reports=None):
     """The acceptance gate's runs on certified instance ``seed``; their
     outcomes and identification reports go to the outcomes and reports
@@ -180,12 +194,7 @@ def qc_case(seed, outcomes=None, reports=None):
     problem = gen_qc_lasso(seed=seed, **QC_SHAPE)
     lines = []
     for name in SOLVERS:
-        tol = 1e-9 if name in ("saga", "dave-pg", "random-subspace") else 1e-10
-        config = SolverConfig(stop_tol=tol, max_iter=500_000, seed=seed,
-                              keep_u=True)
-        kwargs = {"dave-pg": {"delay_model": DelayModel.uniform(0.0, 3.0)},
-                  "random-subspace": {
-                      "sampler": SubspaceSamplerConfig(seed=seed)}}
+        config, kwargs = _qc_settings(name, seed)
         lines += solver_lines(f"qc-{seed}", problem, config, [name], kwargs,
                               outcomes, reports=reports)
     return lines
@@ -298,12 +307,34 @@ def other_cases():
     lines += diverge_start_lines()
     lines += draw_lines()
     config = KINDS_CONFIG
-    for case, problem in _lowrank_problems():
+    for case, problem in _lowrank_problems() + _vector_kind_problems():
         lines += solver_lines(case, problem, config)
+    return lines
+
+
+def _vector_kind_problems():
+    """(case, problem): tv1d, potts1d and l0 on one lasso's data."""
     base = gen_lasso(40, 30, seed=2, components=4)
-    for kind, lam in (("tv1d", 0.5), ("potts1d", 0.05), ("l0", 0.01)):
-        reg = getattr(Regularizer, kind)(30, lam)
-        lines += solver_lines(kind, CompositeProblem(base.smooth, reg), config)
+    return [(kind, CompositeProblem(base.smooth,
+                                    getattr(Regularizer, kind)(30, lam)))
+            for kind, lam in (("tv1d", 0.5), ("potts1d", 0.05), ("l0", 0.01))]
+
+
+FLAT_QC_SEEDS = (0, 1, 2, 3, 4)
+
+
+def flat_step_lines():
+    """predictor-corrector's lines on certified instances FLAT_QC_SEEDS
+    and on the tv1d, potts1d and l0 cases, as main prints them: runs that
+    take its flat step, a linear solve on the least-squares Gram."""
+    name = "predictor-corrector"
+    lines = []
+    for seed in FLAT_QC_SEEDS:
+        config, kwargs = _qc_settings(name, seed)
+        lines += solver_lines(f"qc-{seed}", gen_qc_lasso(seed=seed, **QC_SHAPE),
+                              config, [name], kwargs)
+    for case, problem in _vector_kind_problems():
+        lines += solver_lines(case, problem, KINDS_CONFIG, [name])
     return lines
 
 
