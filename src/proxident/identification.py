@@ -16,7 +16,6 @@ import numpy as np
 
 from .manifolds import SparsityPattern, _integer
 from .prox import Regularizer
-from .solvers import TraceLog
 
 __all__ = [
     "IdentificationReport",
@@ -45,15 +44,14 @@ class IdentificationReport:
     oscillation_count: int
 
 
-def analyze_trace(trace) -> IdentificationReport:
-    """Fold a trace (a TraceLog or TraceRecords) into a stability report.
+def analyze_trace(log) -> IdentificationReport:
+    """Fold a TraceLog into a stability report.
 
     One pass over the rows' pattern bit bytes: each adjacent pair is
     compared once, and the position of the last change is the first stable
     one. monotone reads the nnz column, which is the rank for rank
     collections.
     """
-    log = TraceLog.of(trace)
     if not log:
         raise ValueError("empty trace")
     keys = log.pattern_keys()

@@ -41,18 +41,22 @@ class SparsityPattern:
 
     Equality and hash are on the bit bytes (``bits.tobytes()``): the bits
     are 0/1 uint8, one byte per bit, so equal bytes mean equal length and
-    equal bits.
+    equal bits. The bits are given as a 1-D boolean mask or as 1-D values
+    that are each 0 or 1; any other value raises a ValueError.
     """
 
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1:
             raise ValueError("pattern bits must be one-dimensional")
-        # a boolean mask is 0/1 already; asarray copies it into owned bits
-        if arr.size and getattr(bits, "dtype", None) != bool and arr.max() > 1:
+        # a boolean mask is 0/1 already; any other values are checked before
+        # the cast, which would wrap -1 and truncate 0.5
+        if arr.dtype != bool and arr.size and not (
+                (arr == 0) | (arr == 1)).all():
             raise ValueError("pattern bits must be 0 or 1")
+        arr = arr.astype(np.uint8, copy=False)
         arr.setflags(write=False)
         self.bits = arr
 
@@ -197,8 +201,14 @@ def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPatte
 
     Rank membership is decided against the exact-rank sets {rank = r}, so
     exactly one bit of the result is 0 for a rank collection. A NaN entry
-    (or difference) belongs to no set.
+    (or difference) belongs to no set. Any other tol (a negative or NaN
+    float, another string) raises a ValueError that names it.
     """
+    if not (tol is None or (isinstance(tol, str) and tol == "auto")
+            or (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+                and tol >= 0)):  # NaN fails tol >= 0
+        raise ValueError(
+            f"tol must be None, 'auto' or a float >= 0, got tol={tol!r}")
     point = collection._check_point(point)
     if collection.is_matrix:
         if tol is None:

@@ -12,8 +12,8 @@ at the trace cadence (with a copy of u_k under keep_u); the recorded
 objective is f(x_k) plus the value g(x_k) the prox reported
 (``ProxResult.value``), so g is never evaluated twice on a point. Then it
 asks the stop rule: by default k > 1 and u_step <= stop_tol; SAGA,
-DAve-PG, predictor-corrector and random subspace descent pass their own
-``stop`` closure, stop(k, u_step, x_k). The run ends "converged" when the
+DAve-PG and random subspace descent pass their own ``stop`` closure,
+stop(k, u_step, x_k). The run ends "converged" when the
 rule holds, "max_iter" when the iterations run out, and "diverged" when a
 step or stop rule raises ``_Diverged``: ``_advance`` does so when the
 u-step is not finite, before the prox. Each run holds numpy's overflow and
@@ -31,8 +31,8 @@ indexed or iterated.
 
 Default stepsizes are taken from the oracle constants: gamma = 1/L for the
 proximal gradient and its accelerated variant, 1/(3*L_max) for SAGA
-(component-wise constants), and 1/L for Douglas-Rachford (any positive value
-is admissible there).
+(component-wise constants), and 1/L for Douglas-Rachford, or 1 when L = 0
+(any positive value is admissible there).
 
 Trace CSV schema: ``k,objective,nnz,pattern_hash,u_step,comm_coords,
 wallclock_s`` (structure-adaptive solvers append ``accel_active,
@@ -149,19 +149,6 @@ class TraceLog:
         self.wallclock = array("d")
         self.accel_active = self.enforced_count = self.u = None
 
-    @classmethod
-    def of(cls, trace):
-        """trace as a TraceLog: a TraceLog itself, or a log holding the
-        rows of an iterable of TraceRecords."""
-        if isinstance(trace, cls):
-            return trace
-        log = cls()
-        for r in trace:
-            log.append(r.k, r.objective, r.pattern, r.nnz, r.u_step,
-                       r.comm_coords, r.wallclock, r.accel_active,
-                       r.enforced_count, r.u)
-        return log
-
     def append(self, k, objective, pattern, nnz, u_step, comm_coords=0,
                wallclock=0.0, accel_active=None, enforced_count=None,
                u=None):
@@ -233,11 +220,10 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def trace_csv_text(trace) -> str:
-    """Render a trace (a TraceLog or TraceRecords) in the canonical CSV
-    schema; the extra columns appear when the log has them. Each distinct
-    pattern is packed once, looked up by its bit bytes."""
-    log = TraceLog.of(trace)
+def trace_csv_text(log) -> str:
+    """Render a TraceLog in the canonical CSV schema; the extra columns
+    appear when the log has them. Each distinct pattern is packed once,
+    looked up by its bit bytes."""
     keys = log.pattern_keys()
     hexes = {}
     for key, pattern in zip(keys, log.patterns):

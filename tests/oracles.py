@@ -9,18 +9,10 @@ form; the Potts oracle enumerates all 2^(n-1) breakpoint masks.
 import numpy as np
 
 from proxident.identification import IdentificationReport
-from proxident.manifolds import SparsityPattern, project
+from proxident.manifolds import SparsityPattern
 from proxident.problems import SmoothOracle
 from proxident.prox import ProxResult, _check_input
-from proxident.solvers import (
-    TRACE_COLUMNS,
-    SolverConfig,
-    _advance,
-    _iterate,
-    _resolve_gamma,
-    _start_point,
-    _step_norm,
-)
+from proxident.solvers import TRACE_COLUMNS
 
 
 class CallableSmooth(SmoothOracle):
@@ -439,40 +431,3 @@ def flat_point_reference(reg, gram, Atb, pattern, x):
         signs_hold = all(np.sign(z[j] - z[j - 1]) == sig[j]
                          for j in range(1, K))
     return B @ z, signs_hold
-
-
-def predictor_corrector_reference(problem, config=None, full_step_every=5,
-                                  x0=None):
-    """``exploit.run_predictor_corrector`` before its flat step: projected
-    gradient steps between plain proximal gradient full steps, stopped on
-    a full step's x-step. Kept to pin the bytes of a run that takes no flat
-    step."""
-    config = config or SolverConfig()
-    f, g = problem.smooth, problem.reg
-    collection = g.collection
-    gamma = _resolve_gamma(
-        config, 1.0 / f.lipschitz, 2.0 / f.lipschitz, False,
-        "predictor-corrector"
-    )
-    x_prev = None
-
-    def step(k, x, pattern, u_prev):
-        nonlocal x_prev
-        grad = f.gradient(x)
-        if (k - 1) % full_step_every == 0:
-            enforced = 0
-        else:
-            enforced = len(pattern) - pattern.count_ones()
-            if enforced:
-                grad = project(collection, pattern, grad)
-        u = x - gamma * grad
-        u_step, res = _advance(g, u, u_prev, gamma)
-        x_prev = x
-        return u, u_step, res, {"accel_active": 0, "enforced_count": enforced}
-
-    def stop(k, u_step, x):
-        return (k > 1 and (k - 1) % full_step_every == 0
-                and _step_norm(x, x_prev) <= config.stop_tol)
-
-    return _iterate(problem, config, gamma, step, _start_point(problem, x0),
-                    stop=stop)

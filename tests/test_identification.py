@@ -19,37 +19,39 @@ from proxident.problems import (
     gen_qc_lasso,
 )
 from proxident.prox import Regularizer
-from proxident.solvers import SolverConfig, TraceRecord, run_pg
+from proxident.solvers import SolverConfig, TraceLog, run_pg
 
 
 def P(*bits):
     return SparsityPattern(list(bits))
 
 
-def records(patterns, counts=None):
-    """Trace records carrying patterns, with nnz their count of ones unless
-    counts are given."""
+def log_of(patterns, counts=None):
+    """A TraceLog whose rows carry patterns, with nnz their count of ones
+    unless counts are given."""
     if counts is None:
         counts = [p.count_ones() for p in patterns]
-    return [TraceRecord(k=k, objective=0.0, pattern=p, nnz=c, u_step=0.0)
-            for k, (p, c) in enumerate(zip(patterns, counts), 1)]
+    log = TraceLog()
+    for k, (p, c) in enumerate(zip(patterns, counts), 1):
+        log.append(k, 0.0, p, c, 0.0)
+    return log
 
 
 class TestAnalyzeTrace:
     def test_constant_trace(self):
-        rep = analyze_trace(records([P(0, 1), P(0, 1), P(0, 1)]))
+        rep = analyze_trace(log_of([P(0, 1), P(0, 1), P(0, 1)]))
         assert rep.first_stable_iter == 0
         assert rep.oscillation_count == 0
         assert rep.monotone
 
     def test_one_change(self):
-        rep = analyze_trace(records([P(1, 1), P(0, 1), P(0, 1)]))
+        rep = analyze_trace(log_of([P(1, 1), P(0, 1), P(0, 1)]))
         assert rep.first_stable_iter == 1
         assert rep.oscillation_count == 1
         assert rep.pattern_final == P(0, 1)
 
     def test_oscillation(self):
-        rep = analyze_trace(records([P(0, 1), P(1, 1), P(0, 1), P(0, 1)]))
+        rep = analyze_trace(log_of([P(0, 1), P(1, 1), P(0, 1), P(0, 1)]))
         assert rep.oscillation_count == 2
         assert rep.first_stable_iter == 2
         assert not rep.monotone
@@ -60,27 +62,27 @@ class TestAnalyzeTrace:
         coll = rank_levels(3, 3)
         patterns = [SparsityPattern(np.arange(len(coll)) != r)
                     for r in (1, 3, 2)]
-        trace = records(patterns, [coll.structure_count(p) for p in patterns])
+        trace = log_of(patterns, [coll.structure_count(p) for p in patterns])
         assert [r.nnz for r in trace] == [1, 3, 2]
         rep = analyze_trace(trace)
         assert not rep.monotone
         assert (rep.first_stable_iter, rep.oscillation_count) == (2, 2)
-        assert analyze_trace(trace[::-1][1:]).monotone  # 3 -> 1
+        assert analyze_trace(log_of(patterns[1::-1], [3, 1])).monotone
 
     def test_oscillation_zero_iff_constant(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             pats = [P(*rng.integers(0, 2, size=3)) for _ in range(6)]
-            rep = analyze_trace(records(pats))
+            rep = analyze_trace(log_of(pats))
             constant = all(p == pats[0] for p in pats)
             assert (rep.oscillation_count == 0) == constant
 
     def test_empty_trace(self):
         with pytest.raises(ValueError):
-            analyze_trace([])
+            analyze_trace(TraceLog())
 
     def test_report_text_schema(self):
-        text = report_text(analyze_trace(records([P(0, 1)])))
+        text = report_text(analyze_trace(log_of([P(0, 1)])))
         assert text.startswith("first_stable_iter=0\n")
         assert "pattern_hash=" in text
 
@@ -118,9 +120,9 @@ class TestAnalyzeTraceMatchesTwoLoops:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_records(self, data):
-        self._check([TraceRecord(k=k, objective=0.0, pattern=p,
-                                 nnz=data.draw(st.integers(0, 6)), u_step=0.0)
-                     for k, p in enumerate(_pattern_sequence(data), 1)])
+        patterns = _pattern_sequence(data)
+        self._check(log_of(patterns, [data.draw(st.integers(0, 6))
+                                      for _ in patterns]))
 
 
 class TestEnlargedBound:

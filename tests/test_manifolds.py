@@ -50,6 +50,22 @@ class TestPatternOf:
         with pytest.raises(ValueError):
             pattern_of([1.0, 2.0, 3.0], coordinate_zeros(2))
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300, "bogus", "AUTO",
+                                     True, [0.1], np.array(0.5)])
+    @pytest.mark.parametrize("point,collection", [
+        ([0.0, 1.0], coordinate_zeros(2)),
+        ([1.0, 1.0, 2.0], adjacent_pairs(3)),
+        (np.eye(2), rank_levels(2, 2)),
+    ])
+    def test_invalid_tol_is_rejected_by_name(self, point, collection, tol):
+        with pytest.raises(ValueError, match="^tol must be"):
+            pattern_of(point, collection, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, np.float64(0.5), np.inf])
+    def test_nonnegative_real_tol_is_accepted(self, tol):
+        got = pattern_of([0.0, 1.0], coordinate_zeros(2), tol=tol)
+        assert got == SparsityPattern([0, tol < 1.0])
+
 
 _edge_values = st.one_of(
     st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 1e-310, 1e-13,
@@ -237,6 +253,30 @@ class TestPatternOrder:
 
 
 _bit_lists = st.lists(st.integers(0, 1), max_size=20)
+
+
+class TestPatternBits:
+    @pytest.mark.parametrize("bits", [
+        np.array([0.5, 1.7]), [-1, 0], [0, 2], [np.nan, 1.0], [0.0, np.inf],
+        np.array([0, 1, 2], dtype=np.uint8), np.array([0, -1], dtype=np.int8),
+        np.array([1, 0, 256], dtype=np.int64), ["1"], [None],
+    ])
+    def test_values_other_than_0_or_1_are_rejected(self, bits):
+        with pytest.raises(ValueError, match="^pattern bits must be 0 or 1$"):
+            SparsityPattern(bits)
+
+    @pytest.mark.parametrize("bits", [
+        [0, 1, 1], [0.0, 1.0, 1.0], np.array([False, True, True]),
+        np.array([0, 1, 1], dtype=np.uint8), np.array([-0.0, 1.0, 1.0]),
+    ])
+    def test_0_1_values_of_any_dtype_are_kept(self, bits):
+        pattern = SparsityPattern(bits)
+        assert pattern.bits.dtype == np.uint8
+        assert pattern.bits.tolist() == [0, 1, 1]
+
+    def test_bits_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SparsityPattern([[0, 1]])
 
 
 class TestPatternIdentity:

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from dataclasses import fields
 import warnings
 
 import numpy as np
@@ -315,13 +316,13 @@ class TestDeterminismAndCSV:
             rows = data.draw(st.lists(st.sampled_from(distinct),
                                       min_size=length, max_size=length))
         extras = data.draw(st.booleans())
-        trace = [TraceRecord(
-            k=k, objective=data.draw(st.floats()), pattern=SparsityPattern(b),
-            nnz=sum(b), u_step=data.draw(st.floats(0.0, 1.0)),
-            accel_active=k % 2 if extras else None,
-            enforced_count=k % 3 if extras else None,
-        ) for k, b in enumerate(rows, 1)]
-        assert trace_csv_text(trace) == trace_csv_text_reference(trace)
+        log = TraceLog()
+        for k, b in enumerate(rows, 1):
+            log.append(k, data.draw(st.floats()), SparsityPattern(b), sum(b),
+                       data.draw(st.floats(0.0, 1.0)),
+                       accel_active=k % 2 if extras else None,
+                       enforced_count=k % 3 if extras else None)
+        assert trace_csv_text(log) == trace_csv_text_reference(log)
 
     def test_records_take_no_new_attributes(self):
         record = TraceRecord(k=1, objective=0.0, pattern=SparsityPattern([1]),
@@ -377,6 +378,14 @@ def _drawn_records(data, mixed):
     return records
 
 
+def _appended(records):
+    """A TraceLog holding the records' rows, each added by TraceLog.append."""
+    log = TraceLog()
+    for r in records:
+        log.append(*(getattr(r, field.name) for field in fields(r)))
+    return log
+
+
 def _row(record):
     """A record's fields, floats by repr (NaN and -0.0 included) and the
     pattern and u by identity."""
@@ -391,9 +400,8 @@ class TestColumnarLog:
     @given(st.data())
     def test_csv_and_report_match_the_references(self, data):
         records = _drawn_records(data, mixed=data.draw(st.booleans()))
-        log = TraceLog.of(records)
+        log = _appended(records)
         assert trace_csv_text(log) == trace_csv_text_reference(records)
-        assert trace_csv_text(records) == trace_csv_text(log)
         if not records:
             with pytest.raises(ValueError):
                 analyze_trace(log)
@@ -406,7 +414,7 @@ class TestColumnarLog:
     @given(st.data())
     def test_rows_read_back_as_appended(self, data):
         records = _drawn_records(data, mixed=False)
-        log = TraceLog.of(records)
+        log = _appended(records)
         n = len(records)
         want = [_row(r) for r in records]
         assert len(log) == n and bool(log) == bool(records)
@@ -431,7 +439,7 @@ class TestColumnarLog:
         assert trace_csv_text(log) == trace_csv_text_reference(records)
         assert analyze_trace(log) == analyze_trace_reference(records)
         assert all(r.u is u for r, u in zip(records, log.u))
-        again = TraceLog.of(records)
+        again = _appended(records)
         assert [_row(r) for r in again] == [_row(r) for r in records]
 
 

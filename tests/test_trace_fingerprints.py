@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from proxident.registry import SOLVERS
+from proxident.solvers import TraceLog
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                     "tools", "trace_fingerprints.py")
@@ -121,7 +122,7 @@ def test_diverge_start_lines_hash_a_diverged_empty_run():
     assert [line.split(",")[:2] for line in lines] == [
         ["diverge-start", name] for name in SOLVERS]
     # every run ends on its first step, before any row is recorded
-    empty = tool._sha(["diverged", 0, tool.trace_csv_text([])])
+    empty = tool._sha(["diverged", 0, tool.trace_csv_text(TraceLog())])
     assert [line.split(",")[2] for line in lines] == [empty] * len(SOLVERS)
 
 
