@@ -1,9 +1,10 @@
 """Plain-text instance bundles.
 
 Matrix files carry a ``rows cols`` header line followed by one line per row
-of whitespace-separated entries, which must be finite; vectors are stored
-single-column. A bundle is a directory with the data files plus a ``meta``
-file of key=value lines (kind, lambda, seed, components, and for certified
+of whitespace-separated entries, which must be finite numbers; vectors are
+stored single-column. A malformed file raises BundleError naming it and the
+data row. A bundle is a directory with the data files plus a ``meta`` file
+of key=value lines (kind, lambda, seed, components, and for certified
 instances gamma, delta, and the ground-truth file references).
 One row per kind gives its regularizer: an l1 kind's data is a design
 A.txt and a right-hand side b.txt, a nuclear kind's one target matrix A.txt.
@@ -28,7 +29,6 @@ __all__ = [
     "write_matrix",
     "read_matrix",
     "write_vector",
-    "read_vector",
     "write_bundle",
     "read_bundle",
     "BundleError",
@@ -54,14 +54,32 @@ def write_matrix(path, arr):
             fh.write(row_format % tuple(row))
 
 
+def _bad_row(lines, cols):
+    """The first data row that is not cols numbers, and why; or None."""
+    rows = filter(None, (line.split("#")[0].split() for line in lines))
+    for row, fields in enumerate(rows, start=1):
+        try:
+            if len(np.array(fields, dtype=float)) != cols:
+                return f"data row {row} has {len(fields)} entries, not {cols}"
+        except ValueError as exc:
+            return f"data row {row}: {exc}"
+
+
 def read_matrix(path):
     try:
         with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise BundleError(f"{path}: bad header line")
-            rows, cols = int(header[0]), int(header[1])
-            data = np.loadtxt(fh, ndmin=2)
+            header = fh.readline()
+            try:
+                rows, cols = map(int, header.split())
+            except ValueError:
+                raise BundleError(f"{path}: header {header.strip()!r} is "
+                                  "not 'rows cols'") from None
+            try:
+                data = np.loadtxt(fh, ndmin=2)
+            except ValueError as exc:
+                fh.seek(0)
+                why = _bad_row(fh.readlines()[1:], cols) or exc
+                raise BundleError(f"{path}: {why}") from None
     except OSError as exc:
         raise BundleError(f"cannot read {path}: {exc}") from exc
     if data.shape != (rows, cols):
@@ -80,13 +98,6 @@ def write_vector(path, v):
     write_matrix(path, np.asarray(v, dtype=float).reshape(-1, 1))
 
 
-def read_vector(path):
-    m = read_matrix(path)
-    if m.shape[1] != 1:
-        raise BundleError(f"{path}: expected a single-column vector")
-    return m[:, 0]
-
-
 def _write_meta(path, entries):
     with open(path, "w") as fh:
         for key, value in entries.items():
@@ -102,10 +113,10 @@ def read_key_values(path):
 
     Blank lines and lines starting with # are skipped; keys and values are
     stripped. Serves bundle meta files and the CLI's --config files. An
-    unreadable file or a line without '=' raises BundleError naming the
-    file (and the line number).
+    unreadable file, a line without '=' or a key given twice raises
+    BundleError naming the file (and the line numbers).
     """
-    entries = {}
+    entries, first_line = {}, {}
     try:
         with open(path) as fh:
             for number, line in enumerate(fh, start=1):
@@ -118,7 +129,11 @@ def read_key_values(path):
                         f"got {line!r}"
                     )
                 key, _, value = line.partition("=")
-                entries[key.strip()] = value.strip()
+                key = key.strip()
+                if key in entries:
+                    raise BundleError(f"{path}: line {number}: key {key!r} "
+                                      f"repeats line {first_line[key]}")
+                entries[key], first_line[key] = value.strip(), number
     except OSError as exc:
         raise BundleError(f"cannot read {path}: {exc}") from exc
     return entries

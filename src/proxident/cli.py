@@ -55,16 +55,7 @@ _OWN = {
     "dave-pg": (("delay", "delay_model", DelayModel.parse,
                  "constant:d | uniform:lo:hi | geometric:q"),
                 ("encoding", "encoding", str)),
-    "predictor-corrector": (("full-step-every", "full_step_every", int,
-                             "r: every step is a proximal gradient step. "
-                             "For r > 1, every r-th step after the first "
-                             "whose pattern held since the last such step "
-                             "starts from the exact minimiser of f + g on "
-                             "that flat, unless f is not least squares, "
-                             "the flat's system is singular or a sign "
-                             "flips; r = 1 is pg"),),
-    "random-subspace": (("keep-prob", "keep_probability", float),
-                        ("refresh-wait", "refresh_wait", int)),
+    "random-subspace": (("keep-prob", "keep_probability", float),),
     "fig2": (("instances", "instances", int),),
 }
 

@@ -133,8 +133,7 @@ def replicate_fig2(seed=0, outdir=None, instances=50):
     count per group, must be a positive integer.
     """
     _integer("instances", instances, 1)
-    config = SolverConfig(gamma=FIG2_GAMMA, stop_tol=1e-9, max_iter=3000,
-                          trace_every=1)
+    config = SolverConfig(gamma=FIG2_GAMMA, stop_tol=1e-9, max_iter=3000)
     trajectory_rows = []
     summary_rows = []
     finals = {"well-posed": [], "degenerate": []}
@@ -193,8 +192,7 @@ def replicate_fig3(seed=0, outdir=None):
     rows = []
     comm_at_gap = {}
     for encoding in ("dense", "sparse"):
-        config = SolverConfig(stop_tol=1e-10, max_iter=100_000, seed=seed,
-                              trace_every=1)
+        config = SolverConfig(stop_tol=1e-10, max_iter=100_000, seed=seed)
         point, trace = run_dave_pg(problem, config,
                                    delay_model=FIG3_DELAYS, encoding=encoding)
         rows += zip(repeat(encoding), trace.k, trace.objective,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from proxident.bundles import (
     BundleError,
     read_bundle,
     read_matrix,
-    read_vector,
     write_bundle,
     write_matrix,
     write_vector,
@@ -53,7 +54,7 @@ def test_vector_roundtrip(tmp_path):
     v = np.array([1.5, -2.25, 1e-17])
     path = tmp_path / "v.txt"
     write_vector(path, v)
-    assert np.array_equal(read_vector(path), v)
+    assert np.array_equal(read_matrix(path), v[:, None])
 
 
 def test_header_mismatch(tmp_path):
@@ -269,3 +270,57 @@ def test_truncated_ground_truth_fails_the_cli(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("proxident: bundle error: ")
     assert "xstar.txt: expected 6x1, found 4x1" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 3\n1 2 3\n4 5 x\n", "data row 2: could not convert string to float: 'x'"),
+    # a blank line is not a data row
+    ("2 3\n1 2 3\n\n4 5\n", "data row 2 has 2 entries, not 3"),
+    ("2 3\n1 2\n4 5 6\n", "data row 1 has 2 entries, not 3"),
+    ("2 3\n1 2 3\n4 5 6 7\n", "data row 2 has 4 entries, not 3"),
+    ("2.5 3\n1 2 3\n", "header '2.5 3' is not 'rows cols'"),
+    ("two 3\n1 2 3\n", "header 'two 3' is not 'rows cols'"),
+    ("2 3 1\n1 2 3\n", "header '2 3 1' is not 'rows cols'"),
+], ids=["word-entry", "short-row", "short-first-row", "long-row",
+        "float-header", "word-header", "three-field-header"])
+def test_malformed_matrix_file_names_file_and_row(tmp_path, text, message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(BundleError, match=f"^{re.escape(str(path))}: "
+                                          f"{re.escape(message)}$"):
+        read_matrix(path)
+
+
+def test_non_numeric_entry_fails_the_cli(tmp_path, capsys):
+    bundle = _qc_bundle(tmp_path)
+    _replace_entry(bundle / "A.txt", "x")
+    assert cli.main(["solve", "pg", str(bundle), "--out",
+                     str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"proxident: bundle error: {bundle / 'A.txt'}: data row 2: could "
+        "not convert string to float: 'x'\n")
+
+
+def test_repeated_meta_key_is_refused(tmp_path):
+    bundle = _qc_bundle(tmp_path)
+    meta = bundle / "meta"
+    lines = meta.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith("lambda="))
+    meta.write_text("\n".join(lines) + "\n\nlambda=2\n")
+    with pytest.raises(BundleError, match=(
+            f"^{re.escape(str(meta))}: line {len(lines) + 2}: key 'lambda' "
+            f"repeats line {number}$")):
+        read_bundle(bundle)
+
+
+def test_repeated_config_key_fails_the_cli(tmp_path, capsys):
+    bundle = _qc_bundle(tmp_path)
+    conf = tmp_path / "conf"
+    conf.write_text("max-iter=4\n# a comment\n max-iter = 5\n")
+    assert cli.main(["solve", "pg", str(bundle), "--config", str(conf),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"proxident: bundle error: {conf}: line 3: key 'max-iter' repeats "
+        f"line 1\n")
+    assert not (tmp_path / "out").exists()

@@ -165,32 +165,32 @@ def test_unset_settings_are_left_to_the_library(qc_bundle, tmp_path,
                       {"sampler": SubspaceSamplerConfig(seed=4)})]
     # one defaults file for every solver: each takes only its own row
     conf = tmp_path / "conf"
-    conf.write_text("stop-tol=1e-9\nrefresh-wait=3\nencoding=sparse\n"
-                    "full-step-every=4\n")
+    conf.write_text("stop-tol=1e-9\nkeep-prob=0.75\nencoding=sparse\n")
+    assert main(["solve", "random-subspace", str(qc_bundle), "--seed", "4",
+                 "--config", str(conf), "--out", str(tmp_path / "rs")]) == 0
     assert main(["solve", "random-subspace", str(qc_bundle), "--seed", "4",
                  "--config", str(conf), "--keep-prob", "0.25",
                  "--out", str(tmp_path / "rs")]) == 0
-    assert calls[1] == (SolverConfig(seed=4, stop_tol=1e-9), {
-        "sampler": SubspaceSamplerConfig(0.25, 3, seed=4)})
+    assert calls[1:] == [
+        (SolverConfig(seed=4, stop_tol=1e-9),
+         {"sampler": SubspaceSamplerConfig(0.75, seed=4)}),
+        (SolverConfig(seed=4, stop_tol=1e-9),
+         {"sampler": SubspaceSamplerConfig(0.25, seed=4)})]
     del calls[:]
     for argv in (["dave-pg"], ["dave-pg", "--delay", "uniform:0:2"],
-                 ["predictor-corrector"],
-                 ["predictor-corrector", "--full-step-every", "2"],
-                 ["pg", "--config", str(conf)]):
+                 ["predictor-corrector"], ["pg", "--config", str(conf)]):
         assert main(["solve", argv[0], str(qc_bundle), *argv[1:],
                      "--out", str(tmp_path / "out")]) in (0, 2)
     assert calls == [
         (SolverConfig(), {}),
         (SolverConfig(), {"delay_model": DelayModel.uniform(0, 2)}),
-        (SolverConfig(), {}), (SolverConfig(), {"full_step_every": 2}),
-        (SolverConfig(stop_tol=1e-9), {})]
+        (SolverConfig(), {}), (SolverConfig(stop_tol=1e-9), {})]
     main(["solve", "dave-pg", str(qc_bundle), "--config", str(conf),
           "--out", str(tmp_path / "out")])
     main(["solve", "predictor-corrector", str(qc_bundle), "--config",
           str(conf), "--out", str(tmp_path / "out")])
-    assert calls[5:] == [(SolverConfig(stop_tol=1e-9), {"encoding": "sparse"}),
-                         (SolverConfig(stop_tol=1e-9),
-                          {"full_step_every": 4})]
+    assert calls[4:] == [(SolverConfig(stop_tol=1e-9), {"encoding": "sparse"}),
+                         (SolverConfig(stop_tol=1e-9), {})]
 
     fig2 = []
     monkeypatch.delenv("PROXIDENT_SEED", raising=False)
@@ -233,21 +233,33 @@ def test_gen_passes_the_generator_only_the_given_flags(tmp_path,
 
 
 OWN_FLAGS = {"dave-pg": [("--delay", "constant:1"), ("--encoding", "sparse")],
-             "predictor-corrector": [("--full-step-every", "3")],
-             "random-subspace": [("--keep-prob", "0.25"),
-                                 ("--refresh-wait", "3")]}
+             "random-subspace": [("--keep-prob", "0.25")]}
+# the flags of predictor-corrector's flat-step cadence and random subspace's
+# refresh wait, which are constants now: no solver takes them
+CONSTANT_FLAGS = [("--full-step-every", "3"), ("--refresh-wait", "3")]
 
 
 @pytest.mark.parametrize("solver,flag,value", [
     (solver, flag, value) for solver in sorted(SOLVERS)
-    for owner, flags in OWN_FLAGS.items() if owner != solver
-    for flag, value in flags])
+    for owner, flags in (*OWN_FLAGS.items(), (None, CONSTANT_FLAGS))
+    if owner != solver for flag, value in flags])
 def test_another_solvers_flag_exits_1_naming_it(qc_bundle, capsys, solver,
                                                 flag, value):
-    assert main(["solve", solver, str(qc_bundle), flag, value]) == 1
-    err = capsys.readouterr().err
-    owner = next(o for o, flags in OWN_FLAGS.items() if (flag, value) in flags)
-    assert f"{flag} is a setting of {owner}, not of {solver}" in err
+    # a flag the solver does not take: another solver's is refused by
+    # name, one that no solver takes is an argparse usage error
+    argv = ["solve", solver, str(qc_bundle), flag, value]
+    if (flag, value) in CONSTANT_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert (f"unrecognized arguments: {flag} {value}"
+                in capsys.readouterr().err)
+    else:
+        assert main(argv) == 1
+        owner = next(o for o, flags in OWN_FLAGS.items()
+                     if (flag, value) in flags)
+        assert (f"{flag} is a setting of {owner}, not of {solver}"
+                in capsys.readouterr().err)
     assert not (qc_bundle / "trace.csv").exists()
     assert not (qc_bundle / "report.txt").exists()
 
@@ -283,7 +295,8 @@ def test_bad_encoding_exits_1_naming_it(qc_bundle, tmp_path, capsys, source):
 
 @pytest.mark.parametrize("command", [["solve", "pg", "BUNDLE"],
                                      ["replicate", "fig1"]])
-@pytest.mark.parametrize("line", ["stop_tol=1e-3", "max_iters=5"])
+@pytest.mark.parametrize("line", ["stop_tol=1e-3", "max_iters=5",
+                                  "full-step-every=5", "refresh-wait=10"])
 def test_unknown_config_key_exits_1_naming_file_and_key(
         qc_bundle, tmp_path, capsys, command, line):
     conf = tmp_path / "conf"

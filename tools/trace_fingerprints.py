@@ -37,7 +37,8 @@ vectors where kept. Cases:
 * ``cli-solve``: one line per ``proxident solve`` invocation in
   ``SOLVE_ARGV`` on the ``cli-lasso`` bundle, keyed by solver and seed,
   hashing the exit code, trace.csv and report.txt: each solver-specific
-  flag, and a ``pg`` run whose settings come from a ``--config`` file;
+  flag, predictor-corrector (which has none) on its defaults, and a ``pg``
+  run whose settings come from a ``--config`` file;
 * ``collections``: one line per structure collection built by
   ``coordinate_zeros``, ``adjacent_pairs`` or ``rank_levels``, hashing
   ``pattern_of`` (tol None, "auto" and a float) and ``project`` on seeded
@@ -410,8 +411,8 @@ STOP = "--stop-tol 1e-9 --max-iter 20000"
 SOLVE_ARGV = (
     f"dave-pg {STOP} --delay uniform:0:3 --encoding sparse --seed 1",
     f"dave-pg {STOP} --delay geometric:0.5 --seed 2",
-    f"predictor-corrector {STOP} --full-step-every 3 --seed 3",
-    f"random-subspace {STOP} --keep-prob 0.25 --refresh-wait 3 --seed 4",
+    f"predictor-corrector {STOP} --seed 3",
+    f"random-subspace {STOP} --keep-prob 0.25 --seed 4",
     "pg --config CONF --seed 5",
 )
 # pg's settings, plus keys of other solvers' rows, which pg leaves alone
