@@ -166,7 +166,7 @@ def run_dave_pg(problem, config=None, delay_model=DelayModel.constant(0.0),
     events = []
     seq = comm = 0
     quiet = 0  # consecutive batches with a small u-step
-    deliveries = np.zeros(m, dtype=np.int64)
+    deliveries = [0] * m  # contributions each worker has delivered
 
     def step(k, x, pattern, u_prev):
         nonlocal seq, comm
@@ -206,6 +206,6 @@ def run_dave_pg(problem, config=None, delay_model=DelayModel.constant(0.0),
         # receiving a post-round-zero iterate
         nonlocal quiet
         quiet = quiet + 1 if u_step <= config.stop_tol else 0
-        return quiet >= m and int(deliveries.min()) >= 2
+        return quiet >= m and min(deliveries) >= 2
 
     return _iterate(problem, config, gamma, step, x, stop=stop)

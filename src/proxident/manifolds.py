@@ -89,7 +89,7 @@ def pattern_leq(a: SparsityPattern, b: SparsityPattern) -> bool:
     """Coordinate-wise order: a <= b iff a_i <= b_i for every i."""
     if len(a) != len(b):
         raise ValueError(f"pattern length mismatch: {len(a)} vs {len(b)}")
-    return bool(np.all(a.bits <= b.bits))
+    return not (a.bits > b.bits).any()
 
 
 def _integer(name, value, low=None) -> int:

@@ -94,6 +94,11 @@ class LeastSquaresOracle(SmoothOracle):
 
     restricted_solve minimises f + c.z on a flat from the cached Gram and
     A^T b, for predictor-corrector's flat step.
+
+    value and gradient take their products with ndarray.dot, not @: both
+    make the same BLAS gemv and dot calls, with the same bytes, but dot
+    skips the matmul ufunc's dispatch, which at n = 20 costs about as much
+    as the product itself.
     """
 
     def __init__(self, A, b, components=None):
@@ -140,11 +145,11 @@ class LeastSquaresOracle(SmoothOracle):
         return self._n_components
 
     def _value(self, x):
-        r = self.A @ x - self.b
-        return 0.5 * float(r @ r)
+        r = self.A.dot(x) - self.b
+        return 0.5 * float(r.dot(r))
 
     def _gradient(self, x):
-        return self.gram @ x - self.Atb
+        return self.gram.dot(x) - self.Atb
 
     def prox(self, v, gamma):
         """(I + gamma*gram)^{-1} (v + gamma*Atb), by LAPACK's potrs on the

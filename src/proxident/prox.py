@@ -124,14 +124,21 @@ def _l0(x) -> float:
 
 
 def _soft(u, t):
-    """(x, keep): x is 0 on [-t, t] and u -+ t outside; keep is |u| > t."""
-    keep = np.abs(u) > t
+    """(x, keep): x is 0 on [-t, t] and u -+ t outside; keep is |u| > t.
+
+    For t > 0, keep is read from x as x != 0: outside [-t, t], u -+ t is
+    the difference of two distinct floats, which is never 0 (IEEE
+    arithmetic underflows gradually), and inside, x is u - u = +0.0. This
+    holds at |u| = t, for a subnormal t and for t = inf.
+    """
     if t > 0:
         # u - clip(u, -t, t) is u -+ t outside [-t, t] and u - u = +0.0
         # inside: the bytes of the np.where form below, in two calls fewer
-        return u - np.minimum(np.maximum(u, -t), t), keep
+        x = u - np.minimum(np.maximum(u, -t), t)
+        return x, x != 0.0
     # t == 0 (lam = 0, or gamma * lam underflows): u = -0.0 ties both clip
     # bounds and the clip form would return -0.0, not +0.0
+    keep = np.abs(u) > t
     return np.where(keep, u - t * np.sign(u), 0.0), keep
 
 

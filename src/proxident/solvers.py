@@ -223,18 +223,18 @@ def _fmt(v: float) -> str:
 def trace_csv_text(log) -> str:
     """Render a TraceLog in the canonical CSV schema; the extra columns
     appear when the log has them. Each distinct pattern is packed once,
-    looked up by its bit bytes."""
+    looked up by its bit bytes. A float column's items are Python floats,
+    so repr maps over it directly: the text _fmt gives, in one call."""
     keys = log.pattern_keys()
     hexes = {}
     for key, pattern in zip(keys, log.patterns):
         if key not in hexes:
             hexes[key] = pattern.packed_hex()
     rows = [
-        f"{k},{_fmt(objective)},{nnz},{hexes[key]},{_fmt(u_step)},"
-        f"{comm},{_fmt(wallclock)}"
+        f"{k},{objective},{nnz},{hexes[key]},{u_step},{comm},{wallclock}"
         for k, objective, nnz, key, u_step, comm, wallclock in zip(
-            log.k, log.objective, log.nnz, keys, log.u_step,
-            log.comm_coords, log.wallclock)
+            log.k, map(repr, log.objective), log.nnz, keys,
+            map(repr, log.u_step), log.comm_coords, map(repr, log.wallclock))
     ]
     header = TRACE_COLUMNS
     if log.accel_active is not None:
@@ -482,10 +482,11 @@ def run_saga(problem, config=None, x0=None):
         return u, u_step, res, {}
 
     def stop(k, u_step, x):
+        # the scalar test before the window's sum: neither has side effects
         return (
             k > window
-            and sum(recent) / len(recent) <= config.stop_tol
             and u_step <= 3.0 * config.stop_tol
+            and sum(recent) / len(recent) <= config.stop_tol
         )
 
     return _iterate(problem, config, gamma, step, _start_point(problem, x0),

@@ -274,6 +274,10 @@ def test_truncated_ground_truth_fails_the_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize("text,message", [
     ("2 3\n1 2 3\n4 5 x\n", "data row 2: could not convert string to float: 'x'"),
+    # Python's float takes these; np.loadtxt, which reads the file, does not
+    ("2 2\n1 2\n1_0 2\n", "data row 2: could not convert string to float: '1_0'"),
+    ("2 2\n1 2\n\u0661 2\n",
+     "data row 2: could not convert string to float: '\u0661'"),
     # a blank line is not a data row
     ("2 3\n1 2 3\n\n4 5\n", "data row 2 has 2 entries, not 3"),
     ("2 3\n1 2\n4 5 6\n", "data row 1 has 2 entries, not 3"),
@@ -281,8 +285,9 @@ def test_truncated_ground_truth_fails_the_cli(tmp_path, capsys):
     ("2.5 3\n1 2 3\n", "header '2.5 3' is not 'rows cols'"),
     ("two 3\n1 2 3\n", "header 'two 3' is not 'rows cols'"),
     ("2 3 1\n1 2 3\n", "header '2 3 1' is not 'rows cols'"),
-], ids=["word-entry", "short-row", "short-first-row", "long-row",
-        "float-header", "word-header", "three-field-header"])
+], ids=["word-entry", "underscore-entry", "non-ascii-digit", "short-row",
+        "short-first-row", "long-row", "float-header", "word-header",
+        "three-field-header"])
 def test_malformed_matrix_file_names_file_and_row(tmp_path, text, message):
     path = tmp_path / "m.txt"
     path.write_text(text)

@@ -158,6 +158,29 @@ def data(seed=9, m=40, n=12):
     return rng.standard_normal((m, n)), rng.standard_normal(m)
 
 
+class TestOracleProducts:
+    """value and gradient give the bytes of the @ forms they replaced:
+    ndarray.dot makes the same BLAS calls as matmul. A numpy or BLAS under
+    which the two differ fails here, not as a changed trace fingerprint."""
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 7), (7, 1), (3, 20),
+                                     (20, 20), (40, 20), (69, 37),
+                                     (100, 100), (199, 400), (200, 400),
+                                     (201, 100), (400, 200), (513, 7)])
+    def test_value_and_gradient_bytes_match_matmul(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        b = rng.standard_normal(m)
+        # a C-ordered design and a transposed view
+        for A in (rng.standard_normal((m, n)), rng.standard_normal((n, m)).T):
+            o = LeastSquaresOracle(A, b)
+            # a contiguous point and a strided view
+            for x in (rng.standard_normal(n), rng.standard_normal(2 * n)[::2]):
+                r = A @ x - b
+                assert o.value(x).hex() == (0.5 * float(r @ r)).hex()
+                want = o.gram @ x - o.Atb
+                assert o.gradient(x).tobytes() == want.tobytes()
+
+
 class TestLazyConstants:
     """L and mu come from one eigvalsh on first read; the components are
     built on first read."""
