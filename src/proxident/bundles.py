@@ -54,12 +54,12 @@ def write_matrix(path, arr):
             fh.write(row_format % tuple(row))
 
 
-def _numbers(fields):
-    """Whether np.loadtxt reads each of the strings fields as a number. Its
-    parser decides, as in the read: Python's float also takes '1_0' and
-    non-ASCII digits."""
+def _is_number(field):
+    """Whether np.loadtxt reads the string field as a number. Its parser
+    decides, as in the read: Python's float also takes '1_0' and non-ASCII
+    digits."""
     try:
-        np.loadtxt(fields, ndmin=1)  # each string is read as one line
+        np.loadtxt([field])
     except ValueError:
         return False
     return True
@@ -69,8 +69,8 @@ def _bad_row(lines, cols):
     """The first data row that is not cols numbers, and why; or None."""
     rows = filter(None, (line.split("#")[0].split() for line in lines))
     for row, fields in enumerate(rows, start=1):
-        if not _numbers(fields):
-            bad = next(f for f in fields if not _numbers([f]))
+        bad = next((f for f in fields if not _is_number(f)), None)
+        if bad is not None:
             return (f"data row {row}: could not convert string to float: "
                     f"{bad!r}")
         if len(fields) != cols:

@@ -217,6 +217,9 @@ _EXTRA_COLUMNS = ",accel_active,enforced_count"
 
 
 def _fmt(v: float) -> str:
+    """The text of a float in traces and figures. trace_csv_text maps repr
+    over its float columns, whose items are already Python floats; a change
+    here must be made there too."""
     return repr(float(v))
 
 
@@ -224,7 +227,8 @@ def trace_csv_text(log) -> str:
     """Render a TraceLog in the canonical CSV schema; the extra columns
     appear when the log has them. Each distinct pattern is packed once,
     looked up by its bit bytes. A float column's items are Python floats,
-    so repr maps over it directly: the text _fmt gives, in one call."""
+    so repr maps over it directly: the text _fmt gives (keep the two
+    alike)."""
     keys = log.pattern_keys()
     hexes = {}
     for key, pattern in zip(keys, log.patterns):

@@ -24,7 +24,6 @@ from proxident.prox import (
     _check_input,
     _potts_segments,
     _segments_to_result,
-    _soft,
     _tv1d_segments,
     prox_l0,
     prox_l1,
@@ -61,13 +60,16 @@ class TestL1:
 
 @st.composite
 def _l1_cases(draw):
-    """(u, gamma, lam): thresholds from underflowing to 0 (and lam = 0) up to
-    inf, with entries that are signed zeros, subnormals, exactly +-t or a
+    """(u, gamma, lam): thresholds from underflowing to 0 (and lam = 0)
+    through the smallest subnormal and the largest float up to inf, with
+    entries that are signed zeros, subnormals, exactly +-t or a
     neighbour of it, near 1e300, or any finite float."""
-    gamma = draw(st.sampled_from([1e-200, 5e-324, 1e-3, 0.5, 1.0, 1e300]))
+    gamma = draw(st.sampled_from([1e-200, 5e-324, 1e-3, 0.5, 1.0, 1e300,
+                                  1.7976931348623157e308]))
     lam = draw(st.sampled_from([0.0, 1e-200, 1e-12, 0.7, 1.0, 1e10]))
     t = gamma * lam
-    near_t = [t, -t, np.nextafter(t, np.inf), np.nextafter(t, 0.0)]
+    with np.errstate(over="ignore"):  # above the largest float: inf
+        near_t = [t, -t, np.nextafter(t, np.inf), np.nextafter(t, 0.0)]
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
                1.7e308, -1.7e308] + near_t + [-v for v in near_t]
     element = st.one_of(
@@ -79,7 +81,8 @@ def _l1_cases(draw):
 
 class TestL1MatchesReference:
     """prox_l1 gives the bytes of the np.where/np.sign form in
-    tests/oracles.py: point, pattern bits and value."""
+    tests/oracles.py: point, pattern bits and value. The bits pin _soft's
+    mask, read off the shrunk point, to |u| > t."""
 
     @settings(max_examples=300, deadline=None)
     @given(_l1_cases())
@@ -101,48 +104,6 @@ class TestL1MatchesReference:
             x = prox_l1(u, gamma, lam).point
             assert x.tobytes() == prox_l1_reference(u, gamma, lam)[0].tobytes()
             assert np.signbit(x).tolist() == [False, False, True]
-
-
-@st.composite
-def _soft_cases(draw):
-    """(u, t), t > 0 from the smallest subnormal to inf, with entries that
-    are signed zeros, subnormals, exactly +-t or a neighbour of it, or any
-    finite float."""
-    t = draw(st.one_of(
-        st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-3, 0.7,
-                         1e300, 1.7976931348623157e308, np.inf]),
-        st.floats(min_value=5e-324, allow_nan=False)))
-    with np.errstate(over="ignore"):  # above the largest float: inf
-        near_t = [t, np.nextafter(t, np.inf), np.nextafter(t, 0.0)]
-    special = [0.0, 5e-324, 1e-310, 1e300] + near_t
-    special += [-v for v in special]
-    element = st.one_of(
-        st.sampled_from([v for v in special if np.isfinite(v)]),
-        st.floats(allow_nan=False, allow_infinity=False))
-    return np.array(draw(st.lists(element, min_size=1, max_size=40))), t
-
-
-class TestSoftMask:
-    """For t > 0, _soft reads its mask off the shrunk point (x != 0); it is
-    the mask |u| > t bit for bit: u -+ t of two distinct floats is never 0
-    (gradual underflow) and u - u inside [-t, t] is +0.0."""
-
-    @settings(max_examples=500, deadline=None)
-    @given(_soft_cases())
-    def test_mask_is_abs_u_above_t(self, case):
-        u, t = case
-        _, keep = _soft(u, t)
-        assert keep.dtype == bool
-        assert keep.tobytes() == (np.abs(u) > t).tobytes()
-
-    @pytest.mark.parametrize("t", [5e-324, 1e-310, 0.7, np.inf])
-    def test_boundaries(self, t):
-        u = np.array([t, -t, 0.0, -0.0, np.nextafter(t, np.inf),
-                      -np.nextafter(t, 0.0), 5e-324, 1.0])
-        u = u[np.isfinite(u)]
-        x, keep = _soft(u, t)
-        assert keep.tobytes() == (np.abs(u) > t).tobytes()
-        assert not np.signbit(x[~keep]).any()
 
 
 class TestL0:

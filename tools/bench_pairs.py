@@ -3,11 +3,11 @@
 Usage (from anywhere):
 
     python tools/bench_pairs.py BASE CHANGE --workload qc-sweep --seed 0 \
-        --pairs 10 [--seconds 25] [--out BENCH_name.json] [--labels a,b]
+        --pairs 10 [--out BENCH_name.json]
 
 BASE and CHANGE are the roots of two checkouts. Each pair runs
-``perfbench/run.py --workload W --seed S --seconds T`` once in each
-checkout, one after the other, in a fresh process each; the side that runs
+``perfbench/run.py --workload W --seed S`` once in each checkout, at
+perfbench's own run length, one after the other, in a fresh process each; the side that runs
 first alternates from pair to pair, so a slow spell of the host falls on
 both sides alike. For every end-to-end metric the tool prints each side's
 median and quartiles over the pairs, the relative change of the medians,
@@ -31,7 +31,6 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("qc-sweep", "lasso-bundle", "lowrank", "segment-1d")
 _DIGEST = re.compile(r"^# patterns_digest=(\S+) solvers\.iterations=(\d+)$",
                      re.M)
 
@@ -40,27 +39,21 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(prog="tools/bench_pairs.py")
     parser.add_argument("base", help="root of the base checkout")
     parser.add_argument("change", help="root of the changed checkout")
-    parser.add_argument("--workload", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", required=True,
+                        help="a workload name; perfbench/run.py checks it")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", help="BENCH_*.json file to update")
-    parser.add_argument("--labels", default="base,change",
-                        help="names of the two sides in the output")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    args.labels = args.labels.split(",")
-    if len(args.labels) != 2:
-        parser.error("--labels takes two names separated by a comma")
     return args
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seed):
     """One perfbench run in checkout root: its result and digest line."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+           "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -135,8 +128,7 @@ def main(argv=None):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = run_once(roots[side], args.workload, args.seed,
-                                  args.seconds)
+            pair[side] = run_once(roots[side], args.workload, args.seed)
         pairs.append(pair)
         print(f"# pair {i}: " + "  ".join(
             f"{side} solve_s={pair[side]['metrics'].get('solve_s')!r} "
@@ -149,9 +141,8 @@ def main(argv=None):
     same = {key: len({p[s][key] for p in pairs
                       for s in ("base", "change")}) == 1
             for key in ("patterns_digest", "iterations")}
-    base_label, change_label = args.labels
-    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs at "
-          f"--seconds {args.seconds:g}; {base_label} -> {change_label}")
+    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs; "
+          f"base -> change")
     print(f"  every run correct: {all_correct}; same patterns_digest: "
           f"{same['patterns_digest']}; same solvers.iterations: "
           f"{same['iterations']}")
@@ -180,8 +171,6 @@ def main(argv=None):
         doc.setdefault("runs", {})[f"{args.workload}-seed{args.seed}"] = {
             "workload": args.workload,
             "seed": args.seed,
-            "seconds": args.seconds,
-            "labels": {"base": base_label, "change": change_label},
             "every_run_correct": all_correct,
             "same_patterns_digest": same["patterns_digest"],
             "same_iterations": same["iterations"],
