@@ -42,7 +42,9 @@ class SparsityPattern:
     Equality and hash are on the bit bytes (``bits.tobytes()``): the bits
     are 0/1 uint8, one byte per bit, so equal bytes mean equal length and
     equal bits. The bits are given as a 1-D boolean mask or as 1-D values
-    that are each 0 or 1; any other value raises a ValueError.
+    that are each 0 or 1; any other value raises a ValueError. The pattern
+    keeps a read-only copy of them, so the caller's array is neither frozen
+    nor shared.
     """
 
     __slots__ = ("bits",)
@@ -56,7 +58,7 @@ class SparsityPattern:
         if arr.dtype != bool and arr.size and not (
                 (arr == 0) | (arr == 1)).all():
             raise ValueError("pattern bits must be 0 or 1")
-        arr = arr.astype(np.uint8, copy=False)
+        arr = arr.astype(np.uint8)  # always a copy: the caller keeps its own
         arr.setflags(write=False)
         self.bits = arr
 

@@ -8,6 +8,9 @@ the exact membership pattern of the output with respect to the regularizer's
 structure collection. The pattern is read off the branch taken inside the
 computation (which coordinates were thresholded, which segments were merged,
 how many singular values survived), never from a numeric tolerance test.
+A kernel hands its result that branch as a boolean mask; the result builds
+its ``SparsityPattern`` the first time ``pattern`` is read, so a caller that
+only compares mask bytes builds none.
 
 Supported regularizers g = lam * r:
 
@@ -81,6 +84,14 @@ CONVEX_KINDS = ("l1", "tv1d", "nuclear")
 class ProxResult:
     """Prox output, its exact structure pattern, and g at the output.
 
+    The kernels hand the result the boolean branch mask they computed
+    (``mask``, made read-only here), and ``pattern`` is the
+    ``SparsityPattern`` of those bits, built the first time it is read and
+    then kept: a solver loop compares the mask bytes with the previous
+    iterate's and reads the pattern only when they differ. The second
+    argument may also be a pattern, whose bits become the mask, or None
+    (no pattern, no mask).
+
     value is the number lam * r(point), taken from the branch the prox took
     (see the module docstring). For l1, l0, tv1d and potts1d it equals
     ``Regularizer.value(point)`` bit for bit; for nuclear it differs from
@@ -90,12 +101,24 @@ class ProxResult:
     only on the start point a run returns when its first step diverges.
     """
 
-    __slots__ = ("point", "pattern", "value")
+    __slots__ = ("point", "mask", "_pattern", "value")
 
     def __init__(self, point, pattern, value=None):
         self.point = point
-        self.pattern = pattern
         self.value = value
+        if isinstance(pattern, np.ndarray):  # a kernel's own fresh mask
+            pattern.setflags(write=False)
+            self.mask, self._pattern = pattern, None
+        else:
+            self.mask = None if pattern is None else pattern.bits
+            self._pattern = pattern
+
+    @property
+    def pattern(self):
+        """The SparsityPattern of mask, built on first read; or None."""
+        if self._pattern is None and self.mask is not None:
+            self._pattern = SparsityPattern(self.mask)
+        return self._pattern
 
 
 def _check_input(u, gamma, lam=1.0):
@@ -126,16 +149,17 @@ def _l0(x) -> float:
 def _soft(u, t):
     """(x, keep): x is 0 on [-t, t] and u -+ t outside; keep is |u| > t.
 
-    For t > 0, keep is read from x as x != 0: outside [-t, t], u -+ t is
-    the difference of two distinct floats, which is never 0 (IEEE
-    arithmetic underflows gradually), and inside, x is u - u = +0.0. This
-    holds at |u| = t, for a subnormal t and for t = inf.
+    For t > 0, keep is read from x as x != 0, through x.astype(bool) (the
+    same bytes, fewer steps): outside [-t, t], u -+ t is the difference of
+    two distinct floats, which is never 0 (IEEE arithmetic underflows
+    gradually), and inside, x is u - u = +0.0. This holds at |u| = t, for
+    a subnormal t and for t = inf.
     """
     if t > 0:
         # u - clip(u, -t, t) is u -+ t outside [-t, t] and u - u = +0.0
         # inside: the bytes of the np.where form below, in two calls fewer
         x = u - np.minimum(np.maximum(u, -t), t)
-        return x, x != 0.0
+        return x, x.astype(bool)
     # t == 0 (lam = 0, or gamma * lam underflows): u = -0.0 ties both clip
     # bounds and the clip form would return -0.0, not +0.0
     keep = np.abs(u) > t
@@ -155,13 +179,13 @@ def prox_l1(u, gamma, lam=1.0) -> ProxResult:
     u_i -+ gamma*lam outside. Pattern bit i is 0 iff the zero branch fired.
     """
     x, keep = _soft(_check_input(u, gamma, lam), gamma * lam)
-    return ProxResult(x, SparsityPattern(keep), lam * _l1(x))
+    return ProxResult(x, keep, lam * _l1(x))
 
 
 def prox_l0(u, gamma, lam=1.0) -> ProxResult:
     """Hard thresholding: keep u_i iff |u_i| > sqrt(2*gamma*lam)."""
     x, keep = _hard(_check_input(u, gamma, lam), np.sqrt(2.0 * gamma * lam))
-    return ProxResult(x, SparsityPattern(keep), lam * _l0(keep))
+    return ProxResult(x, keep, lam * _l0(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +251,7 @@ def _tv1d_segments(y, step):
 
 
 def _segments_to_result(segs, n):
-    """(point, pattern) of a segmentation; bit i is 1 iff x[i] != x[i+1]."""
+    """(point, mask) of a segmentation; mask[i] is True iff x[i] != x[i+1]."""
     k = len(segs)
     x = np.repeat(np.fromiter([v for _, _, v in segs], float, k),
                   np.fromiter([e - s for s, e, _ in segs], np.intp, k))
@@ -236,11 +260,11 @@ def _segments_to_result(segs, n):
     jumps = [e - 1 for (_, e, v), (_, _, w) in zip(segs, segs[1:]) if v != w]
     bits = np.zeros(n - 1, dtype=bool)
     bits[np.fromiter(jumps, np.intp, len(jumps))] = True
-    return x, SparsityPattern(bits)
+    return x, bits
 
 
 def _segmentation(kind, segments, u, gamma, lam):
-    """(point, pattern) of segments(u, gamma*lam), after the input checks."""
+    """(point, mask) of segments(u, gamma*lam), after the input checks."""
     u = _check_input(u, gamma, lam)
     if u.ndim != 1 or u.size < 2:
         raise ValueError(f"{kind} needs a vector of length >= 2")
@@ -256,9 +280,9 @@ def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
     where the bend is detected and O(n^2) at worst. An input whose running
     sums overflow is rejected with a ValueError.
     """
-    x, pattern = _segmentation("tv1d", _tv1d_segments, u, gamma, lam)
+    x, mask = _segmentation("tv1d", _tv1d_segments, u, gamma, lam)
     # x[1:] - x[:-1] is the subtraction np.diff runs
-    return ProxResult(x, pattern, lam * _l1(x[1:] - x[:-1]))
+    return ProxResult(x, mask, lam * _l1(x[1:] - x[:-1]))
 
 
 _POTTS_BLOCK = 16  # right ends per vectorised pass of the Potts DP
@@ -360,34 +384,34 @@ def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
     An input whose running sums, or n times those of its squares, overflow
     is rejected with a ValueError.
     """
-    x, pattern = _segmentation("potts1d", _potts_segments, u, gamma, lam)
-    return ProxResult(x, pattern, lam * float(pattern.count_ones()))
+    x, mask = _segmentation("potts1d", _potts_segments, u, gamma, lam)
+    return ProxResult(x, mask, lam * float(np.count_nonzero(mask)))
 
 
 def _spectral(kind, u, rule, thr):
-    """(X, pattern, s): s is rule(., thr) applied to u's singular values,
-    X = (W * s) @ V^T, and the pattern's 0 bit is at the kept count."""
+    """(X, mask, s): s is rule(., thr) applied to u's singular values,
+    X = (W * s) @ V^T, and the rank mask's one False is at the kept count."""
     if u.ndim != 2:
         raise ValueError(f"{kind} prox expects a matrix")
     w, s, vt = np.linalg.svd(u, full_matrices=False)
     s, keep = rule(s, thr)
     bits = np.ones(min(u.shape) + 1, dtype=bool)
     bits[np.count_nonzero(keep)] = False
-    return (w * s) @ vt, SparsityPattern(bits), s
+    return (w * s) @ vt, bits, s
 
 
 def prox_nuclear(u, gamma, lam=1.0) -> ProxResult:
     """Soft thresholding of the singular values at gamma*lam."""
     u = _check_input(u, gamma, lam)
-    x, pattern, s = _spectral("nuclear", u, _soft, gamma * lam)
-    return ProxResult(x, pattern, lam * _l1(s))
+    x, mask, s = _spectral("nuclear", u, _soft, gamma * lam)
+    return ProxResult(x, mask, lam * _l1(s))
 
 
 def prox_rank(u, gamma, lam=1.0) -> ProxResult:
     """Hard thresholding of the singular values at sqrt(2*gamma*lam)."""
     u = _check_input(u, gamma, lam)
-    x, pattern, s = _spectral("rank", u, _hard, np.sqrt(2.0 * gamma * lam))
-    return ProxResult(x, pattern, lam * _l0(s))
+    x, mask, s = _spectral("rank", u, _hard, np.sqrt(2.0 * gamma * lam))
+    return ProxResult(x, mask, lam * _l0(s))
 
 
 def _sigma(x):

@@ -2,7 +2,10 @@
 
 Every solver follows the same template: an update step produces u_{k+1},
 then x_{k+1} = prox_{gamma*g}(u_{k+1}) with the prox module supplying the
-exact structure pattern of the iterate. The solvers differ only in how they
+exact structure pattern of the iterate, as the branch mask its pattern is
+built from. The loop builds a pattern object only when the mask's bytes
+differ from the current pattern's, so a run pays for one pattern per
+structure change, not one per iteration. The solvers differ only in how they
 compute u, so they share one iteration loop, ``_iterate``. Each ``run_*``
 validates its arguments, resolves gamma and hands ``_iterate`` a ``step``
 closure, step(k, x_{k-1}, pattern_{k-1}, u_{k-1}) -> (u_k, u_step, prox
@@ -311,10 +314,15 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
     The returned result is the last step's; when the first step diverges,
     it is ProxResult(x, pattern) of the start point and the given pattern.
 
-    A row whose pattern has the previous row's bit bytes stores the
-    previous row's pattern object and count, so a trace holds one
-    pattern object per pattern change. Patterns are read-only and compare
-    by their bytes, so sharing changes nothing a reader of the trace sees.
+    The pattern object is built only when the pattern changes: each
+    iteration compares the bytes of the prox result's branch mask
+    (``ProxResult.mask``) with the current pattern's, and reads
+    ``res.pattern`` only when they differ; otherwise the next step
+    receives the current object again. A recorded row whose pattern has
+    the previous recorded row's bit bytes stores that row's pattern object
+    and count, so a trace holds one pattern object per change between its
+    rows, at any trace_every. Patterns are read-only and compare by their
+    bytes, so sharing changes nothing a reader of the trace or a step sees.
     """
     log = TraceLog(gamma, config.seed)
     f_value = problem.smooth.value
@@ -324,16 +332,20 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
         u_prev = x
     status = MAX_ITER
     res = None
-    # the last recorded pattern object, its bit bytes and its count
+    # the current pattern's bit bytes; the last recorded pattern object,
+    # its bit bytes and its count
+    key = None if pattern is None else pattern.bits.tobytes()
     shared = shared_key = count = None
     with _quiet():
         try:
             for k in range(1, config.max_iter + 1):
                 u, u_step, res, extras = step(k, x, pattern, u_prev)
-                x, pattern, u_prev = res.point, res.pattern, u
+                x, u_prev = res.point, u
+                mask_key = res.mask.tobytes()
+                if mask_key != key:
+                    pattern, key = res.pattern, mask_key
                 log.iterations = k
                 if (k - 1) % every == 0:
-                    key = pattern.bits.tobytes()
                     if key != shared_key:
                         shared, shared_key = pattern, key
                         count = structure_count(pattern)

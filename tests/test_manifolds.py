@@ -278,6 +278,16 @@ class TestPatternBits:
         with pytest.raises(ValueError, match="one-dimensional"):
             SparsityPattern([[0, 1]])
 
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+    def test_the_callers_array_is_copied_not_frozen(self, dtype):
+        a = np.array([1, 0, 1], dtype=dtype)
+        pattern = SparsityPattern(a)
+        before = hash(pattern)
+        assert a.flags.writeable and not np.shares_memory(a, pattern.bits)
+        a[0] = 0
+        assert pattern.bits.tolist() == [1, 0, 1] and hash(pattern) == before
+        assert not pattern.bits.flags.writeable
+
 
 class TestPatternIdentity:
     """Equality and hash are on the bit bytes and agree with

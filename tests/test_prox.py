@@ -306,10 +306,11 @@ class TestSegmentsToResult:
     ])
     def test_bits_and_bytes(self, segs, bits):
         n = segs[-1][1]
-        x, pattern = _segments_to_result(segs, n)
+        x, mask = _segments_to_result(segs, n)
         want_x, want_pattern = segments_to_result_reference(segs, n)
         assert x.dtype == np.float64 and x.tobytes() == want_x.tobytes()
-        assert pattern == want_pattern and list(pattern.bits) == bits
+        assert mask.dtype == bool and mask.tolist() == [b == 1 for b in bits]
+        assert mask.tobytes() == want_pattern.bits.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(_signals(), _steps, _lams)
@@ -399,6 +400,37 @@ class TestValueContract:
         res = ProxResult(np.zeros(2), pattern_of(np.zeros(2),
                                                  Regularizer.l1(2).collection))
         assert res.value is None
+
+
+class TestMaskAndPattern:
+    """A kernel's result holds its branch mask read-only and builds its
+    pattern from it once, on first read."""
+
+    @pytest.mark.parametrize("kernel, u", [
+        (prox_l1, np.array([3.0, -0.5, 2.0])),
+        (prox_l0, np.array([3.0, -0.5, 2.0])),
+        (prox_tv1d, np.array([1.0, 1.1, 5.0, 5.2])),
+        (prox_potts1d, np.array([1.0, 1.1, 5.0, 5.2])),
+        (prox_nuclear, np.diag([3.0, 0.1])),
+        (prox_rank, np.diag([3.0, 0.1])),
+    ])
+    def test_pattern_is_built_once_from_the_read_only_mask(self, kernel, u):
+        res = kernel(u, 0.5, 1.0)
+        assert res.mask.dtype == bool and not res.mask.flags.writeable
+        with pytest.raises(ValueError):
+            res.mask[0] = not res.mask[0]
+        pattern = res.pattern
+        assert pattern is res.pattern
+        assert pattern.bits.tobytes() == res.mask.tobytes()
+        assert not np.shares_memory(pattern.bits, res.mask)
+
+    def test_a_given_pattern_is_kept_and_its_bits_are_the_mask(self):
+        pattern = pattern_of(np.array([0.0, 2.0]),
+                             Regularizer.l1(2).collection)
+        res = ProxResult(np.zeros(2), pattern)
+        assert res.pattern is pattern and res.mask is pattern.bits
+        empty = ProxResult(np.zeros(2), None)
+        assert empty.pattern is None and empty.mask is None
 
 
 class TestInputGuard:

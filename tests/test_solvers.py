@@ -344,6 +344,28 @@ class TestSharedPatterns:
         assert len({id(r.pattern) for r in log}) == same.count(False) + 1
         assert log[-1].pattern == point.pattern
 
+    @pytest.mark.parametrize("name", ["pg", "saga", "dave-pg"])
+    def test_a_pattern_is_built_only_when_it_changes(self, name, monkeypatch):
+        built = []
+        init = SparsityPattern.__init__
+
+        def counting_init(self, bits):
+            built.append(1)
+            init(self, bits)
+
+        monkeypatch.setattr(SparsityPattern, "__init__", counting_init)
+        problem = gen_qc_lasso(n=20, s=5, delta=0.5, seed=1)
+        point, log = run_solver(name, problem, SolverConfig(trace_every=1))
+        during = len(built)
+        keys = log.pattern_keys()
+        changes = sum(a != b for a, b in zip(keys, keys[1:]))
+        # one prox call per iteration for these solvers: one build per
+        # call would be log.iterations
+        assert changes + 1 < log.iterations
+        assert during == changes + 1
+        assert point.pattern == log[-1].pattern
+        assert len(built) <= during + 1  # the last result's own, if unread
+
 
 def _drawn_records(data, mixed):
     """TraceRecords as runs make them: k at a cadence of 1 to 3

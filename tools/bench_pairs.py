@@ -14,7 +14,9 @@ median and quartiles over the pairs, the relative change of the medians,
 how many pairs the change won (ties count for neither side) and whether
 the medians differ by more than the base's interquartile range. It also
 prints whether every run was correct and whether the two sides report the
-same ``patterns_digest`` and ``solvers.iterations``.
+same ``patterns_digest`` and ``solvers.iterations``. A run that was not
+correct is printed with its exit code and the note of each
+``# CHECK FAILED:`` line perfbench printed; its record keeps both.
 
 With --out, the summary and every run's values are stored in that JSON
 file under the key ``<workload>-seed<seed>``; other keys already in the
@@ -33,6 +35,7 @@ import sys
 
 _DIGEST = re.compile(r"^# patterns_digest=(\S+) solvers\.iterations=(\d+)$",
                      re.M)
+_CHECK_FAILED = re.compile(r"^# CHECK FAILED: (.*)$", re.M)
 
 
 def parse_args(argv):
@@ -51,19 +54,27 @@ def parse_args(argv):
 
 
 def run_once(root, workload, seed):
-    """One perfbench run in checkout root: its result and digest line."""
+    """One perfbench run in checkout root: its record (see parse_run)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
+    return parse_run(proc.stdout, proc.returncode)
+
+
+def parse_run(stdout, exit_code):
+    """A run's record from its stdout and exit code: the exit code, whether
+    it was correct, its metrics, its digest line's values and the note of
+    every ``# CHECK FAILED:`` line, which say why a run was not correct."""
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = {"correct": False, "metrics": {}}
-    match = _DIGEST.search(proc.stdout)
+    match = _DIGEST.search(stdout)
     return {
-        "exit_code": proc.returncode,
-        "correct": bool(result.get("correct")) and proc.returncode == 0,
+        "exit_code": exit_code,
+        "correct": bool(result.get("correct")) and exit_code == 0,
+        "check_failed": _CHECK_FAILED.findall(stdout),
         "metrics": {name: entry["value"]
                     for name, entry in result.get("metrics", {}).items()},
         "patterns_digest": match.group(1) if match else None,
@@ -134,6 +145,12 @@ def main(argv=None):
             f"{side} solve_s={pair[side]['metrics'].get('solve_s')!r} "
             f"correct={pair[side]['correct']}" for side in order),
             flush=True)
+        for side in order:
+            if not pair[side]["correct"]:
+                print(f"#   {side} exit code {pair[side]['exit_code']}"
+                      + "".join(f"; check failed: {note}"
+                                for note in pair[side]["check_failed"]),
+                      flush=True)
 
     summary = summarise(pairs, directions(roots["change"]))
     all_correct = all(p[s]["correct"] for p in pairs
