@@ -85,10 +85,11 @@ def enlarged_bound_l1(ustar, step, eps) -> SparsityPattern:
     return SparsityPattern(np.abs(ustar) + eps > step)
 
 
-def _ball_patterns(reg, ustar, gamma, eps, n_samples, seed):
-    """Prox patterns at n_samples uniform draws in the eps-ball around
-    ustar, each drawn as a standard normal direction, then a uniform radius,
-    from one generator seeded with seed."""
+def _ball_masks(reg, ustar, gamma, eps, n_samples, seed):
+    """Prox branch masks (``ProxResult.mask``, whose bytes are the pattern
+    bit bytes) at n_samples uniform draws in the eps-ball around ustar, each
+    drawn as a standard normal direction, then a uniform radius, from one
+    generator seeded with seed."""
     rng = np.random.default_rng(seed)
     for _ in range(n_samples):
         direction = rng.standard_normal(ustar.shape)
@@ -97,7 +98,7 @@ def _ball_patterns(reg, ustar, gamma, eps, n_samples, seed):
         if norm != 0.0:
             radius = eps * rng.uniform() ** (1.0 / ustar.size)
             u = ustar + (radius / norm) * direction
-        yield reg.prox(u, gamma).pattern
+        yield reg.prox(u, gamma).mask
 
 
 def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
@@ -113,14 +114,14 @@ def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
     _check_eps(eps)
     _integer("n_samples", n_samples, 1)
     ustar = np.asarray(ustar, dtype=float)
-    base = reg.prox(ustar, gamma).pattern
+    base = reg.prox(ustar, gamma)
     if eps == 0:
-        return base
+        return base.pattern
     if eps == math.inf:
-        return SparsityPattern(np.ones(len(base), dtype=bool))
-    bits = np.array(base.bits)
-    for pattern in _ball_patterns(reg, ustar, gamma, eps, n_samples, seed):
-        bits = np.maximum(bits, pattern.bits)
+        return SparsityPattern(np.ones(base.mask.size, dtype=bool))
+    bits = base.mask.copy()
+    for mask in _ball_masks(reg, ustar, gamma, eps, n_samples, seed):
+        np.maximum(bits, mask, out=bits)
     return SparsityPattern(bits)
 
 
@@ -150,11 +151,11 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
         ok_zero = np.all(np.abs(ustar[zero]) + eps <= step)
         ok_nonzero = np.all(np.abs(ustar[~zero]) - eps > step)
         return bool(ok_zero and ok_nonzero)
-    target = reg.prox(ustar, gamma).pattern
+    target = reg.prox(ustar, gamma).mask.tobytes()
     if eps == math.inf:
         return False
-    return all(pattern == target for pattern in
-               _ball_patterns(reg, ustar, gamma, eps, n_samples, seed))
+    return all(mask.tobytes() == target for mask in
+               _ball_masks(reg, ustar, gamma, eps, n_samples, seed))
 
 
 def safe_screen_l1(center, radius, step) -> set:

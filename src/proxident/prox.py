@@ -48,6 +48,13 @@ them, with no sign convention: flipping column j of U and row j of V^T
 together leaves (U * s) @ V^T bit for bit the same (negation is exact and
 each product keeps its sign), and nothing else reads the vectors.
 
+The tv1d prox keeps the decisions of its last taut-string scan as a plan.
+A call of the same length first checks that plan in one vectorised pass
+(the scan's own quotients and comparisons, evaluated in numpy) and, on a
+hit, builds the output from it; on a miss it runs the scan, which replaces
+the plan. Either way the output is the scan's, byte for byte: a plan from
+another input or another thread costs a miss, never a different result.
+
 Every operator rejects non-finite input, a non-positive or non-finite
 gamma and a negative or non-finite lam with a ValueError; lam = 0 is
 allowed.
@@ -196,7 +203,21 @@ def prox_l0(u, gamma, lam=1.0) -> ProxResult:
 # that passes within +-step of r_k at every interior k. Each linear piece of
 # the string is one constant segment of the output, so the segment structure
 # is a byproduct of the construction.
+#
+# Consecutive calls in a run almost always take the same bends, so the last
+# scan's decisions are kept as a plan, and the next call of the same length
+# first checks in one vectorised pass whether the scan would take them again
+# (see _tv1d_planned). The scan stays the one definition of the output: the
+# check computes the scan's own quotients and accepts only when every
+# comparison the scan makes comes out as recorded.
 # ---------------------------------------------------------------------------
+
+_UPPER, _LOWER, _FINAL = 0, 1, 2  # how the scan ends a segment
+
+# The plan of the last scan, replaced as a whole. It is only a guess: a plan
+# from another input, another length or another thread costs a miss, never a
+# different output.
+_tv1d_plan = None
 
 
 def _tv1d_segments(y, step):
@@ -205,7 +226,11 @@ def _tv1d_segments(y, step):
     The scan runs on Python floats: the tube bounds r_k +- step of the
     running sums r_k are converted to lists once per call, and each quotient
     and comparison below is the same IEEE operation as on numpy scalars.
+    It also records, per segment, the index J at which it ended the segment
+    and how (a bend at the upper or the lower bound, or the final piece),
+    and replaces the module's plan with the one built from them.
     """
+    global _tv1d_plan
     n = y.size
     r = np.cumsum(y)
     r_n = r[-1].item()
@@ -214,6 +239,7 @@ def _tv1d_segments(y, step):
     rp = (r + step).tolist()
     rm = (r - step).tolist()
     segs = []
+    ends = []  # (J, how) per segment
     a = 0  # anchor: string position, value s_a
     s_a = 0.0
     while a < n:
@@ -230,11 +256,13 @@ def _tv1d_segments(y, step):
             if lo > m_hi:
                 # no straight line fits: the string bends at the upper bound
                 segs.append((a, k_hi, m_hi))
+                ends.append((j, _UPPER))
                 s_a = rp[k_hi - 1]
                 a = k_hi
                 break
             if up < m_lo:
                 segs.append((a, k_lo, m_lo))
+                ends.append((j, _LOWER))
                 s_a = rm[k_lo - 1]
                 a = k_lo
                 break
@@ -244,43 +272,206 @@ def _tv1d_segments(y, step):
                 m_lo, k_lo = lo, j
             if j == n:
                 segs.append((a, n, up))
+                ends.append((j, _FINAL))
                 a = n
                 break
             j += 1
+    _tv1d_plan = _Tv1dPlan(n, segs, ends)
     return segs
 
 
+class _Tv1dPlan:
+    """A scan's decisions over n points, as index arrays.
+
+    The scan ended segment i, which runs from its anchor a_i to b_i, at
+    index J_i, by a bend at b_i or, for the final piece, at J_i = n. Its
+    entries are the indices j = a_i+1 .. J_i: its window a_i+1 .. J_i-1,
+    where the scan updated its running extremes, then J_i. The check
+    (_tv1d_planned) computes the scan's quotients up_j and lo_j at every
+    entry into one array
+
+        t = [up (e entries), lo (e entries), U (3k), L (3k)],
+
+    where U[3i:3i+3] reduce up over segment i's entries by minimum, and L
+    reduce lo by maximum, in three parts (reduceat over ``cuts``): the
+    window up to b_i, the window after b_i, and J_i alone. Only the side
+    the segment bends at is split at b_i; on the other side, and in the
+    final piece, the first part is the whole window and the second one J_i
+    alone. The arrays depend on n and the decisions only, never on input
+    values.
+
+    Since lo_j <= up_j at every entry, the scan passes a window without a
+    break iff max lo <= min up over it. So it takes the plan's decisions
+    iff, in every segment, that holds, the break at J_i is the recorded
+    one (upper: lo_J > min up; lower: up_J < max lo, and then lo_J <= up_J
+    is not above min up; final: neither, which for lo_J = up_J also gives
+    max lo <= min up), and b_i is the last window place where up (upper
+    bend) or lo (lower bend) is at its extreme. Each of these is one
+    comparison t[left] > t[right] with its recorded outcome in ``expect``;
+    ``tests`` holds the left places, then the right ones.
+
+    A part with no entries (the window after b_i when J_i = b_i + 1, or the
+    window of a final piece of one point) reads the entry it starts at,
+    J_i. The tests still decide as the scan does: after an upper bend at
+    b_i = J_i - 1, "up after b_i is above min up" reads up_J >= lo_J, above
+    min up whenever the break test holds (likewise for lo at a lower bend),
+    and a final piece of one point compares its one quotient with itself,
+    never above itself, as the scan finds no break there.
+    """
+
+    __slots__ = ("n", "take", "anchor", "den", "cuts", "size", "tests",
+                 "expect", "values", "lengths")
+
+    def __init__(self, n, segs, ends):
+        k = len(segs)
+        count = [j - a for (a, _, _), (j, _) in zip(segs, ends)]
+        e = sum(count)
+        u0, l0 = 2 * e, 2 * e + 3 * k  # the places of U[3i] and L[3i]
+        cut_up, cut_lo, left, right, expect, values = [], [], [], [], [], []
+        # the tube bounds sit in a buffer [rp (n), rm (n), 0.0]; segment
+        # i + 1 is anchored at rp[b_i - 1] or rm[b_i - 1] by the side
+        # segment i bends at, the first one at 0.0, and only the last
+        # segment is the final piece (a bend is at most at J_i - 1 < n)
+        firsts, shifts, anchors = [], [], [2 * n]
+        first = 0  # the place of a_i + 1 among the entries
+        for (a, b, _), (j, how) in zip(segs, ends):
+            last = first + j - a - 1  # J_i
+            bend = first + b - a - 1  # b_i
+            firsts.append(first)
+            shifts.append(a - first)
+            if how == _UPPER:
+                # no earlier break, lo_J above min up, up at b_i not above
+                # min up, and min up after b_i above it
+                cut_up += first, bend + 1, last
+                cut_lo += first, last, last
+                left += l0, l0 + 2, bend, u0 + 1
+                right += u0, u0, u0, u0
+                expect += 0, 1, 0, 1
+                values.append(bend)
+                anchors.append(b - 1)
+            elif how == _LOWER:
+                # no earlier break, up_J below max lo, lo at b_i not below
+                # max lo, and max lo after b_i below it
+                cut_up += first, last, last
+                cut_lo += first, bend + 1, last
+                left += l0, l0, l0, l0
+                right += u0, u0 + 2, e + bend, l0 + 1
+                expect += 0, 1, 0, 1
+                values.append(e + bend)
+                anchors.append(n + b - 1)
+            else:
+                # no break at J_i = n: lo_J not above min up, up_J not below
+                # max lo; as lo_J = up_J there, no earlier break follows
+                cut_up += first, last, last
+                cut_lo += first, last, last
+                left += l0 + 2, l0
+                right += u0, u0 + 2
+                expect += 0, 0
+                values.append(last)
+            u0 += 3
+            l0 += 3
+            first = last + 1
+        # per entry: its segment's first place, a_i - first place and anchor
+        seg_first, seg_shift, self.anchor = np.repeat(
+            np.array([firsts, shifts, anchors]), count, axis=1)
+        place = np.arange(e)
+        self.n = n
+        self.take = place + seg_shift  # j - 1
+        self.den = (place + 1.0) - seg_first  # j - a_i
+        self.cuts = np.array(cut_up + cut_lo)
+        self.size = 2 * e + 6 * k
+        self.tests = np.array(left + right)
+        self.expect = bytes(expect)
+        # a bending segment's value is the extreme the scan kept at b_i (the
+        # last tied one, which settles signed zeros); the final piece's is
+        # its quotient at n
+        self.values = np.array(values)
+        self.lengths = np.array([b - a for a, b, _ in segs])
+
+
+def _tv1d_planned(plan, y, step):
+    """The point the scan would give y, if it takes plan's decisions on y;
+    else None, so also when there is no plan of y's length or a tube bound
+    r_k +- step, or a difference of two, could overflow."""
+    if plan is None or plan.n != y.size:
+        return None
+    n = plan.n
+    buf = np.empty(2 * n + 1)
+    r = np.cumsum(y, out=buf[:n])
+    # every tube bound r +- step, and every difference of two, is at most
+    # 2 * (max |r| + step) in size: when that is finite, nothing below
+    # overflows (a nan or inf sum fails too; Python floats overflow to inf
+    # without a warning), and larger inputs are left to the scan
+    if not math.isfinite(2.0 * (np.abs(r).max().item() + float(step))):
+        return None
+    r_n = r[-1].item()
+    np.subtract(r, step, out=buf[n:2 * n])
+    np.add(r, step, out=r)
+    # rp[n-1] and rm[n-1] are never read: the scan's quotient at j = n is
+    # (r_n - s)/(n - a) for up and lo alike
+    buf[n - 1] = buf[2 * n - 1] = r_n
+    buf[2 * n] = 0.0
+    e = plan.take.size
+    t = np.empty(plan.size)
+    v = t[:2 * e].reshape(2, e)  # up, lo
+    np.take(buf[:2 * n].reshape(2, n), plan.take, axis=1, out=v)
+    v -= buf[plan.anchor]
+    v /= plan.den
+    m = plan.cuts.size // 2
+    np.minimum.reduceat(v[0], plan.cuts[:m], out=t[2 * e:2 * e + m])
+    np.maximum.reduceat(v[1], plan.cuts[m:], out=t[2 * e + m:])
+    g = t[plan.tests]
+    c = g.size // 2
+    if (g[:c] > g[c:]).tobytes() != plan.expect:
+        return None
+    return np.repeat(t[plan.values], plan.lengths)
+
+
 def _segments_to_result(segs, n):
-    """(point, mask) of a segmentation; mask[i] is True iff x[i] != x[i+1]."""
+    """(point, mask) of a segmentation of n points; see _with_jumps."""
     k = len(segs)
-    x = np.repeat(np.fromiter([v for _, _, v in segs], float, k),
-                  np.fromiter([e - s for s, e, _ in segs], np.intp, k))
-    # a boundary between same-valued segments (-0.0 == +0.0 included) keeps
-    # its neighbours members
-    jumps = [e - 1 for (_, e, v), (_, _, w) in zip(segs, segs[1:]) if v != w]
-    bits = np.zeros(n - 1, dtype=bool)
-    bits[np.fromiter(jumps, np.intp, len(jumps))] = True
-    return x, bits
+    starts = np.fromiter([s for s, _, _ in segs] + [n], np.intp, k + 1)
+    values = np.fromiter([v for _, _, v in segs], float, k)
+    return _with_jumps(np.repeat(values, starts[1:] - starts[:-1]))
 
 
-def _segmentation(kind, segments, u, gamma, lam):
-    """(point, mask) of segments(u, gamma*lam), after the input checks."""
+def _with_jumps(x):
+    """(x, mask): mask[i] is True iff x[i] != x[i+1].
+
+    Inside a segment the values are equal, and a boundary between
+    same-valued segments (-0.0 == +0.0 included) keeps its neighbours
+    members.
+    """
+    return x, x[1:] != x[:-1]
+
+
+def _check_1d(kind, u, gamma, lam):
+    """u as a float vector of length >= 2, after the input checks."""
     u = _check_input(u, gamma, lam)
     if u.ndim != 1 or u.size < 2:
         raise ValueError(f"{kind} needs a vector of length >= 2")
-    return _segments_to_result(segments(u, gamma * lam), u.size)
+    return u
 
 
 def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
     """Exact prox of the 1-D total variation, with exact segment flags.
 
-    Cost: the length of the taut-string scan. Each segment is scanned from
-    its anchor to the index where the tube forces a bend, and the string
-    restarts at the bend, so the cost is O(n) when segments end close to
-    where the bend is detected and O(n^2) at worst. An input whose running
-    sums overflow is rejected with a ValueError.
+    The output is always the taut-string scan's, byte for byte. Cost: when
+    the last scan's plan holds for u (same length, the same bends), one
+    vectorised numpy check over the steps of that scan; otherwise that
+    check plus the scan, which also replaces the plan. The scan goes from
+    each segment's anchor to the index where the tube forces a bend, and
+    the string restarts at the bend, so it takes O(n) steps when segments
+    end close to where the bend is detected and O(n^2) at worst. An input
+    whose running sums overflow is rejected with a ValueError.
     """
-    x, mask = _segmentation("tv1d", _tv1d_segments, u, gamma, lam)
+    u = _check_1d("tv1d", u, gamma, lam)
+    step = gamma * lam
+    x = _tv1d_planned(_tv1d_plan, u, step)
+    if x is None:
+        x, mask = _segments_to_result(_tv1d_segments(u, step), u.size)
+    else:
+        x, mask = _with_jumps(x)
     # x[1:] - x[:-1] is the subtraction np.diff runs
     return ProxResult(x, mask, lam * _l1(x[1:] - x[:-1]))
 
@@ -384,7 +575,8 @@ def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
     An input whose running sums, or n times those of its squares, overflow
     is rejected with a ValueError.
     """
-    x, mask = _segmentation("potts1d", _potts_segments, u, gamma, lam)
+    u = _check_1d("potts1d", u, gamma, lam)
+    x, mask = _segments_to_result(_potts_segments(u, gamma * lam), u.size)
     return ProxResult(x, mask, lam * float(np.count_nonzero(mask)))
 
 

@@ -199,6 +199,29 @@ class TestEnlargedBound:
         assert p.reg.collection.structure_count(got) == 4
 
 
+    @pytest.mark.parametrize("kind", ["l1", "tv1d"])
+    def test_draws_build_no_pattern(self, kind, monkeypatch):
+        # each draw is merged (here) or compared (in qc_check) by its mask:
+        # a call builds the returned bound and at most the center's pattern,
+        # not one pattern a draw
+        reg = getattr(Regularizer, kind)(20, 0.5)
+        u = np.random.default_rng(3).standard_normal(20)
+        p = gen_lowrank_matrix_problem(6, 2, seed=1)
+        built = []
+        init = SparsityPattern.__init__
+
+        def counting_init(self, bits):
+            built.append(1)
+            init(self, bits)
+
+        monkeypatch.setattr(SparsityPattern, "__init__", counting_init)
+        enlarged_bound_sampled(reg, u, 1.0, 0.3, n_samples=1000)
+        assert len(built) <= 2
+        built.clear()
+        assert qc_check(p, 1e-3, n_samples=1000)
+        assert len(built) <= 2
+
+
 class TestQCCheck:
     def _stub_problem(self, xstar, ustar, lam=1.0, gamma=1.0):
         from proxident.problems import CompositeProblem, least_squares_oracle

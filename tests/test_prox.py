@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
 )
 import proxident.prox as prox_module
 from proxident.manifolds import pattern_of
+from proxident.problems import CompositeProblem, least_squares_oracle
 from proxident.prox import (
     ProxResult,
     Regularizer,
@@ -33,6 +35,8 @@ from proxident.prox import (
     prox_rank,
     prox_tv1d,
 )
+from proxident.registry import run_solver
+from proxident.solvers import SolverConfig
 
 
 class TestL1:
@@ -249,6 +253,156 @@ class TestKernelsMatchReferenceLoops:
         x, pattern = segments_to_result_reference(segs, u.size)
         res = prox_potts1d(u, step)
         assert res.point.tobytes() == x.tobytes() and res.pattern == pattern
+
+
+def _counting_scans():
+    """A patch that counts the taut-string scans prox_tv1d runs."""
+    return mock.patch.object(prox_module, "_tv1d_segments",
+                             wraps=prox_module._tv1d_segments)
+
+
+def _assert_tv1d_is_reference(u, lam):
+    """prox_tv1d(u, 1, lam), whatever plan it checks first, gives the point
+    and pattern of the reference loop at step lam (lam = 0 included)."""
+    res = prox_tv1d(u, 1.0, lam)
+    x, pattern = segments_to_result_reference(
+        tv1d_segments_reference(u, lam), u.size)
+    assert res.point.tobytes() == x.tobytes()
+    assert res.pattern.packed_hex() == pattern.packed_hex()
+
+
+class TestTv1dPlan:
+    """prox_tv1d first checks the last scan's plan on its input and scans
+    only when the check fails; either way its output is the reference
+    loop's, and a plan always holds again on the input it came from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signals(), st.one_of(st.just(0.0), _steps),
+           st.integers(0, 2**32 - 1))
+    def test_call_sequence_matches_reference(self, u, lam, seed):
+        rng = np.random.default_rng(seed)
+        n = u.size
+        scale = max(1.0, float(np.abs(u).max()))
+        with _counting_scans() as scan:
+            _assert_tv1d_is_reference(u, lam)
+            scans = scan.call_count
+            _assert_tv1d_is_reference(u, lam)  # the plan holds: no scan
+            assert scan.call_count == scans
+            _assert_tv1d_is_reference(
+                u + 1e-9 * scale * rng.standard_normal(n), lam)
+            moved = u.copy()  # one point moved: most bends stay
+            moved[rng.integers(n)] += scale * rng.choice([-1, -0.5, 0.5, 1])
+            _assert_tv1d_is_reference(moved, lam)
+            _assert_tv1d_is_reference(rng.standard_normal(n), lam)
+            _assert_tv1d_is_reference(rng.standard_normal(n + 1), lam)
+
+    # running sums of 0 and -5e-324 at lam = 0: up and lo tie at +-0.0 over
+    # the first window, j = 1 .. 17, and the scan keeps the last tie as the
+    # segment's value, where a minimum reduction over the window may return
+    # another one (numpy's does here); -_TIED ties the same way at a lower
+    # bend
+    _TIED = np.diff([0.0] + [-5e-324 if i % 3 else 0.0 for i in range(1, 16)]
+                    + [0.0, 1.0, 1.0], prepend=0.0)
+
+    @pytest.mark.parametrize("u, lam", [
+        (_TIED, 0.0),
+        (-_TIED, 0.0),
+        (np.array([0.0, 4.0]), 1.0),  # a bend, then a one-point final piece
+        (np.array([0.0, 1.0]), 1.0),  # one final piece
+        (np.array([0.0, 0.0, 0.0, 10.0]), 1.0),
+        (np.array([3.0, -1.0, 2.0, 2.0, -5.0, 0.5]), 0.0),
+    ])
+    def test_pinned_inputs_hit_and_match(self, u, lam):
+        with _counting_scans() as scan:
+            _assert_tv1d_is_reference(u, lam)
+            scans = scan.call_count
+            _assert_tv1d_is_reference(u, lam)
+            assert scan.call_count == scans
+
+    # (A, B, lam): B takes all but one of the decisions of A's scan, and
+    # the check of A's plan on B must find the one that differs
+    @pytest.mark.parametrize("a, b, lam", [
+        pytest.param([-3.0, 3.0, -2.0, 0.0, 3.0], [-3.0, 3.5, -2.0, 0.5, 3.0],
+                     1.0, id="upper-bend-point-moves"),
+        pytest.param([0.0, -3.0, -2.0, -1.0, -1.0],
+                     [0.0, -3.0, -3.0, -1.0, -1.0], 0.25,
+                     id="upper-later-tie"),
+        pytest.param([0.0, 1.0, -1.0, 3.0], [0.5, 1.0, -0.5, 3.5], 0.25,
+                     id="upper-no-break"),
+        pytest.param([0.0, 0.0, 3.0, 0.0], [1.0, -3.0, 2.0, 0.0], 0.25,
+                     id="upper-earlier-break"),
+        pytest.param([-2.0, -2.0, -3.0], [-2.0, -2.5, -3.0], 0.25,
+                     id="lower-bend-point-moves"),
+        pytest.param([1.0, 0.0, -3.0, -1.0, 3.0, 3.0],
+                     [0.0, 0.0, -3.0, -1.0, 3.0, 3.0], 0.5,
+                     id="lower-later-tie"),
+        pytest.param([0.0, 3.0, -3.0], [0.0, 4.0, -3.0], 1.0,
+                     id="lower-earlier-break"),
+        pytest.param([1.0, 0.0, 1.0, 3.0, 3.0], [1.0, 0.0, 1.0, 2.5, 3.0],
+                     0.25, id="final-upper-break"),
+        pytest.param([0.0, 1.0, -2.0, 0.0, -1.0], [0.0, 2.0, -2.0, 0.0, -1.0],
+                     2.0, id="final-lower-break"),
+    ])
+    def test_plan_of_a_near_input_misses(self, a, b, lam):
+        _assert_tv1d_is_reference(np.array(a), lam)
+        with _counting_scans() as scan:
+            _assert_tv1d_is_reference(np.array(b), lam)
+        assert scan.call_count == 1
+
+    def test_pinned_inputs_reach_their_cases(self):
+        # the tied input's first segment takes the last tie, +0.0, though
+        # most tied quotients are -0.0, and its last segment has one point
+        segs = tv1d_segments_reference(self._TIED, 0.0)
+        assert segs[0][:2] == (0, 17) and segs[0][2].hex() == "0x0.0p+0"
+        assert segs[-1][:2] == (18, 19)
+        segs = tv1d_segments_reference(np.array([0.0, 0.0, 0.0, 10.0]), 1.0)
+        assert segs[-1][:2] == (3, 4)
+
+    def test_overflowing_tube_bounds_always_scan(self):
+        # r + step overflows at the first point while r_n = 1 stays finite:
+        # the scan accepts the input, and the check of the plan the scan
+        # made from it misses, so every call scans
+        u = np.array([1.7e308, -1.7e308, 1.0])
+        with np.errstate(over="ignore"), _counting_scans() as scan:
+            for _ in range(3):
+                _assert_tv1d_is_reference(u, 1e308)
+        assert scan.call_count == 3
+
+    def test_bounds_whose_differences_overflow_always_scan(self):
+        # finite bounds, but rp[0] - rm[1] overflows: the scan's Python
+        # floats give inf silently, and the check leaves such inputs to it
+        u = np.array([1.5e308, -1.5e308, 1.0])
+        with np.errstate(over="ignore"), _counting_scans() as scan:
+            for _ in range(3):  # the value's jumps overflow, as ever
+                _assert_tv1d_is_reference(u, 1.0)
+        assert scan.call_count == 3
+        with np.errstate(over="raise"):  # the check itself overflows nothing
+            assert prox_module._tv1d_planned(
+                prox_module._tv1d_plan, u, 1.0) is None
+
+    def test_denoising_runs_scan_rarely(self):
+        # weighted piecewise-constant signals as segment-1d denoises them:
+        # pg keeps the bends of one prox call in the next on most iterations
+        calls = 0
+        with _counting_scans() as scan:
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                n = 200
+                jumps = np.sort(rng.choice(np.arange(1, n), 8, replace=False))
+                truth = np.repeat(rng.uniform(-2.0, 2.0, 9),
+                                  np.diff(np.concatenate(([0], jumps, [n]))))
+                weights = np.where(rng.random(n) < 0.5, 1.0, 0.3)
+                y = truth + 0.2 * rng.standard_normal(n)
+                reg = Regularizer.tv1d(n, 1.0)
+                problem = CompositeProblem(
+                    least_squares_oracle(np.diag(weights), weights * y), reg)
+                with mock.patch.object(reg, "prox", wraps=reg.prox) as prox:
+                    _, log = run_solver("pg", problem, SolverConfig(
+                        stop_tol=1e-10, max_iter=50_000))
+                assert log.converged
+                calls += prox.call_count
+        assert calls > 500
+        assert scan.call_count <= 0.2 * calls
 
 
 class TestPottsBlockEdges:
