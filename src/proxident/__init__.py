@@ -12,9 +12,7 @@ from .identification import (
     IdentificationReport,
     analyze_trace,
     enlarged_bound_l1,
-    enlarged_bound_sampled,
     qc_check,
-    safe_screen_l1,
 )
 from .manifolds import (
     ManifoldCollection,

@@ -27,7 +27,7 @@ from .bundles import (
     write_bundle,
 )
 from .exploit import SubspaceSamplerConfig
-from .identification import analyze_trace, report_text, safe_screen_l1
+from .identification import analyze_trace, enlarged_bound_l1, report_text
 from .manifolds import _integer
 from .problems import gen_lasso, gen_lowrank_matrix_problem, gen_qc_lasso
 from .registry import SOLVERS, run_solver
@@ -187,7 +187,7 @@ def build_parser():
                         help="vector file: region center")
     screen.add_argument("--radius", type=float, required=True)
     screen.add_argument("--gamma", type=float,
-                        help="prox step (default 1/L)")
+                        help="prox step (default 1/L, or 1 when L = 0)")
     screen.set_defaults(func=cmd_screen)
     return parser
 
@@ -275,9 +275,14 @@ def cmd_screen(args):
     if problem.reg.kind != "l1":
         raise ValueError("screening is defined for l1 bundles")
     center = _read_shaped(args.center_file, problem.zero_point().shape)
-    gamma = 1.0 / problem.smooth.lipschitz if args.gamma is None else args.gamma
-    screened = safe_screen_l1(center, args.radius, gamma * problem.reg.lam)
-    for idx in sorted(screened):
+    gamma = args.gamma
+    if gamma is None:
+        lipschitz = problem.smooth.lipschitz
+        gamma = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    if not args.radius >= 0:  # NaN fails this too
+        raise ValueError(f"radius must be nonnegative, got {args.radius!r}")
+    bound = enlarged_bound_l1(center, gamma * problem.reg.lam, args.radius)
+    for idx in np.flatnonzero(bound.bits == 0):
         print(idx)
     return 0
 

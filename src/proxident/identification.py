@@ -1,12 +1,13 @@
-"""Identification monitoring: pattern stability, ball bounds, screening.
+"""Identification monitoring: pattern stability and ball bounds.
 
 Iterates of a converging proximal method eventually carry at least the
 structure of the limit point and at most the structure reachable by the prox
 from a ball around the limit's pre-image u*. The helpers here analyze traces
-for stability, evaluate the ball bound (closed form for the l1 geometry,
-sampled estimate otherwise), test the stability condition that makes
-identification exact, and screen coordinates that are provably zero at the
-optimum given a certified region.
+for stability, evaluate the ball bound in closed form for the l1 geometry,
+and test the stability condition that makes identification exact (in closed
+form for l1, by sampling the ball otherwise). The bound's 0 bits also screen:
+given a ball certified to hold u*, they are coordinates provably zero at the
+optimum (``proxident screen``).
 """
 
 import math
@@ -15,15 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import SparsityPattern, _integer
-from .prox import Regularizer
 
 __all__ = [
     "IdentificationReport",
     "analyze_trace",
     "enlarged_bound_l1",
-    "enlarged_bound_sampled",
     "qc_check",
-    "safe_screen_l1",
     "report_text",
 ]
 
@@ -101,30 +99,6 @@ def _ball_masks(reg, ustar, gamma, eps, n_samples, seed):
         yield reg.prox(u, gamma).mask
 
 
-def enlarged_bound_sampled(reg: Regularizer, ustar, gamma, eps,
-                           n_samples=1000, seed=0) -> SparsityPattern:
-    """Sampled (lower) estimate of the ball bound for any regularizer.
-
-    Takes the coordinate-wise max of the prox pattern over uniform draws in
-    the eps-ball. Sampling can only under-cover the ball, so the result is a
-    lower estimate of the true bound, never an over-estimate; use
-    enlarged_bound_l1 whenever the closed form applies. For eps = inf (the
-    whole space) it is the all-ones pattern, as the closed form is.
-    """
-    _check_eps(eps)
-    _integer("n_samples", n_samples, 1)
-    ustar = np.asarray(ustar, dtype=float)
-    base = reg.prox(ustar, gamma)
-    if eps == 0:
-        return base.pattern
-    if eps == math.inf:
-        return SparsityPattern(np.ones(base.mask.size, dtype=bool))
-    bits = base.mask.copy()
-    for mask in _ball_masks(reg, ustar, gamma, eps, n_samples, seed):
-        np.maximum(bits, mask, out=bits)
-    return SparsityPattern(bits)
-
-
 def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
     """Is the prox pattern constant over the eps-ball around ustar?
 
@@ -156,23 +130,6 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
         return False
     return all(mask.tobytes() == target for mask in
                _ball_masks(reg, ustar, gamma, eps, n_samples, seed))
-
-
-def safe_screen_l1(center, radius, step) -> set:
-    """Coordinates provably zero at the optimum, given a certified region.
-
-    The caller guarantees ustar lies in the ball(center, radius); then every
-    coordinate with |center_i| + radius <= step (= gamma*lam) is mapped to
-    zero by the prox for all candidate u, hence zero at the optimum.
-    Region construction (e.g. from duality gaps) is the caller's business.
-    center must be finite.
-    """
-    if not radius >= 0:  # NaN fails this too
-        raise ValueError(f"radius must be nonnegative, got {radius!r}")
-    center = np.asarray(center, dtype=float)
-    if not np.isfinite(center).all():
-        raise ValueError("center must be finite")
-    return set(np.flatnonzero(np.abs(center) + radius <= step).tolist())
 
 
 def report_text(report: IdentificationReport) -> str:

@@ -1,4 +1,4 @@
-"""Structure collections: membership patterns and Euclidean projections.
+"""Structure collections: membership patterns and the flats they name.
 
 A collection is an ordered, finite list of closed sets ("manifolds") encoding
 a structural prior: coordinate hyperplanes for sparsity, adjacent-equality
@@ -8,6 +8,10 @@ alone: set i is {x : x_i = 0} for "coordinate_zero" over R^n,
 {x : x_{i+1} = x_i} for "adjacent_equal" over R^n, and {X : rank(X) = i}
 for "rank_level" over (rows, cols) matrices. The membership pattern of a
 point is a bit vector with 0 marking the sets the point belongs to.
+
+For the two vector families the sets a pattern holds intersect in a flat,
+and ``ManifoldCollection.flat_basis`` is the one statement of its basis:
+predictor-corrector solves on it, and ``project`` projects onto it.
 """
 
 import numbers
@@ -168,6 +172,33 @@ class ManifoldCollection:
             return int(zero[0])
         return pattern.count_ones()
 
+    def flat_basis(self, pattern: SparsityPattern):
+        """(free, reduce, expand) for the basis B of pattern's flat, the
+        intersection of the sets whose bit is 0: reduce(M) = B^T M and
+        expand(z) = B z. B's columns are the kept coordinates' unit vectors
+        (free lists them) or the segments' indicators (free lists their
+        starts). Rank level sets are not flats, so a rank collection is
+        rejected, and so is a pattern of another length."""
+        if self.is_matrix:
+            raise ValueError("rank level sets are not flats: no projection")
+        if len(pattern) != len(self):
+            raise ValueError(f"pattern length {len(pattern)} != collection "
+                             f"size {len(self)}")
+        bits = pattern.bits
+        if self.kind == COORDINATE_ZERO:
+            free = np.flatnonzero(bits)
+
+            def expand(z):
+                x = np.zeros(bits.size)
+                x[free] = z
+                return x
+
+            return free, lambda m: m[free], expand
+        free = np.flatnonzero(np.concatenate(([1], bits)))
+        lengths = np.diff(np.append(free, self.ambient))
+        return (free, lambda m: np.add.reduceat(m, free, axis=0),
+                lambda z: np.repeat(z, lengths))
+
 
 def coordinate_zeros(n: int) -> ManifoldCollection:
     """The n coordinate hyperplanes {x : x_i = 0} in order."""
@@ -242,43 +273,28 @@ def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPatte
 def project(collection: ManifoldCollection, pattern: SparsityPattern,
             point) -> np.ndarray:
     """Euclidean projection onto the flat of ``pattern``: the intersection
-    of the sets whose bit is 0.
+    of the sets whose bit is 0, with the basis ``collection.flat_basis``.
 
     For a coordinate collection the held coordinates are zeroed; for an
-    adjacent-equality collection each chain of held equalities is replaced
-    by its mean. Rank level sets are not flats, so a rank collection is
-    rejected, and so is a pattern of another length than the collection.
+    adjacent-equality collection each segment is replaced by its mean. A
+    rank collection and a pattern of another length than the collection
+    are rejected, as ``flat_basis`` rejects them.
     """
     if collection.is_matrix:
         raise ValueError("rank level sets are not flats: no projection")
     point = collection._check_point(point)
-    if len(pattern) != len(collection):
-        raise ValueError(f"pattern length {len(pattern)} != collection "
-                         f"size {len(collection)}")
-    held = pattern.bits == 0
-
+    free, reduce, expand = collection.flat_basis(pattern)
     if collection.kind == COORDINATE_ZERO:
         # + 0.0 copies and maps -0.0 to +0.0, as the mean of one element does
-        out = point + 0.0
-        out[held] = 0.0
-        return out
-
-    n = point.size
-    # coordinate j joins the group of j-1 when x_j = x_{j-1} is held, so
-    # groups are runs of consecutive coordinates starting where no link is
-    link = np.zeros(n, dtype=bool)
-    link[1:] = held
-    starts = np.flatnonzero(~link)
-    group = np.cumsum(~link) - 1  # group number of each coordinate
-    lengths = np.diff(np.append(starts, n))
-    # Row means of equal-length groups stacked as a matrix: numpy sums each
-    # row exactly as it sums the 1-D group (pairwise, from 0.0), so the means
-    # match point[members].mean() bit for bit. np.add.reduceat does not: it
-    # starts each sum from the group's first element.
-    values = np.empty(starts.size)
+        return expand(reduce(point) + 0.0)
+    lengths = np.diff(np.append(free, point.size))
+    # Row means of equal-length segments stacked as a matrix: numpy sums each
+    # row exactly as it sums the 1-D segment (pairwise, from 0.0), so the
+    # means match point[members].mean() bit for bit. np.add.reduceat (the
+    # basis's reduce) does not: it starts each sum from the first element.
+    values = np.empty(free.size)
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
-        members = starts[rows, None] + np.arange(length)
+        members = free[rows, None] + np.arange(length)
         values[rows] = point[members].mean(axis=1)
-    return values[group]
-
+    return expand(values)

@@ -40,8 +40,9 @@ count (potts1d). The solvers' objective column is f(x_k) plus this value,
 so an SVD-based iteration makes one SVD, not two.
 
 ``Regularizer(kind, lam, ambient)`` is g: one row per kind gives its
-collection's kind, its kernel and r, and the collection is built over
-ambient, so it always matches the kind.
+collection's kind, its kernel, r and g's linear part on a flat of the
+collection, and the collection is built over ambient, so it always matches
+the kind.
 
 The SVD-based kinds use the singular vectors exactly as LAPACK returns
 them, with no sign convention: flipping column j of U and row j of V^T
@@ -610,14 +611,22 @@ def _sigma(x):
     return np.linalg.svd(x, compute_uv=False)
 
 
-# kind -> (its collection's kind, its prox kernel, r)
+# kind -> (its collection's kind, its prox kernel, r, g's linear part on a
+# flat: (signs, linear) with g(v) = lam * linear(s) . v for the flat
+# coordinates v while signs(v) = s, or None where g is constant on a flat
+# (l0, potts1d) or the sets are no flats (nuclear, rank)). For tv1d,
+# lam * sum_j s_j (v_{j+1} - v_j) puts s_{j-1} - s_j on v_j (s_0 = s_K = 0).
 _KINDS = {
-    "l1": (COORDINATE_ZERO, prox_l1, _l1),
-    "l0": (COORDINATE_ZERO, prox_l0, _l0),
-    "tv1d": (ADJACENT_EQUAL, prox_tv1d, lambda x: _l1(np.diff(x))),
-    "potts1d": (ADJACENT_EQUAL, prox_potts1d, lambda x: _l0(np.diff(x))),
-    "nuclear": (RANK_LEVEL, prox_nuclear, lambda x: _l1(_sigma(x))),
-    "rank": (RANK_LEVEL, prox_rank, lambda x: float(numeric_rank(_sigma(x)))),
+    "l1": (COORDINATE_ZERO, prox_l1, _l1, (np.sign, lambda s: s)),
+    "l0": (COORDINATE_ZERO, prox_l0, _l0, None),
+    "tv1d": (ADJACENT_EQUAL, prox_tv1d, lambda x: _l1(np.diff(x)),
+             (lambda v: np.sign(np.diff(v)),
+              lambda s: -np.diff(s, prepend=0.0, append=0.0))),
+    "potts1d": (ADJACENT_EQUAL, prox_potts1d, lambda x: _l0(np.diff(x)),
+                None),
+    "nuclear": (RANK_LEVEL, prox_nuclear, lambda x: _l1(_sigma(x)), None),
+    "rank": (RANK_LEVEL, prox_rank, lambda x: float(numeric_rank(_sigma(x))),
+             None),
 }
 
 
@@ -630,13 +639,14 @@ def _check_lam(lam):
 class Regularizer:
     """g = lam * r of one kind (see the module table), lam positive and
     finite, with the kind's structure collection built over ambient: n, or
-    (rows, cols) for nuclear and rank."""
+    (rows, cols) for nuclear and rank. flat_linear is its row's g on a flat:
+    a (signs, linear) pair, or None."""
 
     def __init__(self, kind: str, lam: float, ambient):
         if kind not in _KINDS:
             raise ValueError(f"unknown regularizer kind {kind!r}")
         _check_lam(lam)
-        collection_kind, self._kernel, self._r = _KINDS[kind]
+        collection_kind, self._kernel, self._r, self.flat_linear = _KINDS[kind]
         self.kind = kind
         self.lam = float(lam)
         self.collection = ManifoldCollection(collection_kind, ambient)

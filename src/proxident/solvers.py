@@ -34,8 +34,8 @@ indexed or iterated.
 
 Default stepsizes are taken from the oracle constants: gamma = 1/L for the
 proximal gradient and its accelerated variant, 1/(3*L_max) for SAGA
-(component-wise constants), and 1/L for Douglas-Rachford, or 1 when L = 0
-(any positive value is admissible there).
+(component-wise constants), and 1/L for Douglas-Rachford. When that L is 0
+(f is affine) the default is 1 and any positive value is admissible.
 
 Trace CSV schema: ``k,objective,nnz,pattern_hash,u_step,comm_coords,
 wallclock_s`` (structure-adaptive solvers append ``accel_active,
@@ -270,6 +270,16 @@ def _resolve_gamma(config, default, high, high_inclusive, algo):
     return gamma
 
 
+def _lipschitz_gamma(config, lipschitz, high_factor, high_inclusive, algo):
+    """_resolve_gamma with the default 1/L and the bound high_factor/L for
+    L = lipschitz. When L = 0 (f is affine) the default is 1 and every
+    gamma > 0 is admissible, as for Douglas-Rachford."""
+    if lipschitz > 0:
+        return _resolve_gamma(config, 1.0 / lipschitz, high_factor / lipschitz,
+                              high_inclusive, algo)
+    return _resolve_gamma(config, 1.0, math.inf, False, algo)
+
+
 def _step_norm(a, b) -> float:
     """||a - b||, computed as np.linalg.norm does (same bytes) without its
     argument dispatch."""
@@ -392,9 +402,7 @@ def run_pg(problem, config=None, x0=None):
     """Proximal gradient: u_{k+1} = x_k - gamma * grad f(x_k)."""
     config = config or SolverConfig()
     f, g = problem.smooth, problem.reg
-    gamma = _resolve_gamma(
-        config, 1.0 / f.lipschitz, 2.0 / f.lipschitz, False, "pg"
-    )
+    gamma = _lipschitz_gamma(config, f.lipschitz, 2.0, False, "pg")
 
     def step(k, x, pattern, u_prev):
         u = x - gamma * f.gradient(x)
@@ -412,9 +420,7 @@ def run_apg(problem, config=None, x0=None):
     """
     config = config or SolverConfig()
     f, g = problem.smooth, problem.reg
-    gamma = _resolve_gamma(
-        config, 1.0 / f.lipschitz, 1.0 / f.lipschitz, True, "apg"
-    )
+    gamma = _lipschitz_gamma(config, f.lipschitz, 1.0, True, "apg")
     x_prev = _start_point(problem, x0)
 
     def step(k, x, pattern, u_prev):
@@ -440,8 +446,7 @@ def run_dr(problem, config=None, x0=None):
     f, g = problem.smooth, problem.reg
     if not f.has_prox:
         raise ValueError("douglas-rachford needs a smooth term with a prox")
-    default = 1.0 / f.lipschitz if f.lipschitz > 0 else 1.0
-    gamma = _resolve_gamma(config, default, np.inf, False, "dr")
+    gamma = _lipschitz_gamma(config, f.lipschitz, math.inf, False, "dr")
     u0 = _start_point(problem, x0)
     with _quiet():  # x_0 = prox(u_0) may overflow g's value, as a step can
         res = g.prox(u0, gamma)
@@ -473,9 +478,7 @@ def run_saga(problem, config=None, x0=None):
         raise ValueError("saga needs an oracle with finite-sum components")
     m = len(comps)
     l_max = max(c.lipschitz for c in comps)
-    gamma = _resolve_gamma(
-        config, 1.0 / (3.0 * l_max), 1.0 / (3.0 * l_max), True, "saga"
-    )
+    gamma = _lipschitz_gamma(config, 3.0 * l_max, 1.0, True, "saga")
     rng = np.random.default_rng(config.seed)
     indices = _block_draws(lambda size: rng.integers(m, size=size).tolist())
     table = table_mean = None

@@ -4,10 +4,13 @@ These deliberately avoid the algorithms under test: the TV oracle enumerates
 segmentations and jump signs and solves the stationarity system in closed
 form; the Potts oracle enumerates all 2^(n-1) breakpoint masks.
 ``CallableSmooth`` is the tests' smooth term built from two callables.
+``estimate_projection_diagonal`` is the exception: it draws through random
+subspace descent's own update, so that its estimate checks the solver's rule.
 """
 
 import numpy as np
 
+from proxident.exploit import _subspace_update
 from proxident.identification import IdentificationReport
 from proxident.manifolds import SparsityPattern
 from proxident.problems import SmoothOracle
@@ -431,3 +434,19 @@ def flat_point_reference(reg, gram, Atb, pattern, x):
         signs_hold = all(np.sign(z[j] - z[j - 1]) == sig[j]
                          for j in range(1, K))
     return B @ z, signs_hold
+
+
+def estimate_projection_diagonal(n, candidates, p_b, n_draws, seed=0):
+    """Monte Carlo estimate of random subspace descent's mean projection
+    diagonal: the mean of 1 - enforced over n_draws successive masks that
+    ``exploit._subspace_update`` draws from one generator seeded with seed,
+    with the candidates frozen. Enforcing each candidate independently with
+    probability p_b zeroes that coordinate, so the exact mean is 1 - p_b on
+    candidates and 1 elsewhere."""
+    frozen = np.zeros(n, dtype=bool)
+    frozen[list(candidates)] = True
+    rng = np.random.default_rng(seed)
+    zeros = np.zeros(n)
+    enforced = [_subspace_update(rng, frozen, p_b, zeros, zeros)[1]
+                for _ in range(n_draws)]
+    return 1.0 - np.mean(enforced, axis=0)

@@ -11,9 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import potts1d_bruteforce, tv1d_bruteforce
+from oracles import (
+    estimate_projection_diagonal,
+    potts1d_bruteforce,
+    tv1d_bruteforce,
+)
 from proxident.asynchronous import DelayModel
-from proxident.exploit import SubspaceSamplerConfig, estimate_projection_diagonal
+from proxident.exploit import SubspaceSamplerConfig
 from proxident.identification import analyze_trace, enlarged_bound_l1
 from proxident.manifolds import pattern_leq, pattern_of
 from proxident.problems import gen_lasso, gen_qc_lasso

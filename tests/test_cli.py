@@ -7,7 +7,7 @@ import pytest
 
 import proxident
 from proxident.asynchronous import DelayModel
-from proxident.bundles import read_bundle, write_vector
+from proxident.bundles import read_bundle, write_matrix, write_vector
 from proxident.cli import main, write_solve_outputs
 from proxident.prox import prox_l1
 from proxident.registry import SOLVERS, run_solver
@@ -371,6 +371,24 @@ def test_screen_command(qc_bundle, tmp_path, capsys):
     assert screened  # the qc margin guarantees screenable coordinates
     for i in screened:
         assert problem.xstar[i] == 0.0
+
+
+def test_zero_design_takes_the_unit_step(tmp_path, capsys):
+    # a design of zeros has L = 0: solve and screen default to gamma = 1
+    path = tmp_path / "zero"
+    assert main(["gen", "lasso", "--m", "6", "--n", "4", "--out",
+                 str(path)]) == 0
+    write_matrix(path / "A.txt", np.zeros((6, 4)))
+    assert main(["solve", "pg", str(path)]) == 0
+    report = (path / "report.txt").read_text()
+    assert "converged=1\n" in report and "gamma=1.0\n" in report
+    lam = read_bundle(path).reg.lam
+    center = tmp_path / "center.txt"
+    write_vector(center, lam * np.array([0.5, -2.0, 0.0, 0.95]))
+    capsys.readouterr()
+    assert main(["screen", str(path), "--center-file", str(center),
+                 "--radius", repr(0.1 * lam)]) == 0
+    assert capsys.readouterr().out.split() == ["0", "2"]
 
 
 @pytest.mark.parametrize("center_size,flags,error", [

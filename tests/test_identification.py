@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import analyze_trace_reference
+from oracles import CallableSmooth, analyze_trace_reference
 
 from proxident.identification import (
+    _ball_masks,
     analyze_trace,
     enlarged_bound_l1,
-    enlarged_bound_sampled,
     qc_check,
     report_text,
-    safe_screen_l1,
 )
 from proxident.manifolds import SparsityPattern, pattern_leq, rank_levels
 from proxident.problems import (
+    CompositeProblem,
     gen_lowrank_matrix_problem,
     gen_qc_lasso,
 )
@@ -24,6 +24,16 @@ from proxident.solvers import SolverConfig, TraceLog, run_pg
 
 def P(*bits):
     return SparsityPattern(list(bits))
+
+
+def stub_problem(reg, ustar, gamma=1.0):
+    """A problem whose certified pair is (prox(ustar), ustar) at gamma, for
+    qc_check, which reads no smooth term."""
+    ustar = np.asarray(ustar, dtype=float)
+    return CompositeProblem(
+        CallableSmooth(None, None, 1.0), reg,
+        xstar=reg.prox(ustar, gamma).point, ustar=ustar, cert_gamma=gamma,
+    )
 
 
 def log_of(patterns, counts=None):
@@ -129,6 +139,10 @@ class TestEnlargedBound:
     def test_closed_form_example(self):
         got = enlarged_bound_l1(np.array([0.5, 2.0]), 1.0, 0.2)
         assert got == P(0, 1)
+        # the 0 bits screen: 0.3 + 0.5 <= 1 certifies coordinate 0 zero on
+        # the ball, and 0.3 + 0.8 > 1 certifies nothing
+        assert enlarged_bound_l1(np.array([0.3, 2.0]), 1.0, 0.5) == P(0, 1)
+        assert enlarged_bound_l1(np.array([0.3, 2.0]), 1.0, 0.8) == P(1, 1)
 
     def test_eps_zero_is_prox_pattern(self):
         rng = np.random.default_rng(1)
@@ -142,15 +156,16 @@ class TestEnlargedBound:
         assert got == P(1, 1, 1)
 
     def test_sampled_below_closed_form(self):
+        # every draw qc_check's sampled branch takes lies in the ball, so
+        # its l1 pattern lies under the closed form
         rng = np.random.default_rng(2)
         for seed in range(5):
             u = rng.standard_normal(8)
             reg = Regularizer.l1(8, 1.0)
             eps = rng.uniform(0.1, 1.0)
-            sampled = enlarged_bound_sampled(reg, u, 0.9, eps, n_samples=200,
-                                             seed=seed)
-            closed = enlarged_bound_l1(u, 0.9, eps)
-            assert pattern_leq(sampled, closed)
+            closed = enlarged_bound_l1(u, 0.9, eps).bits
+            for mask in _ball_masks(reg, u, 0.9, eps, 200, seed):
+                assert not (mask > closed).any()
 
     def test_nan_eps_rejected(self):
         # a NaN eps would bound the ball below its eps = 0 pattern 110
@@ -160,9 +175,9 @@ class TestEnlargedBound:
             enlarged_bound_l1(u, 1.0, float("nan"))
 
     def test_sampled_nan_eps_rejected(self):
-        reg = Regularizer.l1(3, 1.0)
+        p = stub_problem(Regularizer.tv1d(3, 1.0), [5.0, -3.0, 0.1])
         with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
-            enlarged_bound_sampled(reg, [5.0, -3.0, 0.1], 1.0, float("nan"))
+            qc_check(p, float("nan"))
 
     @pytest.mark.parametrize("reg,ustar", [
         (Regularizer.l1(3, 1.0), [5.0, -3.0, 0.1]),
@@ -171,11 +186,11 @@ class TestEnlargedBound:
     ])
     def test_sampled_eps_inf_is_all_ones(self, reg, ustar):
         # the ball is the whole space: every set is left somewhere, as the
-        # l1 closed form says; each draw would be infinite
-        got = enlarged_bound_sampled(reg, ustar, 1.0, np.inf, n_samples=5)
-        assert got == SparsityPattern(np.ones(len(reg.collection)))
+        # l1 closed form's all-ones bound says, so no pattern holds on it;
+        # each draw would be infinite
+        assert qc_check(stub_problem(reg, ustar), np.inf, n_samples=5) is False
         if reg.kind == "l1":
-            assert got == enlarged_bound_l1(ustar, 1.0, np.inf)
+            assert enlarged_bound_l1(ustar, 1.0, np.inf) == P(1, 1, 1)
 
     @pytest.mark.parametrize("ustar", [[np.nan, 1.0], [np.inf, 0.0],
                                        [0.0, -np.inf]])
@@ -185,27 +200,27 @@ class TestEnlargedBound:
             enlarged_bound_l1(ustar, 0.5, 0.1)
 
     def test_sampled_eps_zero(self):
-        reg = Regularizer.l1(5, 1.0)
+        # every draw of the zero ball is the center itself
         u = np.array([0.1, 2.0, -3.0, 0.0, 0.5])
-        got = enlarged_bound_sampled(reg, u, 1.0, 0.0, n_samples=10)
-        assert got == reg.prox(u, 1.0).pattern
+        for reg in (Regularizer.l1(5, 1.0), Regularizer.tv1d(5, 1.0)):
+            assert qc_check(stub_problem(reg, u), 0.0, n_samples=10)
 
     def test_nuclear_wellposed_small_eps(self):
         p = gen_lowrank_matrix_problem(seed=3)
-        got = enlarged_bound_sampled(p.reg, p.ustar, p.cert_gamma, eps=1e-3,
-                                     n_samples=100, seed=0)
+        assert qc_check(p, 1e-3, n_samples=100, seed=0)
         expected = p.reg.prox(p.ustar, p.cert_gamma).pattern
-        assert got == expected
-        assert p.reg.collection.structure_count(got) == 4
+        assert p.reg.collection.structure_count(expected) == 4
 
 
     @pytest.mark.parametrize("kind", ["l1", "tv1d"])
     def test_draws_build_no_pattern(self, kind, monkeypatch):
-        # each draw is merged (here) or compared (in qc_check) by its mask:
-        # a call builds the returned bound and at most the center's pattern,
-        # not one pattern a draw
+        # qc_check compares each draw with the center by its mask bytes: a
+        # call builds at most two patterns, not one pattern a draw (l1 takes
+        # the closed form and draws nothing); each ball holds its center's
+        # pattern, so all 1000 draws are taken
         reg = getattr(Regularizer, kind)(20, 0.5)
         u = np.random.default_rng(3).standard_normal(20)
+        stub = stub_problem(reg, u)
         p = gen_lowrank_matrix_problem(6, 2, seed=1)
         built = []
         init = SparsityPattern.__init__
@@ -215,7 +230,7 @@ class TestEnlargedBound:
             init(self, bits)
 
         monkeypatch.setattr(SparsityPattern, "__init__", counting_init)
-        enlarged_bound_sampled(reg, u, 1.0, 0.3, n_samples=1000)
+        assert qc_check(stub, 1e-6, n_samples=1000)
         assert len(built) <= 2
         built.clear()
         assert qc_check(p, 1e-3, n_samples=1000)
@@ -223,22 +238,12 @@ class TestEnlargedBound:
 
 
 class TestQCCheck:
-    def _stub_problem(self, xstar, ustar, lam=1.0, gamma=1.0):
-        from proxident.problems import CompositeProblem, least_squares_oracle
-
-        n = len(xstar)
-        return CompositeProblem(
-            least_squares_oracle(np.eye(n), np.zeros(n)),
-            Regularizer.l1(n, lam),
-            xstar=np.array(xstar), ustar=np.array(ustar), cert_gamma=gamma,
-        )
-
     def test_closed_form_true_case(self):
-        p = self._stub_problem([0.0, 1.0], [0.5, 2.0])
+        p = stub_problem(Regularizer.l1(2, 1.0), [0.5, 2.0])
         assert qc_check(p, 0.3)
 
     def test_boundary_never_qualifies(self):
-        p = self._stub_problem([0.0, 1.0], [1.0, 2.5])
+        p = stub_problem(Regularizer.l1(2, 1.0), [1.0, 2.5])
         for eps in (1e-8, 1e-3, 0.1):
             assert not qc_check(p, eps)
 
@@ -280,7 +285,7 @@ class TestQCCheck:
                         != p.reg.prox(u, gamma).pattern)
 
     def test_nan_eps_rejected(self):
-        p = self._stub_problem([0.0, 1.0], [0.5, 2.0])
+        p = stub_problem(Regularizer.l1(2, 1.0), [0.5, 2.0])
         with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
             qc_check(p, float("nan"))
 
@@ -289,7 +294,7 @@ class TestQCCheck:
         p = gen_lowrank_matrix_problem(6, 2, seed=1)
         assert qc_check(p, 1e-3, n_samples=5)
         assert qc_check(p, np.inf, n_samples=5) is False
-        assert qc_check(self._stub_problem([0.0, 1.0], [0.5, 2.0]),
+        assert qc_check(stub_problem(Regularizer.l1(2, 1.0), [0.5, 2.0]),
                         np.inf) is False
 
     @pytest.mark.parametrize("count,message", [
@@ -306,9 +311,6 @@ class TestQCCheck:
         for eps in (0.0, 10.0, np.inf):
             with pytest.raises(ValueError, match=message):
                 qc_check(p, eps, n_samples=count)
-            with pytest.raises(ValueError, match=message):
-                enlarged_bound_sampled(p.reg, p.ustar, 1.0, eps,
-                                       n_samples=count)
 
     def test_needs_ground_truth(self):
         from proxident.problems import gen_lasso
@@ -318,20 +320,28 @@ class TestQCCheck:
 
 
 class TestScreening:
-    def test_examples(self):
-        assert safe_screen_l1(np.array([0.3, 2.0]), 0.5, 1.0) == {0}
-        assert safe_screen_l1(np.array([0.3, 2.0]), 0.8, 1.0) == set()
+    """The 0 bits of enlarged_bound_l1(center, step, radius) screen: given
+    a ball around the center certified to hold ustar, each is a coordinate
+    the prox maps to 0 for every u in the ball, hence zero at the optimum
+    (``proxident screen``)."""
+
+    @staticmethod
+    def screened(center, radius, step):
+        bound = enlarged_bound_l1(center, step, radius)
+        return set(np.flatnonzero(bound.bits == 0).tolist())
 
     @pytest.mark.parametrize("center", [[np.nan, 2.0], [0.3, np.inf]])
     def test_non_finite_center_rejected(self, center):
-        with pytest.raises(ValueError, match="center must be finite"):
-            safe_screen_l1(center, 0.5, 1.0)
+        # a NaN coordinate fails |c_i| + radius > step, so its 0 bit would
+        # screen it
+        with pytest.raises(ValueError, match="ustar must be finite"):
+            self.screened(center, 0.5, 1.0)
 
     def test_zero_radius_is_prox_zero_set(self):
         rng = np.random.default_rng(5)
         center = rng.standard_normal(12)
         reg = Regularizer.l1(12, 1.0)
-        screened = safe_screen_l1(center, 0.0, 0.9)
+        screened = self.screened(center, 0.0, 0.9)
         prox_zero = set(np.flatnonzero(reg.prox(center, 0.9).point == 0).tolist())
         assert screened == prox_zero
 
@@ -344,7 +354,7 @@ class TestScreening:
             rng = np.random.default_rng(seed)
             direction = rng.standard_normal(15)
             center = p.ustar + (rho * 0.9 / np.linalg.norm(direction)) * direction
-            for i in safe_screen_l1(center, rho, step):
+            for i in self.screened(center, rho, step):
                 assert p.xstar[i] == 0.0
 
 

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pattern_of_reference, project_reference
+from oracles import (
+    flat_basis_reference,
+    pattern_of_reference,
+    project_reference,
+)
 from proxident.manifolds import (
     ManifoldCollection,
     SparsityPattern,
@@ -225,6 +229,46 @@ class TestProjectMatchesLoop:
         pattern = SparsityPattern(np.zeros(8, dtype=bool))
         assert project(coll, pattern, x)[0] == x.mean() == 15.0 / 9.0
         _assert_same_bytes(coll, pattern, x)
+
+
+class TestFlatBasis:
+    """flat_basis against the dense 0/1 basis B of tests/oracles.py, on
+    integer-valued data, so that every sum is exact in any order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reduce_and_expand_are_the_dense_basis(self, data):
+        kind = data.draw(st.sampled_from(sorted(_VECTOR_KINDS)))
+        n = data.draw(st.integers(1 if kind == "coordinate" else 2, 16))
+        coll = _VECTOR_KINDS[kind](n)
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=len(coll),
+                                  max_size=len(coll)))
+        free, reduce, expand = coll.flat_basis(SparsityPattern(bits))
+        B = flat_basis_reference(coll.kind, bits)
+        assert free.size == B.shape[1]
+        ints = st.integers(-1000, 1000)
+        vector = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)),
+                          dtype=float)
+        matrix = np.array(data.draw(st.lists(
+            st.lists(ints, min_size=3, max_size=3), min_size=n, max_size=n)),
+            dtype=float)
+        z = np.array(data.draw(st.lists(ints, min_size=free.size,
+                                        max_size=free.size)), dtype=float)
+        assert np.array_equal(reduce(vector), B.T @ vector)
+        assert np.array_equal(reduce(matrix), B.T @ matrix)
+        assert np.array_equal(expand(z), B @ z)
+
+    def test_rank_collection_rejected(self):
+        with pytest.raises(ValueError, match="rank level sets are not flats"):
+            rank_levels(3, 3).flat_basis(SparsityPattern([1, 1, 0, 1]))
+
+    @pytest.mark.parametrize("coll", [coordinate_zeros(3), adjacent_pairs(3)],
+                             ids=["coordinate", "adjacent"])
+    def test_wrong_length_rejected(self, coll):
+        for length in (0, len(coll) - 1, len(coll) + 1):
+            with pytest.raises(ValueError, match=f"pattern length {length} "
+                               f"!= collection size {len(coll)}"):
+                coll.flat_basis(SparsityPattern(np.zeros(length)))
 
 
 class TestPatternOrder:

@@ -569,6 +569,38 @@ class TestDRDegenerateSmooth:
         assert np.allclose(pt.point, 0.0)
 
 
+class TestZeroLipschitz:
+    """A design of zeros has L = 0 (f is constant): the default step is 1
+    and every gamma > 0 is admissible, as for Douglas-Rachford."""
+
+    NAMES = ["pg", "apg", "saga", "pg-adaptive", "predictor-corrector",
+             "random-subspace"]
+
+    @staticmethod
+    def problem():
+        return CompositeProblem(
+            least_squares_oracle(np.zeros((6, 4)), np.ones(6), components=3),
+            Regularizer.l1(4, 0.5),
+        )
+
+    @pytest.mark.parametrize("gamma", [None, 0.5, 1e6])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_gamma_runs(self, name, gamma):
+        # the minimiser of g alone is 0
+        config = SolverConfig(gamma=gamma, max_iter=500)
+        pt, log = run_solver(name, self.problem(), config,
+                             x0=np.array([3.0, -1.0, 0.2, 0.0]))
+        assert log.gamma == (1.0 if gamma is None else gamma)
+        assert log.converged
+        assert np.array_equal(pt.point, np.zeros(4))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_nonpositive_gamma_rejected(self, name):
+        with pytest.raises(ValueError, match=r"gamma=-1 outside admissible "
+                           r"\(0, inf\)"):
+            run_solver(name, self.problem(), SolverConfig(gamma=-1.0))
+
+
 class SpyL1(Regularizer):
     """l1 regularizer that keeps every array its prox is called on."""
 

@@ -144,7 +144,7 @@ def run_digest(point, trace, objective=True):
              _pattern_hex(point),
              trace.status, trace.iterations, trace.converged,
              repr(trace.gamma), trace.seed]
-    parts += [_array_bytes(r.u) for r in trace if r.u is not None]
+    parts += [_array_bytes(u) for u in trace.u or ()]
     return _sha(parts)
 
 
