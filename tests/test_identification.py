@@ -139,10 +139,6 @@ class TestEnlargedBound:
     def test_closed_form_example(self):
         got = enlarged_bound_l1(np.array([0.5, 2.0]), 1.0, 0.2)
         assert got == P(0, 1)
-        # the 0 bits screen: 0.3 + 0.5 <= 1 certifies coordinate 0 zero on
-        # the ball, and 0.3 + 0.8 > 1 certifies nothing
-        assert enlarged_bound_l1(np.array([0.3, 2.0]), 1.0, 0.5) == P(0, 1)
-        assert enlarged_bound_l1(np.array([0.3, 2.0]), 1.0, 0.8) == P(1, 1)
 
     def test_eps_zero_is_prox_pattern(self):
         rng = np.random.default_rng(1)
@@ -329,6 +325,12 @@ class TestScreening:
     def screened(center, radius, step):
         bound = enlarged_bound_l1(center, step, radius)
         return set(np.flatnonzero(bound.bits == 0).tolist())
+
+    def test_examples(self):
+        # 0.3 + 0.5 <= 1 certifies coordinate 0 zero on the ball, and
+        # 0.3 + 0.8 > 1 certifies nothing
+        assert self.screened(np.array([0.3, 2.0]), 0.5, 1.0) == {0}
+        assert self.screened(np.array([0.3, 2.0]), 0.8, 1.0) == set()
 
     @pytest.mark.parametrize("center", [[np.nan, 2.0], [0.3, np.inf]])
     def test_non_finite_center_rejected(self, center):
