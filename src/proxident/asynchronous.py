@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .manifolds import _real
 from .solvers import (
     SolverConfig,
     _advance,
@@ -60,7 +61,7 @@ class DelayModel:
     kinds: constant(d), uniform(low, high) (continuous), geometric(q)
     (integer, support {0, 1, ...}); a is d, low or q and b is high. All have
     finite mean, so every worker completes infinitely often. The kind and
-    its parameters are checked when the model is built.
+    its parameters (numbers, not bools) are checked when the model is built.
     """
 
     kind: str
@@ -68,6 +69,8 @@ class DelayModel:
     b: float = 0.0
 
     def __post_init__(self):
+        _real("a", self.a)
+        _real("b", self.b)
         if self.kind == "constant":
             if not (np.isfinite(self.a) and self.a >= 0):
                 raise ValueError("constant delay must be finite and >= 0")

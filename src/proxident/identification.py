@@ -5,7 +5,8 @@ structure of the limit point and at most the structure reachable by the prox
 from a ball around the limit's pre-image u*. The helpers here analyze traces
 for stability, evaluate the ball bound in closed form for the l1 geometry,
 and test the stability condition that makes identification exact (in closed
-form for l1, by sampling the ball otherwise). The bound's 0 bits also screen:
+form for l1, else by comparing the prox patterns of draws in the ball with
+the center's). The bound's 0 bits also screen:
 given a ball certified to hold u*, they are coordinates provably zero at the
 optimum (``proxident screen``).
 """
@@ -83,11 +84,10 @@ def enlarged_bound_l1(ustar, step, eps) -> SparsityPattern:
     return SparsityPattern(np.abs(ustar) + eps > step)
 
 
-def _ball_masks(reg, ustar, gamma, eps, n_samples, seed):
-    """Prox branch masks (``ProxResult.mask``, whose bytes are the pattern
-    bit bytes) at n_samples uniform draws in the eps-ball around ustar, each
-    drawn as a standard normal direction, then a uniform radius, from one
-    generator seeded with seed."""
+def _ball_patterns(reg, ustar, gamma, eps, n_samples, seed):
+    """Prox patterns at n_samples uniform draws in the eps-ball around
+    ustar, each drawn as a standard normal direction, then a uniform
+    radius, from one generator seeded with seed."""
     rng = np.random.default_rng(seed)
     for _ in range(n_samples):
         direction = rng.standard_normal(ustar.shape)
@@ -96,7 +96,7 @@ def _ball_masks(reg, ustar, gamma, eps, n_samples, seed):
         if norm != 0.0:
             radius = eps * rng.uniform() ** (1.0 / ustar.size)
             u = ustar + (radius / norm) * direction
-        yield reg.prox(u, gamma).mask
+        yield reg.prox(u, gamma).pattern
 
 
 def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
@@ -125,11 +125,11 @@ def qc_check(problem, eps, n_samples=1000, seed=0) -> bool:
         ok_zero = np.all(np.abs(ustar[zero]) + eps <= step)
         ok_nonzero = np.all(np.abs(ustar[~zero]) - eps > step)
         return bool(ok_zero and ok_nonzero)
-    target = reg.prox(ustar, gamma).mask.tobytes()
+    target = reg.prox(ustar, gamma).pattern
     if eps == math.inf:
         return False
-    return all(mask.tobytes() == target for mask in
-               _ball_masks(reg, ustar, gamma, eps, n_samples, seed))
+    return all(pattern == target for pattern in
+               _ball_patterns(reg, ustar, gamma, eps, n_samples, seed))
 
 
 def report_text(report: IdentificationReport) -> str:

@@ -44,11 +44,11 @@ class SparsityPattern:
     """Bit vector over a collection: bit i is 0 iff the point lies in set i.
 
     Equality and hash are on the bit bytes (``bits.tobytes()``): the bits
-    are 0/1 uint8, one byte per bit, so equal bytes mean equal length and
-    equal bits. The bits are given as a 1-D boolean mask or as 1-D values
-    that are each 0 or 1; any other value raises a ValueError. The pattern
-    keeps a read-only copy of them, so the caller's array is neither frozen
-    nor shared.
+    are a read-only 1-D bool array, one byte per bit, so equal bytes mean
+    equal length and equal bits. They are given as a 1-D boolean mask or as
+    1-D values that are each 0 or 1, or a ValueError is raised, and kept as
+    a copy, so the caller's array is neither frozen nor shared (a prox
+    kernel's fresh mask is kept as it is: ``_frozen_pattern``).
     """
 
     __slots__ = ("bits",)
@@ -58,11 +58,11 @@ class SparsityPattern:
         if arr.ndim != 1:
             raise ValueError("pattern bits must be one-dimensional")
         # a boolean mask is 0/1 already; any other values are checked before
-        # the cast, which would wrap -1 and truncate 0.5
+        # the cast, which would turn 0.5 and -1 into True
         if arr.dtype != bool and arr.size and not (
                 (arr == 0) | (arr == 1)).all():
             raise ValueError("pattern bits must be 0 or 1")
-        arr = arr.astype(np.uint8)  # always a copy: the caller keeps its own
+        arr = arr.astype(bool)  # always a copy: the caller keeps its own
         arr.setflags(write=False)
         self.bits = arr
 
@@ -78,7 +78,8 @@ class SparsityPattern:
         return hash(self.bits.tobytes())
 
     def __repr__(self):
-        return f"SparsityPattern({''.join(map(str, self.bits.tolist()))})"
+        bits = "".join("01"[b] for b in self.bits.tolist())
+        return f"SparsityPattern({bits})"
 
     def count_ones(self) -> int:
         """Number of sets the point does NOT belong to (nnz for sparsity)."""
@@ -89,6 +90,15 @@ class SparsityPattern:
         if self.bits.size == 0:
             return ""
         return np.packbits(self.bits, bitorder="little").tobytes().hex()
+
+
+def _frozen_pattern(mask) -> SparsityPattern:
+    """The pattern whose bits are mask, a fresh 1-D bool array that no one
+    else writes: mask is frozen and kept, with no check and no copy."""
+    pattern = object.__new__(SparsityPattern)
+    mask.setflags(write=False)
+    pattern.bits = mask
+    return pattern
 
 
 def pattern_leq(a: SparsityPattern, b: SparsityPattern) -> bool:
@@ -106,6 +116,12 @@ def _integer(name, value, low=None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {name}={value!r}")
     return int(value)
+
+
+def _real(name, value):
+    """A ValueError naming value unless it is a number (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 class ManifoldCollection:
@@ -254,9 +270,9 @@ def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPatte
             rank = numeric_rank(sigma)
         else:
             rank = int(np.sum(sigma > float(tol)))
-        bits = np.ones(len(collection), dtype=np.uint8)
-        bits[rank] = 0
-        return SparsityPattern(bits)
+        bits = np.ones(len(collection), dtype=bool)
+        bits[rank] = False
+        return _frozen_pattern(bits)
 
     if collection.kind == COORDINATE_ZERO:
         values = point
@@ -264,10 +280,10 @@ def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPatte
         with np.errstate(invalid="ignore"):  # inf - inf is NaN: no set
             values = np.diff(point)
     if tol is None:
-        return SparsityPattern(~(values == 0.0))
+        return _frozen_pattern(~(values == 0.0))
     if tol == "auto":
         tol = DEFAULT_COORD_TOL
-    return SparsityPattern(~(np.abs(values) <= tol))
+    return _frozen_pattern(~(np.abs(values) <= tol))
 
 
 def project(collection: ManifoldCollection, pattern: SparsityPattern,

@@ -8,9 +8,9 @@ the exact membership pattern of the output with respect to the regularizer's
 structure collection. The pattern is read off the branch taken inside the
 computation (which coordinates were thresholded, which segments were merged,
 how many singular values survived), never from a numeric tolerance test.
-A kernel hands its result that branch as a boolean mask; the result builds
-its ``SparsityPattern`` the first time ``pattern`` is read, so a caller that
-only compares mask bytes builds none.
+Each kernel computes that branch as a fresh boolean mask, and its result's
+``SparsityPattern`` keeps that mask, frozen, as its bits: one structure
+object a call, with no check and no copy.
 
 Supported regularizers g = lam * r:
 
@@ -70,7 +70,7 @@ from .manifolds import (
     COORDINATE_ZERO,
     RANK_LEVEL,
     ManifoldCollection,
-    SparsityPattern,
+    _frozen_pattern,
     numeric_rank,
 )
 
@@ -92,13 +92,9 @@ CONVEX_KINDS = ("l1", "tv1d", "nuclear")
 class ProxResult:
     """Prox output, its exact structure pattern, and g at the output.
 
-    The kernels hand the result the boolean branch mask they computed
-    (``mask``, made read-only here), and ``pattern`` is the
-    ``SparsityPattern`` of those bits, built the first time it is read and
-    then kept: a solver loop compares the mask bytes with the previous
-    iterate's and reads the pattern only when they differ. The second
-    argument may also be a pattern, whose bits become the mask, or None
-    (no pattern, no mask).
+    pattern is a ``SparsityPattern`` or None (no pattern). A kernel's
+    pattern holds the boolean branch mask it computed as its bits, frozen,
+    not copied (see the module docstring).
 
     value is the number lam * r(point), taken from the branch the prox took
     (see the module docstring). For l1, l0, tv1d and potts1d it equals
@@ -109,24 +105,10 @@ class ProxResult:
     only on the start point a run returns when its first step diverges.
     """
 
-    __slots__ = ("point", "mask", "_pattern", "value")
+    __slots__ = ("point", "pattern", "value")
 
     def __init__(self, point, pattern, value=None):
-        self.point = point
-        self.value = value
-        if isinstance(pattern, np.ndarray):  # a kernel's own fresh mask
-            pattern.setflags(write=False)
-            self.mask, self._pattern = pattern, None
-        else:
-            self.mask = None if pattern is None else pattern.bits
-            self._pattern = pattern
-
-    @property
-    def pattern(self):
-        """The SparsityPattern of mask, built on first read; or None."""
-        if self._pattern is None and self.mask is not None:
-            self._pattern = SparsityPattern(self.mask)
-        return self._pattern
+        self.point, self.pattern, self.value = point, pattern, value
 
 
 def _check_input(u, gamma, lam=1.0):
@@ -187,13 +169,13 @@ def prox_l1(u, gamma, lam=1.0) -> ProxResult:
     u_i -+ gamma*lam outside. Pattern bit i is 0 iff the zero branch fired.
     """
     x, keep = _soft(_check_input(u, gamma, lam), gamma * lam)
-    return ProxResult(x, keep, lam * _l1(x))
+    return ProxResult(x, _frozen_pattern(keep), lam * _l1(x))
 
 
 def prox_l0(u, gamma, lam=1.0) -> ProxResult:
     """Hard thresholding: keep u_i iff |u_i| > sqrt(2*gamma*lam)."""
     x, keep = _hard(_check_input(u, gamma, lam), np.sqrt(2.0 * gamma * lam))
-    return ProxResult(x, keep, lam * _l0(keep))
+    return ProxResult(x, _frozen_pattern(keep), lam * _l0(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -428,22 +410,19 @@ def _tv1d_planned(plan, y, step):
     return np.repeat(t[plan.values], plan.lengths)
 
 
-def _segments_to_result(segs, n):
-    """(point, mask) of a segmentation of n points; see _with_jumps."""
+def _segments_to_point(segs, n):
+    """The point of a segmentation (start, end, value) of n points."""
     k = len(segs)
     starts = np.fromiter([s for s, _, _ in segs] + [n], np.intp, k + 1)
     values = np.fromiter([v for _, _, v in segs], float, k)
-    return _with_jumps(np.repeat(values, starts[1:] - starts[:-1]))
+    return np.repeat(values, starts[1:] - starts[:-1])
 
 
-def _with_jumps(x):
-    """(x, mask): mask[i] is True iff x[i] != x[i+1].
-
-    Inside a segment the values are equal, and a boundary between
-    same-valued segments (-0.0 == +0.0 included) keeps its neighbours
-    members.
-    """
-    return x, x[1:] != x[:-1]
+def _jump_pattern(x):
+    """x's adjacent-equality pattern: bit i is 1 iff x[i] != x[i+1], so a
+    boundary between same-valued segments (-0.0 == +0.0 included) keeps
+    its neighbours members."""
+    return _frozen_pattern(x[1:] != x[:-1])
 
 
 def _check_1d(kind, u, gamma, lam):
@@ -470,11 +449,9 @@ def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
     step = gamma * lam
     x = _tv1d_planned(_tv1d_plan, u, step)
     if x is None:
-        x, mask = _segments_to_result(_tv1d_segments(u, step), u.size)
-    else:
-        x, mask = _with_jumps(x)
+        x = _segments_to_point(_tv1d_segments(u, step), u.size)
     # x[1:] - x[:-1] is the subtraction np.diff runs
-    return ProxResult(x, mask, lam * _l1(x[1:] - x[:-1]))
+    return ProxResult(x, _jump_pattern(x), lam * _l1(x[1:] - x[:-1]))
 
 
 _POTTS_BLOCK = 16  # right ends per vectorised pass of the Potts DP
@@ -577,34 +554,35 @@ def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
     is rejected with a ValueError.
     """
     u = _check_1d("potts1d", u, gamma, lam)
-    x, mask = _segments_to_result(_potts_segments(u, gamma * lam), u.size)
-    return ProxResult(x, mask, lam * float(np.count_nonzero(mask)))
+    x = _segments_to_point(_potts_segments(u, gamma * lam), u.size)
+    pattern = _jump_pattern(x)
+    return ProxResult(x, pattern, lam * float(pattern.count_ones()))
 
 
 def _spectral(kind, u, rule, thr):
-    """(X, mask, s): s is rule(., thr) applied to u's singular values,
-    X = (W * s) @ V^T, and the rank mask's one False is at the kept count."""
+    """(X, pattern, s): s is rule(., thr) applied to u's singular values,
+    X = (W * s) @ V^T, and pattern's one 0 bit is at the kept count."""
     if u.ndim != 2:
         raise ValueError(f"{kind} prox expects a matrix")
     w, s, vt = np.linalg.svd(u, full_matrices=False)
     s, keep = rule(s, thr)
     bits = np.ones(min(u.shape) + 1, dtype=bool)
     bits[np.count_nonzero(keep)] = False
-    return (w * s) @ vt, bits, s
+    return (w * s) @ vt, _frozen_pattern(bits), s
 
 
 def prox_nuclear(u, gamma, lam=1.0) -> ProxResult:
     """Soft thresholding of the singular values at gamma*lam."""
     u = _check_input(u, gamma, lam)
-    x, mask, s = _spectral("nuclear", u, _soft, gamma * lam)
-    return ProxResult(x, mask, lam * _l1(s))
+    x, pattern, s = _spectral("nuclear", u, _soft, gamma * lam)
+    return ProxResult(x, pattern, lam * _l1(s))
 
 
 def prox_rank(u, gamma, lam=1.0) -> ProxResult:
     """Hard thresholding of the singular values at sqrt(2*gamma*lam)."""
     u = _check_input(u, gamma, lam)
-    x, mask, s = _spectral("rank", u, _hard, np.sqrt(2.0 * gamma * lam))
-    return ProxResult(x, mask, lam * _l0(s))
+    x, pattern, s = _spectral("rank", u, _hard, np.sqrt(2.0 * gamma * lam))
+    return ProxResult(x, pattern, lam * _l0(s))
 
 
 def _sigma(x):

@@ -2,26 +2,25 @@
 
 Every solver follows the same template: an update step produces u_{k+1},
 then x_{k+1} = prox_{gamma*g}(u_{k+1}) with the prox module supplying the
-exact structure pattern of the iterate, as the branch mask its pattern is
-built from. The loop builds a pattern object only when the mask's bytes
-differ from the current pattern's, so a run pays for one pattern per
-structure change, not one per iteration. The solvers differ only in how they
-compute u, so they share one iteration loop, ``_iterate``. Each ``run_*``
-validates its arguments, resolves gamma and hands ``_iterate`` a ``step``
-closure, step(k, x_{k-1}, pattern_{k-1}, u_{k-1}) -> (u_k, u_step, prox
-result, extra trace fields), usually through ``_advance``, which takes the
-u-step ||u_k - u_{k-1}|| and then the prox. The loop records iteration k
-at the trace cadence (with a copy of u_k under keep_u); the recorded
-objective is f(x_k) plus the value g(x_k) the prox reported
-(``ProxResult.value``), so g is never evaluated twice on a point. Then it
-asks the stop rule: by default k > 1 and u_step <= stop_tol; SAGA,
+exact structure pattern of the iterate. The loop moves to the new pattern
+object only when its bit bytes differ from the current one's, so a trace
+holds one pattern per structure change, not one per iteration. The solvers
+differ only in how they compute u, so they share one iteration loop,
+``_iterate``. Each ``run_*`` validates its arguments, resolves gamma and
+hands ``_iterate`` a ``step`` closure, step(k, x_{k-1}, pattern_{k-1},
+u_{k-1}) -> (u_k, u_step, prox result, extra trace fields), usually through
+``_advance``, which takes the u-step ||u_k - u_{k-1}|| and then the prox.
+The loop records iteration k at the trace cadence (with a copy of u_k under
+keep_u); the recorded objective is f(x_k) plus the value g(x_k) the prox
+reported (``ProxResult.value``), so g is never evaluated twice on a point.
+Then it asks the stop rule: by default k > 1 and u_step <= stop_tol; SAGA,
 DAve-PG and random subspace descent pass their own ``stop`` closure,
-stop(k, u_step, x_k). The run ends "converged" when the
-rule holds, "max_iter" when the iterations run out, and "diverged" when a
-step or stop rule raises ``_Diverged``: ``_advance`` does so when the
-u-step is not finite, before the prox. Each run holds numpy's overflow and
-invalid-value warnings off (``_quiet``; Douglas-Rachford's start prox
-included), so a diverging run ends with that status and no RuntimeWarning.
+stop(k, u_step, x_k). The run ends "converged" when the rule holds,
+"max_iter" when the iterations run out, and "diverged" when a step or stop
+rule raises ``_Diverged``: ``_advance`` does so when the u-step is not
+finite, before the prox. Each run holds numpy's overflow and invalid-value
+warnings off (``_quiet``; Douglas-Rachford's start prox included), so a
+diverging run ends with that status and no RuntimeWarning.
 
 A run returns (ProxResult, TraceLog): the prox result of its last (finite)
 iterate, which holds the point, its exact pattern and g at the point, and
@@ -52,7 +51,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .manifolds import SparsityPattern, _integer
+from .manifolds import SparsityPattern, _integer, _real
 from .prox import ProxResult
 
 __all__ = [
@@ -77,9 +76,9 @@ class SolverConfig:
     gamma=None picks the algorithm default from the oracle constants; an
     explicit value is validated against the algorithm's admissible range.
     keep_u stores a copy of u_k on each trace record (diagnostics; never
-    serialized to CSV). max_iter and trace_every must be positive integers
-    (not bools), seed a nonnegative integer and stop_tol finite and
-    nonnegative; a bad value raises a ValueError that names its field.
+    serialized to CSV). max_iter and trace_every must be positive integers,
+    seed a nonnegative one, stop_tol a finite number >= 0 and gamma None or
+    a number, none a bool; a bad value raises a ValueError naming its field.
     """
 
     gamma: float | None = None
@@ -93,6 +92,9 @@ class SolverConfig:
         _integer("max_iter", self.max_iter, 1)
         _integer("trace_every", self.trace_every, 1)
         _integer("seed", self.seed, 0)
+        if self.gamma is not None:
+            _real("gamma", self.gamma)
+        _real("stop_tol", self.stop_tol)
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError("stop_tol must be finite and nonnegative, "
                              f"got {self.stop_tol!r}")
@@ -324,15 +326,14 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
     The returned result is the last step's; when the first step diverges,
     it is ProxResult(x, pattern) of the start point and the given pattern.
 
-    The pattern object is built only when the pattern changes: each
-    iteration compares the bytes of the prox result's branch mask
-    (``ProxResult.mask``) with the current pattern's, and reads
-    ``res.pattern`` only when they differ; otherwise the next step
-    receives the current object again. A recorded row whose pattern has
-    the previous recorded row's bit bytes stores that row's pattern object
-    and count, so a trace holds one pattern object per change between its
-    rows, at any trace_every. Patterns are read-only and compare by their
-    bytes, so sharing changes nothing a reader of the trace or a step sees.
+    The pattern object changes only when the pattern does: the loop takes
+    ``res.pattern`` only when its bit bytes differ from the current
+    pattern's; otherwise the next step receives the current object again.
+    A recorded row whose pattern has the previous recorded row's bit bytes
+    stores that row's pattern object and count, so a trace holds one
+    pattern object per change between its rows, at any trace_every.
+    Patterns are read-only and compare by their bytes, so sharing changes
+    nothing a reader of the trace or a step sees.
     """
     log = TraceLog(gamma, config.seed)
     f_value = problem.smooth.value
@@ -351,9 +352,9 @@ def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,
             for k in range(1, config.max_iter + 1):
                 u, u_step, res, extras = step(k, x, pattern, u_prev)
                 x, u_prev = res.point, u
-                mask_key = res.mask.tobytes()
-                if mask_key != key:
-                    pattern, key = res.pattern, mask_key
+                res_key = res.pattern.bits.tobytes()
+                if res_key != key:
+                    pattern, key = res.pattern, res_key
                 log.iterations = k
                 if (k - 1) % every == 0:
                     if key != shared_key:

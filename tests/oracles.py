@@ -166,8 +166,9 @@ def potts_segments_reference(y, step):
 
 
 def segments_to_result_reference(segs, n):
-    """The per-segment slice loop that ``prox._segments_to_result``
-    replaced: the output point and its adjacent-equality bits."""
+    """The per-segment slice loop that ``prox._segments_to_point`` and
+    ``prox._jump_pattern`` replaced: the output point and its
+    adjacent-equality pattern."""
     x = np.empty(n)
     bits = np.ones(n - 1, dtype=np.uint8)
     for start, end, value in segs:

@@ -45,6 +45,11 @@ class TestDelayModel:
         (("constant", 1.0, 2.0), "constant delay takes one parameter, got "
                                  "b=2.0"),
         (("geometric", 0.5, 1.0), "geometric delay takes one parameter"),
+        (("constant", "1"), "a must be a real number, got '1'"),
+        (("constant", True), "a must be a real number, got True"),
+        (("geometric", None), "a must be a real number, got None"),
+        (("uniform", 0.0, "2"), "b must be a real number, got '2'"),
+        (("uniform", 0.0, False), "b must be a real number, got False"),
     ])
     def test_constructor_checks_kind_and_parameters(self, args, message):
         with pytest.raises(ValueError, match=message):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import CallableSmooth, analyze_trace_reference
 
 from proxident.identification import (
-    _ball_masks,
+    _ball_patterns,
     analyze_trace,
     enlarged_bound_l1,
     qc_check,
@@ -159,9 +159,9 @@ class TestEnlargedBound:
             u = rng.standard_normal(8)
             reg = Regularizer.l1(8, 1.0)
             eps = rng.uniform(0.1, 1.0)
-            closed = enlarged_bound_l1(u, 0.9, eps).bits
-            for mask in _ball_masks(reg, u, 0.9, eps, 200, seed):
-                assert not (mask > closed).any()
+            closed = enlarged_bound_l1(u, 0.9, eps)
+            for pattern in _ball_patterns(reg, u, 0.9, eps, 200, seed):
+                assert pattern_leq(pattern, closed)
 
     def test_nan_eps_rejected(self):
         # a NaN eps would bound the ball below its eps = 0 pattern 110
@@ -210,10 +210,10 @@ class TestEnlargedBound:
 
     @pytest.mark.parametrize("kind", ["l1", "tv1d"])
     def test_draws_build_no_pattern(self, kind, monkeypatch):
-        # qc_check compares each draw with the center by its mask bytes: a
-        # call builds at most two patterns, not one pattern a draw (l1 takes
-        # the closed form and draws nothing); each ball holds its center's
-        # pattern, so all 1000 draws are taken
+        # each draw's prox hands back its pattern unchecked and uncopied: a
+        # call runs the checking constructor at most twice, not once a draw
+        # (l1 takes the closed form and draws nothing); each ball holds its
+        # center's pattern, so all 1000 draws are taken
         reg = getattr(Regularizer, kind)(20, 0.5)
         u = np.random.default_rng(3).standard_normal(20)
         stub = stub_problem(reg, u)

@@ -315,8 +315,9 @@ class TestPatternBits:
     ])
     def test_0_1_values_of_any_dtype_are_kept(self, bits):
         pattern = SparsityPattern(bits)
-        assert pattern.bits.dtype == np.uint8
+        assert pattern.bits.dtype == bool
         assert pattern.bits.tolist() == [0, 1, 1]
+        assert repr(pattern) == "SparsityPattern(011)"
 
     def test_bits_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="one-dimensional"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    pattern_of_reference,
     potts1d_bruteforce,
     potts_segments_reference,
     prox_l1_reference,
@@ -18,14 +19,15 @@ from oracles import (
     tv1d_segments_reference,
 )
 import proxident.prox as prox_module
-from proxident.manifolds import pattern_of
+from proxident.manifolds import SparsityPattern, pattern_of
 from proxident.problems import CompositeProblem, least_squares_oracle
 from proxident.prox import (
     ProxResult,
     Regularizer,
     _check_input,
     _potts_segments,
-    _segments_to_result,
+    _jump_pattern,
+    _segments_to_point,
     _tv1d_segments,
     prox_l0,
     prox_l1,
@@ -460,11 +462,12 @@ class TestSegmentsToResult:
     ])
     def test_bits_and_bytes(self, segs, bits):
         n = segs[-1][1]
-        x, mask = _segments_to_result(segs, n)
+        x = _segments_to_point(segs, n)
+        pattern = _jump_pattern(x)
         want_x, want_pattern = segments_to_result_reference(segs, n)
         assert x.dtype == np.float64 and x.tobytes() == want_x.tobytes()
-        assert mask.dtype == bool and mask.tolist() == [b == 1 for b in bits]
-        assert mask.tobytes() == want_pattern.bits.tobytes()
+        assert pattern.bits.tolist() == [b == 1 for b in bits]
+        assert pattern == want_pattern
 
     @settings(max_examples=100, deadline=None)
     @given(_signals(), _steps, _lams)
@@ -551,14 +554,38 @@ class TestValueContract:
         assert res.value == 6.0
 
     def test_result_without_value(self):
-        res = ProxResult(np.zeros(2), pattern_of(np.zeros(2),
-                                                 Regularizer.l1(2).collection))
-        assert res.value is None
+        # a given pattern, or None, is kept as it is
+        pattern = pattern_of(np.zeros(2), Regularizer.l1(2).collection)
+        res = ProxResult(np.zeros(2), pattern)
+        assert res.value is None and res.pattern is pattern
+        assert ProxResult(np.zeros(2), None).pattern is None
+
+
+def _segmented_reference(segments):
+    """The reference pattern of a 1-D kernel from its segments reference."""
+    return lambda u, gamma, lam: segments_to_result_reference(
+        segments(u, gamma * lam), u.size)[1]
+
+
+# kernel -> its output's pattern at (u, gamma, lam), from tests/oracles.py
+_REFERENCE_PATTERN = {
+    prox_l1: lambda u, gamma, lam: SparsityPattern(
+        prox_l1_reference(u, gamma, lam)[1]),
+    prox_l0: lambda u, gamma, lam: pattern_of_reference(
+        prox_l0(u, gamma, lam).point, Regularizer.l0(u.size).collection),
+    prox_tv1d: _segmented_reference(tv1d_segments_reference),
+    prox_potts1d: _segmented_reference(potts_segments_reference),
+    prox_nuclear: lambda u, gamma, lam: prox_nuclear_reference(
+        u, gamma, lam).pattern,
+    prox_rank: lambda u, gamma, lam: prox_rank_reference(
+        u, gamma, lam).pattern,
+}
 
 
 class TestMaskAndPattern:
-    """A kernel's result holds its branch mask read-only and builds its
-    pattern from it once, on first read."""
+    """Each kernel builds its result's SparsityPattern once, from its
+    branch mask: 1-D bool bits, read-only, equal to the checked
+    constructor's pattern of a copy and to the tests/oracles.py pattern."""
 
     @pytest.mark.parametrize("kernel, u", [
         (prox_l1, np.array([3.0, -0.5, 2.0])),
@@ -570,21 +597,13 @@ class TestMaskAndPattern:
     ])
     def test_pattern_is_built_once_from_the_read_only_mask(self, kernel, u):
         res = kernel(u, 0.5, 1.0)
-        assert res.mask.dtype == bool and not res.mask.flags.writeable
+        bits = res.pattern.bits
+        assert bits.ndim == 1 and bits.dtype == bool
+        assert not bits.flags.writeable
         with pytest.raises(ValueError):
-            res.mask[0] = not res.mask[0]
-        pattern = res.pattern
-        assert pattern is res.pattern
-        assert pattern.bits.tobytes() == res.mask.tobytes()
-        assert not np.shares_memory(pattern.bits, res.mask)
-
-    def test_a_given_pattern_is_kept_and_its_bits_are_the_mask(self):
-        pattern = pattern_of(np.array([0.0, 2.0]),
-                             Regularizer.l1(2).collection)
-        res = ProxResult(np.zeros(2), pattern)
-        assert res.pattern is pattern and res.mask is pattern.bits
-        empty = ProxResult(np.zeros(2), None)
-        assert empty.pattern is None and empty.mask is None
+            bits[0] = not bits[0]
+        assert res.pattern == SparsityPattern(bits.copy())
+        assert res.pattern == _REFERENCE_PATTERN[kernel](u, 0.5, 1.0)
 
 
 class TestInputGuard:
