@@ -41,7 +41,6 @@ from .prox import (
     prox_l0,
     prox_l1,
     prox_nuclear,
-    prox_optimality_residual,
     prox_potts1d,
     prox_rank,
     prox_tv1d,

@@ -90,15 +90,15 @@ class DelayModel:
 
     @classmethod
     def constant(cls, d):
-        return cls("constant", float(d))
+        return cls("constant", d)
 
     @classmethod
     def uniform(cls, low, high):
-        return cls("uniform", float(low), float(high))
+        return cls("uniform", low, high)
 
     @classmethod
     def geometric(cls, q):
-        return cls("geometric", float(q))
+        return cls("geometric", q)
 
     @classmethod
     def parse(cls, text):

@@ -9,6 +9,12 @@ alone: set i is {x : x_i = 0} for "coordinate_zero" over R^n,
 for "rank_level" over (rows, cols) matrices. The membership pattern of a
 point is a bit vector with 0 marking the sets the point belongs to.
 
+A prox result reports its pattern from the branches its kernel took.
+``pattern_of`` gives the pattern of any other point of a vector family
+by exact tests (x_i == 0, x_{i+1} == x_i), never by a tolerance; exact
+rank membership is undecidable in floating point, so rank patterns come
+only from ``prox_nuclear`` and ``prox_rank``.
+
 For the two vector families the sets a pattern holds intersect in a flat,
 and ``ManifoldCollection.flat_basis`` is the one statement of its basis:
 predictor-corrector solves on it, and ``project`` projects onto it.
@@ -24,7 +30,6 @@ __all__ = [
     "coordinate_zeros",
     "adjacent_pairs",
     "rank_levels",
-    "numeric_rank",
     "pattern_of",
     "project",
     "pattern_leq",
@@ -33,11 +38,6 @@ __all__ = [
 COORDINATE_ZERO = "coordinate_zero"
 ADJACENT_EQUAL = "adjacent_equal"
 RANK_LEVEL = "rank_level"
-
-# Numeric membership defaults for externally supplied points. Points coming
-# out of a proximal operator carry exact branch information instead.
-DEFAULT_COORD_TOL = 1e-12
-DEFAULT_RANK_RTOL = 1e-10
 
 
 class SparsityPattern:
@@ -167,13 +167,10 @@ class ManifoldCollection:
         return f"ManifoldCollection({self.kind!r}, ambient={self.ambient})"
 
     def _check_point(self, point) -> np.ndarray:
+        """point as a float vector of the ambient size (vector kinds only)."""
         point = np.asarray(point, dtype=float)
-        if self.is_matrix:
-            if point.shape != self.ambient:
-                raise ValueError(f"point shape {point.shape} != {self.ambient}")
-        else:
-            if point.ndim != 1 or point.size != self.ambient:
-                raise ValueError(f"point size {point.shape} != ({self.ambient},)")
+        if point.ndim != 1 or point.size != self.ambient:
+            raise ValueError(f"point size {point.shape} != ({self.ambient},)")
         return point
 
     def structure_count(self, pattern: SparsityPattern) -> int:
@@ -231,59 +228,23 @@ def rank_levels(rows: int, cols: int) -> ManifoldCollection:
     return ManifoldCollection(RANK_LEVEL, (rows, cols))
 
 
-def numeric_rank(sigma, rtol=DEFAULT_RANK_RTOL) -> int:
-    """Number of singular values above rtol * sigma_max."""
-    cut = rtol * (sigma[0] if sigma.size else 0.0)
-    return int(np.sum(sigma > cut))
-
-
-def pattern_of(point, collection: ManifoldCollection, tol=None) -> SparsityPattern:
-    """Membership pattern of an externally supplied point.
-
-    Parameters
-    ----------
-    tol : None, "auto", or float
-        None tests exact equality and is only valid for vector collections.
-        "auto" uses the kind defaults (1e-12 on coordinates and adjacent
-        differences; singular values below 1e-10 * sigma_max count as zero).
-        A float is used as an absolute tolerance everywhere.
-
-    Rank membership is decided against the exact-rank sets {rank = r}, so
-    exactly one bit of the result is 0 for a rank collection. A NaN entry
-    (or difference) belongs to no set. Any other tol (a negative or NaN
-    float, another string) raises a ValueError that names it.
+def pattern_of(point, collection: ManifoldCollection) -> SparsityPattern:
+    """Membership pattern of a point by exact tests: bit i is 0 iff x_i == 0
+    (coordinate zeros) or x_{i+1} == x_i (adjacent equalities), so -0.0 is
+    a zero and a NaN entry (or difference) belongs to no set. A rank
+    collection is refused with a ValueError: a prox reports rank patterns.
     """
-    if not (tol is None or (isinstance(tol, str) and tol == "auto")
-            or (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-                and tol >= 0)):  # NaN fails tol >= 0
-        raise ValueError(
-            f"tol must be None, 'auto' or a float >= 0, got tol={tol!r}")
-    point = collection._check_point(point)
     if collection.is_matrix:
-        if tol is None:
-            raise ValueError(
-                "exact rank membership is undecidable in floating point; "
-                "pass tol='auto' or an absolute threshold"
-            )
-        sigma = np.linalg.svd(point, compute_uv=False)
-        if tol == "auto":
-            rank = numeric_rank(sigma)
-        else:
-            rank = int(np.sum(sigma > float(tol)))
-        bits = np.ones(len(collection), dtype=bool)
-        bits[rank] = False
-        return _frozen_pattern(bits)
-
+        raise ValueError(
+            "exact rank membership is undecidable in floating point; "
+            "rank patterns come from prox_nuclear and prox_rank")
+    point = collection._check_point(point)
     if collection.kind == COORDINATE_ZERO:
         values = point
     else:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN: no set
             values = np.diff(point)
-    if tol is None:
-        return _frozen_pattern(~(values == 0.0))
-    if tol == "auto":
-        tol = DEFAULT_COORD_TOL
-    return _frozen_pattern(~(np.abs(values) <= tol))
+    return _frozen_pattern(~(values == 0.0))
 
 
 def project(collection: ManifoldCollection, pattern: SparsityPattern,

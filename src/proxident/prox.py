@@ -71,7 +71,6 @@ from .manifolds import (
     RANK_LEVEL,
     ManifoldCollection,
     _frozen_pattern,
-    numeric_rank,
 )
 
 __all__ = [
@@ -83,10 +82,7 @@ __all__ = [
     "prox_potts1d",
     "prox_nuclear",
     "prox_rank",
-    "prox_optimality_residual",
 ]
-
-CONVEX_KINDS = ("l1", "tv1d", "nuclear")
 
 
 class ProxResult:
@@ -589,6 +585,12 @@ def _sigma(x):
     return np.linalg.svd(x, compute_uv=False)
 
 
+def _rank(x):
+    """Number of x's singular values above 1e-10 * sigma_max."""
+    s = _sigma(x)
+    return int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
+
+
 # kind -> (its collection's kind, its prox kernel, r, g's linear part on a
 # flat: (signs, linear) with g(v) = lam * linear(s) . v for the flat
 # coordinates v while signs(v) = s, or None where g is constant on a flat
@@ -603,8 +605,7 @@ _KINDS = {
     "potts1d": (ADJACENT_EQUAL, prox_potts1d, lambda x: _l0(np.diff(x)),
                 None),
     "nuclear": (RANK_LEVEL, prox_nuclear, lambda x: _l1(_sigma(x)), None),
-    "rank": (RANK_LEVEL, prox_rank, lambda x: float(numeric_rank(_sigma(x))),
-             None),
+    "rank": (RANK_LEVEL, prox_rank, lambda x: float(_rank(x)), None),
 }
 
 
@@ -662,51 +663,3 @@ class Regularizer:
     def prox(self, u, gamma) -> ProxResult:
         return self._kernel(u, gamma, self.lam)
 
-
-def _abs_subgradient_gap(x, g, lam):
-    """Distance of each g_i from lam times the subdifferential of |.| at x_i:
-    |g_i - lam*sign(x_i)| where x_i != 0, (|g_i| - lam)_+ where x_i = 0."""
-    return np.where(x != 0.0, np.abs(g - lam * np.sign(x)),
-                    np.maximum(np.abs(g) - lam, 0.0))
-
-
-def prox_optimality_residual(reg: Regularizer, u, gamma, x) -> float:
-    """Distance of -(x - u)/gamma from the subdifferential of g at x.
-
-    Zero (up to roundoff) exactly when x = prox_{gamma*g}(u). Only defined
-    for the convex kinds; the subdifferential structure used is:
-
-    * l1: +-lam on nonzero coordinates, [-lam, lam] on zeros.
-    * tv1d: lam * D^T v with v_i in sign([Dx]_i) (interval at zero jumps);
-      v is recovered by prefix sums, and the component of the target outside
-      range(D^T) (its mean) is charged to the residual.
-    * nuclear: lam * (U V^T + W) with W orthogonal to the row/column spaces
-      and spectral norm at most lam.
-    """
-    if reg.kind not in CONVEX_KINDS:
-        raise ValueError(f"residual undefined for nonconvex kind {reg.kind!r}")
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(x, dtype=float)
-    lam = reg.lam
-    grad = (u - x) / gamma  # must lie in the subdifferential of g at x
-
-    if reg.kind == "l1":
-        return float(np.linalg.norm(_abs_subgradient_gap(x, grad, lam)))
-
-    if reg.kind == "tv1d":
-        n = x.size
-        mean_defect = abs(grad.sum()) / np.sqrt(n)
-        v = -np.cumsum(grad)[:-1] / lam
-        err = _abs_subgradient_gap(np.diff(x), v, 1.0)
-        return float(np.hypot(mean_defect, lam * np.linalg.norm(err)))
-
-    # nuclear
-    w, s, vt = np.linalg.svd(x, full_matrices=False)
-    r = numeric_rank(s, 1e-12)
-    wr, vtr = w[:, :r], vt[:r, :]
-    outer = (grad - wr @ (wr.T @ grad)) @ (np.eye(x.shape[1]) - vtr.T @ vtr)
-    inner = grad - outer
-    tangential = np.linalg.norm(inner - lam * (wr @ vtr))
-    sig = np.linalg.svd(outer, compute_uv=False)
-    excess = np.linalg.norm(np.maximum(sig - lam, 0.0))
-    return float(np.hypot(tangential, excess))

@@ -77,8 +77,9 @@ class SolverConfig:
     explicit value is validated against the algorithm's admissible range.
     keep_u stores a copy of u_k on each trace record (diagnostics; never
     serialized to CSV). max_iter and trace_every must be positive integers,
-    seed a nonnegative one, stop_tol a finite number >= 0 and gamma None or
-    a number, none a bool; a bad value raises a ValueError naming its field.
+    seed a nonnegative one, stop_tol a finite number >= 0, gamma None or
+    a number, none a bool, and keep_u a bool; a bad value raises a
+    ValueError naming its field.
     """
 
     gamma: float | None = None
@@ -98,6 +99,8 @@ class SolverConfig:
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError("stop_tol must be finite and nonnegative, "
                              f"got {self.stop_tol!r}")
+        if not isinstance(self.keep_u, bool):
+            raise ValueError(f"keep_u must be a bool, got {self.keep_u!r}")
 
 
 @dataclass(slots=True)

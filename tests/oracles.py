@@ -4,6 +4,8 @@ These deliberately avoid the algorithms under test: the TV oracle enumerates
 segmentations and jump signs and solves the stationarity system in closed
 form; the Potts oracle enumerates all 2^(n-1) breakpoint masks.
 ``CallableSmooth`` is the tests' smooth term built from two callables.
+``prox_optimality_residual`` is acceptance criterion 1's checker: the
+distance of a convex prox's output from its optimality condition.
 ``estimate_projection_diagonal`` is the exception: it draws through random
 subspace descent's own update, so that its estimate checks the solver's rule.
 """
@@ -14,7 +16,7 @@ from proxident.exploit import _subspace_update
 from proxident.identification import IdentificationReport
 from proxident.manifolds import SparsityPattern
 from proxident.problems import SmoothOracle
-from proxident.prox import ProxResult, _check_input
+from proxident.prox import ProxResult, Regularizer, _check_input
 from proxident.solvers import TRACE_COLUMNS
 
 
@@ -179,34 +181,15 @@ def segments_to_result_reference(segs, n):
 
 
 def _set_index(collection, i):
-    """Set i's index: the coordinate of x_i = 0, the right end i + 1 of
-    x_{i+1} = x_i, or the level of rank = i."""
+    """Set i's index: the coordinate of x_i = 0 or the right end i + 1 of
+    x_{i+1} = x_i."""
     return i + 1 if collection.kind == "adjacent_equal" else i
 
 
-def pattern_of_reference(point, collection, tol=None):
+def pattern_of_reference(point, collection):
     """Per-set loop implementation of ``manifolds.pattern_of``."""
     point = collection._check_point(point)
     bits = np.ones(len(collection), dtype=np.uint8)
-    if collection.is_matrix:
-        if tol is None:
-            raise ValueError(
-                "exact rank membership is undecidable in floating point; "
-                "pass tol='auto' or an absolute threshold"
-            )
-        sigma = np.linalg.svd(point, compute_uv=False)
-        if tol == "auto":
-            cut = 1e-10 * (sigma[0] if sigma.size else 0.0)
-        else:
-            cut = float(tol)
-        rank = int(np.sum(sigma > cut))
-        for i in range(len(collection)):
-            if _set_index(collection, i) == rank:
-                bits[i] = 0
-        return SparsityPattern(bits)
-
-    if tol == "auto":
-        tol = 1e-12
     for i in range(len(collection)):
         index = _set_index(collection, i)
         if collection.kind == "coordinate_zero":
@@ -214,7 +197,7 @@ def pattern_of_reference(point, collection, tol=None):
         else:
             with np.errstate(invalid="ignore"):
                 value = point[index] - point[index - 1]
-        if (value == 0.0) if tol is None else (abs(value) <= tol):
+        if value == 0.0:
             bits[i] = 0
     return SparsityPattern(bits)
 
@@ -230,16 +213,6 @@ def project_reference(collection, indices, point):
     for i in indices:
         if not 0 <= i < len(collection):
             raise ValueError(f"spec index {i} out of range")
-
-    if collection.is_matrix:
-        if len(indices) != 1:
-            raise ValueError("rank projection needs exactly one rank level")
-        r = _set_index(collection, indices[0])
-        if r == 0:
-            return np.zeros_like(point)
-        u, s, vt = np.linalg.svd(point, full_matrices=False)
-        s[r:] = 0.0
-        return (u * s) @ vt
 
     n = point.size
     group = np.arange(n)
@@ -307,6 +280,59 @@ def prox_rank_reference(u, gamma, lam=1.0) -> ProxResult:
     rank = int(kept.sum())
     return ProxResult(x, _rank_pattern(*u.shape, rank=rank),
                       lam * float(rank))
+
+
+# Criterion 1's checker: the prox optimality residual of the convex kinds.
+CONVEX_KINDS = ("l1", "tv1d", "nuclear")
+
+
+def _abs_subgradient_gap(x, g, lam):
+    """Distance of each g_i from lam times the subdifferential of |.| at x_i:
+    |g_i - lam*sign(x_i)| where x_i != 0, (|g_i| - lam)_+ where x_i = 0."""
+    return np.where(x != 0.0, np.abs(g - lam * np.sign(x)),
+                    np.maximum(np.abs(g) - lam, 0.0))
+
+
+def prox_optimality_residual(reg: Regularizer, u, gamma, x) -> float:
+    """Distance of -(x - u)/gamma from the subdifferential of g at x.
+
+    Zero (up to roundoff) exactly when x = prox_{gamma*g}(u). Only defined
+    for the convex kinds; the subdifferential structure used is:
+
+    * l1: +-lam on nonzero coordinates, [-lam, lam] on zeros.
+    * tv1d: lam * D^T v with v_i in sign([Dx]_i) (interval at zero jumps);
+      v is recovered by prefix sums, and the component of the target outside
+      range(D^T) (its mean) is charged to the residual.
+    * nuclear: lam * (U V^T + W) with W orthogonal to the row/column spaces
+      and spectral norm at most lam.
+    """
+    if reg.kind not in CONVEX_KINDS:
+        raise ValueError(f"residual undefined for nonconvex kind {reg.kind!r}")
+    u = np.asarray(u, dtype=float)
+    x = np.asarray(x, dtype=float)
+    lam = reg.lam
+    grad = (u - x) / gamma  # must lie in the subdifferential of g at x
+
+    if reg.kind == "l1":
+        return float(np.linalg.norm(_abs_subgradient_gap(x, grad, lam)))
+
+    if reg.kind == "tv1d":
+        n = x.size
+        mean_defect = abs(grad.sum()) / np.sqrt(n)
+        v = -np.cumsum(grad)[:-1] / lam
+        err = _abs_subgradient_gap(np.diff(x), v, 1.0)
+        return float(np.hypot(mean_defect, lam * np.linalg.norm(err)))
+
+    # nuclear
+    w, s, vt = np.linalg.svd(x, full_matrices=False)
+    r = int(np.sum(s > 1e-12 * (s[0] if s.size else 0.0)))
+    wr, vtr = w[:, :r], vt[:r, :]
+    outer = (grad - wr @ (wr.T @ grad)) @ (np.eye(x.shape[1]) - vtr.T @ vtr)
+    inner = grad - outer
+    tangential = np.linalg.norm(inner - lam * (wr @ vtr))
+    sig = np.linalg.svd(outer, compute_uv=False)
+    excess = np.linalg.norm(np.maximum(sig - lam, 0.0))
+    return float(np.hypot(tangential, excess))
 
 
 def svd_fixed_signs_reference(a):

@@ -14,6 +14,7 @@ import pytest
 from oracles import (
     estimate_projection_diagonal,
     potts1d_bruteforce,
+    prox_optimality_residual,
     tv1d_bruteforce,
 )
 from proxident.asynchronous import DelayModel
@@ -25,7 +26,6 @@ from proxident.prox import (
     Regularizer,
     prox_l1,
     prox_nuclear,
-    prox_optimality_residual,
     prox_potts1d,
     prox_tv1d,
 )

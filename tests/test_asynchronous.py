@@ -55,6 +55,16 @@ class TestDelayModel:
         with pytest.raises(ValueError, match=message):
             DelayModel(*args)
 
+    @pytest.mark.parametrize("build,args,message", [
+        (DelayModel.constant, (True,), "a must be a real number, got True"),
+        (DelayModel.uniform, (False, "2"), "a must be a real number, got False"),
+        (DelayModel.geometric, ("0.5",), "a must be a real number, got '0.5'"),
+    ])
+    def test_named_constructors_do_not_coerce(self, build, args, message):
+        # a bool or a string reaches the field check as it was given
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
     def test_sampling_ranges(self):
         rng = np.random.default_rng(0)
         u = DelayModel.uniform(1, 2)

@@ -36,39 +36,35 @@ class TestPatternOf:
         coll = adjacent_pairs(3)
         assert pattern_of([2.0, 2.0, 3.0], coll) == SparsityPattern([0, 1])
 
-    def test_tolerance_mode(self):
+    def test_tiny_entry_is_no_zero(self):
         coll = coordinate_zeros(2)
-        assert pattern_of([1e-13, 1e-3], coll, tol=1e-12) == SparsityPattern([0, 1])
-        assert pattern_of([1e-13, 1e-3], coll, tol="auto") == SparsityPattern([0, 1])
-        # exact mode keeps the tiny entry
         assert pattern_of([1e-13, 1e-3], coll) == SparsityPattern([1, 1])
 
-    def test_rank_requires_tolerance(self):
+    def test_rank_collection_is_refused(self):
         coll = rank_levels(3, 3)
-        with pytest.raises(ValueError):
-            pattern_of(np.eye(3), coll)
-        pat = pattern_of(np.diag([2.0, 1.0, 0.0]), coll, tol="auto")
-        assert pat == SparsityPattern([1, 1, 0, 1])
+        for x in (np.eye(3), np.diag([2.0, 1.0, 0.0]), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="^exact rank membership is "
+                               "undecidable.*come from prox_nuclear and "
+                               "prox_rank$"):
+                pattern_of(x, coll)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pattern_of([1.0, 2.0, 3.0], coordinate_zeros(2))
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300, "bogus", "AUTO",
-                                     True, [0.1], np.array(0.5)])
+                                     True, [0.1], np.array(0.5), None,
+                                     "auto", 1e-12])
     @pytest.mark.parametrize("point,collection", [
         ([0.0, 1.0], coordinate_zeros(2)),
         ([1.0, 1.0, 2.0], adjacent_pairs(3)),
         (np.eye(2), rank_levels(2, 2)),
     ])
     def test_invalid_tol_is_rejected_by_name(self, point, collection, tol):
-        with pytest.raises(ValueError, match="^tol must be"):
+        # pattern_of takes no tolerance: any tol, None and "auto" too, is
+        # refused by Python's own argument check, which names it
+        with pytest.raises(TypeError, match="'tol'"):
             pattern_of(point, collection, tol=tol)
-
-    @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, np.float64(0.5), np.inf])
-    def test_nonnegative_real_tol_is_accepted(self, tol):
-        got = pattern_of([0.0, 1.0], coordinate_zeros(2), tol=tol)
-        assert got == SparsityPattern([0, tol < 1.0])
 
 
 _edge_values = st.one_of(
@@ -76,9 +72,6 @@ _edge_values = st.one_of(
                      -1e-12, 1.0]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-_tols = st.one_of(st.none(), st.just("auto"),
-                  st.sampled_from([0.0, 1e-12, 1e-310, 0.5]),
-                  st.floats(0.0, 10.0))
 
 
 def _same_outcome(got, want):
@@ -96,7 +89,8 @@ def _same_outcome(got, want):
 
 
 class TestPatternOfMatchesLoop:
-    """The array pattern_of equals the per-set loop in tests/oracles.py."""
+    """The array pattern_of equals the per-set loop in tests/oracles.py on
+    vector collections, and refuses every point of a rank collection."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -104,9 +98,8 @@ class TestPatternOfMatchesLoop:
         n = data.draw(st.integers(2, 20))
         coll = data.draw(st.sampled_from([coordinate_zeros, adjacent_pairs]))(n)
         x = np.array(data.draw(st.lists(_edge_values, min_size=n, max_size=n)))
-        tol = data.draw(_tols)
-        _same_outcome(lambda: pattern_of(x, coll, tol),
-                      lambda: pattern_of_reference(x, coll, tol))
+        _same_outcome(lambda: pattern_of(x, coll),
+                      lambda: pattern_of_reference(x, coll))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -115,10 +108,9 @@ class TestPatternOfMatchesLoop:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
         x *= data.draw(st.sampled_from([1.0, 1e-310, 0.0, -0.0]))
-        coll = rank_levels(rows, cols)
-        tol = data.draw(_tols)
-        _same_outcome(lambda: pattern_of(x, coll, tol),
-                      lambda: pattern_of_reference(x, coll, tol))
+        # even the exact zero matrix: a rank pattern comes from a prox
+        with pytest.raises(ValueError, match="^exact rank membership"):
+            pattern_of(x, rank_levels(rows, cols))
 
     @pytest.mark.parametrize("x", [[np.inf, np.inf], [-np.inf, np.inf],
                                    [np.nan, 1.0]])
@@ -126,17 +118,14 @@ class TestPatternOfMatchesLoop:
         x = np.array(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for tol in (None, "auto", 1e-8):
-                got = pattern_of(x, adjacent_pairs(2), tol)
-                assert got == SparsityPattern([1])
-                assert got == pattern_of_reference(x, adjacent_pairs(2), tol)
+            got = pattern_of(x, adjacent_pairs(2))
+            assert got == SparsityPattern([1])
+            assert got == pattern_of_reference(x, adjacent_pairs(2))
 
     def test_nan_and_signed_zero_bits(self):
         x = [np.nan, -0.0, 0.0, 5e-324]
         assert pattern_of(x, coordinate_zeros(4)) == SparsityPattern([1, 0, 0, 1])
-        assert pattern_of(x, coordinate_zeros(4), "auto") == (
-            SparsityPattern([1, 0, 0, 0]))
-        assert pattern_of(x, adjacent_pairs(4), 1.0) == SparsityPattern([1, 0, 0])
+        assert pattern_of(x, adjacent_pairs(4)) == SparsityPattern([1, 0, 1])
 
 
 class TestProject:
@@ -173,7 +162,7 @@ class TestProject:
                 p1 = project(coll, pattern, x)
                 p2 = project(coll, pattern, p1)
                 assert np.allclose(p1, p2, atol=1e-12)
-                assert pattern_leq(pattern_of(p2, coll, tol=1e-10), pattern)
+                assert pattern_leq(pattern_of(p2, coll), pattern)
 
 
 _VECTOR_KINDS = {"coordinate": coordinate_zeros, "adjacent": adjacent_pairs}

@@ -12,6 +12,7 @@ from oracles import (
     potts_segments_reference,
     prox_l1_reference,
     prox_nuclear_reference,
+    prox_optimality_residual,
     prox_rank_reference,
     segments_to_result_reference,
     svd_fixed_signs_reference,
@@ -32,7 +33,6 @@ from proxident.prox import (
     prox_l0,
     prox_l1,
     prox_nuclear,
-    prox_optimality_residual,
     prox_potts1d,
     prox_rank,
     prox_tv1d,

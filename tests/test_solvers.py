@@ -85,6 +85,9 @@ class TestSolverConfig:
         ({"gamma": "0.001"}, "gamma must be a real number, got '0.001'"),
         ({"gamma": True}, "gamma must be a real number, got True"),
         ({"gamma": 1j}, "gamma must be a real number, got 1j"),
+        ({"keep_u": "no"}, "keep_u must be a bool, got 'no'"),
+        ({"keep_u": 1}, "keep_u must be a bool, got 1"),
+        ({"keep_u": None}, "keep_u must be a bool, got None"),
     ])
     def test_rejects_bad_settings_naming_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):

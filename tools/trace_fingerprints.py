@@ -41,10 +41,10 @@ vectors where kept. Cases:
   run whose settings come from a ``--config`` file;
 * ``collections``: one line per structure collection built by
   ``coordinate_zeros``, ``adjacent_pairs`` or ``rank_levels``, hashing
-  ``pattern_of`` (tol None, "auto" and a float) and ``project`` on seeded
-  points with signed zeros, tiny, subnormal and NaN entries; ``project``
-  takes seeded patterns, the all-zero and all-one ones and one of the wrong
-  length on vector collections, and its rejection is hashed on rank ones;
+  ``pattern_of`` and ``project`` on seeded points with signed zeros, tiny,
+  subnormal and NaN entries; ``project`` takes seeded patterns, the
+  all-zero and all-one ones and one of the wrong length on vector
+  collections. On rank ones both refuse, and their rejections are hashed;
 * ``kernels-1d``: one line per 1-D prox kernel and size n in {2, 17, 33,
   50, 100, 200, 2000}, hashing ``prox_tv1d`` and ``prox_potts1d`` outputs
   (point bytes and ``packed_hex``) on seeded Gaussian, integer-valued and
@@ -504,8 +504,7 @@ def collection_lines():
             patterns.append(SparsityPattern(np.ones(size, dtype=bool)))
         parts = [size]
         for x in points:
-            parts += [_outcome(pattern_of, x, coll, tol)
-                      for tol in (None, "auto", 1e-8)]
+            parts.append(_outcome(pattern_of, x, coll))
             parts += [_outcome(project, coll, p, x) for p in patterns]
         name = "x".join(map(str, dims))
         lines.append(f"collections,{build.__name__}-{name},{_sha(parts)}")
