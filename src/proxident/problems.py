@@ -6,13 +6,20 @@ structure-inducing regularizer from the prox catalog. Generators can attach
 a certified optimal pair (xstar, ustar) so that identification claims can
 be checked against ground truth.
 
-scipy is not imported here: ``LeastSquaresOracle.prox``, which only
-Douglas-Rachford calls, imports scipy.linalg when it builds its first
-Cholesky factor, so importing the package loads numpy alone.
+scipy.linalg is never imported here. ``LeastSquaresOracle.prox``, which
+only Douglas-Rachford calls, needs two LAPACK routines (the Cholesky factor
+and its solve). It takes them from scipy's f2py extension
+``scipy.linalg._flapack``, loaded on its own when the first factor is
+built, because importing scipy.linalg itself loads about 330 modules and
+27 MB. Importing the package loads numpy alone.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +80,33 @@ def _check_component_count(n_components, m):
                          f"components={n_components!r} with m={m}")
 
 
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK extension scipy.linalg._flapack, which
+    cho_factor and cho_solve take dpotrf and dpotrs from. When scipy.linalg
+    is imported, its module is used; otherwise the extension is found in
+    the linalg directory of the installed scipy and loaded alone, so
+    neither scipy's nor scipy.linalg's __init__ runs. It registers itself
+    in sys.modules as it loads; the entry is dropped, so that a later
+    import of scipy.linalg loads and binds it as usual."""
+    loaded = sys.modules.get("scipy.linalg._flapack")
+    if loaded is not None:
+        return loaded
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(path, "linalg")
+         for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError("Douglas-Rachford's least-squares prox needs "
+                          "scipy (its LAPACK extension scipy.linalg._flapack)"
+                          ", which is not installed")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(spec.name, None)
+    return module
+
+
 class LeastSquaresOracle(SmoothOracle):
     """f(x) = 0.5 * ||A x - b||^2 with cached Gram matrix.
 
@@ -88,9 +122,11 @@ class LeastSquaresOracle(SmoothOracle):
     cached. components=None (the default) means no finite-sum view.
 
     prox solves (I + gamma A^T A) x = v + gamma A^T b via a Cholesky
-    factorization cached per gamma; scipy.linalg is imported when the first
-    factor is built, so only a run that calls prox (Douglas-Rachford) loads
-    it, and a run's later iterations only look the factor up.
+    factorization cached per gamma. The factor and the solves are LAPACK's
+    dpotrf and dpotrs from scipy's f2py extension alone (see _flapack),
+    loaded when the first factor is built: only a run that calls prox
+    (Douglas-Rachford) loads it, no run imports scipy.linalg, and a run's
+    later iterations only look the factor up.
 
     restricted_solve minimises f + c.z on a flat from the cached Gram and
     A^T b, for predictor-corrector's flat step.
@@ -152,21 +188,28 @@ class LeastSquaresOracle(SmoothOracle):
         return self.gram.dot(x) - self.Atb
 
     def prox(self, v, gamma):
-        """(I + gamma*gram)^{-1} (v + gamma*Atb), by LAPACK's potrs on the
-        Cholesky factor kept for this gamma: the call scipy's cho_solve
-        makes, without its finiteness check, so a non-finite v gives a
-        non-finite result rather than a ValueError."""
+        """(I + gamma*gram)^{-1} (v + gamma*Atb), by dpotrs on the dpotrf
+        factor kept for this gamma: the calls, arguments and bytes of
+        cho_factor and cho_solve, from scipy's LAPACK extension alone
+        (_flapack), since scipy.linalg would load about 330 modules and
+        27 MB. The factor keeps cho_factor's checks (a non-finite matrix
+        raises its ValueError, one not positive definite LinAlgError); the
+        solve skips cho_solve's finiteness check, so a non-finite v gives
+        a non-finite result rather than a ValueError."""
         key = float(gamma)
         cached = self._prox_cache.get(key)
         if cached is None:
-            from scipy.linalg import cho_factor, get_lapack_funcs
-
+            lapack = _flapack()
             n = self.gram.shape[0]
-            factor, lower = cho_factor(np.eye(n) + key * self.gram)
-            potrs, = get_lapack_funcs(("potrs",), (factor,))
-            cached = self._prox_cache[key] = (potrs, factor, lower)
-        potrs, factor, lower = cached
-        return potrs(factor, v + gamma * self.Atb, lower=lower)[0]
+            a = np.asarray_chkfinite(np.eye(n) + key * self.gram)
+            factor, info = lapack.dpotrf(a, lower=0, clean=0, overwrite_a=0)
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"{info}-th leading minor of the array is not positive "
+                    f"definite")
+            cached = self._prox_cache[key] = (lapack.dpotrs, factor)
+        potrs, factor = cached
+        return potrs(factor, v + gamma * self.Atb, lower=0)[0]
 
     def restricted_solve(self, reduce, c):
         """The z solving B^T G B z = B^T A^T b - c, with G the cached Gram

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: its per-metric summary of interleaved pairs and
 the record it keeps of each run."""
 
+import importlib.metadata
 import importlib.util
 import json
 import os
@@ -92,6 +93,8 @@ def test_main_prints_and_stores_why_a_run_failed(tmp_path, capsys):
     assert ("#   change exit code 1; check failed: lowrank: fig2 final ranks "
             "differ between passes; check failed: final patterns") in printed
     assert "base exit code" not in printed
-    pair = json.loads(out.read_text())["runs"]["lowrank-seed0"]["pairs"][0]
+    doc = json.loads(out.read_text())
+    assert doc["env"]["scipy"] == importlib.metadata.version("scipy")
+    pair = doc["runs"]["lowrank-seed0"]["pairs"][0]
     assert pair["change"]["exit_code"] == 1
     assert len(pair["change"]["check_failed"]) == 2

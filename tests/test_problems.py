@@ -290,7 +290,8 @@ def _python(code):
     return done.stdout.splitlines()
 
 
-# a dr run, with whether scipy.linalg is loaded before and after it
+# a dr run, with whether scipy.linalg is loaded before and after it, then
+# an import of scipy.linalg after the run
 DR_RUN = """
 import sys
 {preload}
@@ -302,6 +303,7 @@ point, log = run_dr(gen_lasso(30, 12, seed=2), SolverConfig(max_iter=60))
 print('scipy.linalg' in sys.modules)
 print(point.point.tobytes().hex(), log.status)
 print(trace_csv_text(log))
+import scipy.linalg
 """
 
 
@@ -312,12 +314,21 @@ class TestImportFootprint:
         assert _python(f"import sys, {module}\n"
                        "print('scipy.linalg' in sys.modules)") == ["False"]
 
-    def test_dr_loads_it_and_runs_as_with_it_preloaded(self):
+    def test_dr_leaves_it_out_and_runs_as_with_it_preloaded(self):
         lazy = _python(DR_RUN.format(preload=""))
         eager = _python(DR_RUN.format(preload="import scipy.linalg"))
-        assert lazy[:2] == ["False", "True"]
+        assert lazy[:2] == ["False", "False"]
         assert eager[:2] == ["True", "True"]
         assert lazy[2:] == eager[2:] and len(lazy) > 4
+
+    def test_solve_dr_leaves_it_out(self, tmp_path):
+        bundle = str(tmp_path / "lasso")
+        assert _python(
+            "import sys\nfrom proxident.cli import main\n"
+            f"main(['gen', 'lasso', '--m', '30', '--n', '12', '--out', "
+            f"{bundle!r}])\n"
+            f"print(main(['solve', 'dr', {bundle!r}]), "
+            "'scipy.linalg' in sys.modules)")[-1] == "0 False"
 
 
 class TestProxF:
@@ -354,6 +365,20 @@ class TestProxF:
             for v in rng.standard_normal((200, 20)):
                 want = cho_solve(factor, v + gamma * o.Atb)
                 assert o.prox(v, gamma).tobytes() == want.tobytes()
+
+    def test_non_finite_matrix_is_refused_as_cho_factor_refuses_it(self):
+        A = np.ones((3, 2))
+        A[1, 0] = np.nan
+        with pytest.raises(ValueError,
+                           match="array must not contain infs or NaNs"):
+            least_squares_oracle(A, np.ones(3)).prox(np.ones(2), 0.5)
+
+    def test_matrix_not_positive_definite_raises_linalg_error(self):
+        o = least_squares_oracle(2.0 * np.eye(2), np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="1-th leading minor of the array is not "
+                                 "positive definite"):
+            o.prox(np.ones(2), -1.0)
 
     def test_non_finite_input_gives_a_non_finite_result(self):
         o = least_squares_oracle(np.eye(3), np.ones(3))

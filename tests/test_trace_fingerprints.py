@@ -1,5 +1,8 @@
-"""tools/trace_fingerprints.py: its cases are well formed and repeatable."""
+"""tools/trace_fingerprints.py: its cases are well formed and repeatable,
+and at 1 BLAS thread it prints tests/trace_fingerprints.txt line for
+line."""
 
+import difflib
 import importlib.util
 import os
 import re
@@ -15,6 +18,9 @@ TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
+
+PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "trace_fingerprints.txt")
 
 
 def load_tool():
@@ -226,3 +232,20 @@ def test_kernel_and_collection_lines_are_thread_invariant():
                         + len(tool.COLLECTIONS)
                         + len(tool.FLAT_QC_SEEDS) + 3)
     assert one == _lines_at(2)
+
+
+def test_output_equals_the_pinned_file():
+    # every trace byte the tool hashes, against the committed output; its
+    # first line names the stack that made it
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    now = subprocess.run([sys.executable, TOOL], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    with open(PINNED) as fh:
+        pinned = fh.read().splitlines()
+    diff = list(difflib.unified_diff(pinned[1:], now[1:], "pinned", "now",
+                                     lineterm="", n=0))
+    stack = ("" if now[0] == pinned[0] else
+             f"\nthe file was made on {pinned[0][2:]}; this run is on "
+             f"{now[0][2:]}")
+    assert not diff, ("lines differ from tests/trace_fingerprints.txt:\n"
+                      + "\n".join(diff) + stack)

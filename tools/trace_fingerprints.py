@@ -4,7 +4,16 @@ Usage (from the root of a checkout, no flags):
 
     python tools/trace_fingerprints.py > fingerprints.txt
 
-and ``diff`` the files of two checkouts. Each line is ``case,solver,sha256``;
+and ``diff`` the files of two checkouts. The first line is a comment that
+names the numpy and scipy versions and the BLAS each was built with
+(``stack_line``). ``tests/trace_fingerprints.txt`` holds this output at 1
+BLAS thread, and a Tier-1 test compares a fresh run with it; a change that
+moves a line updates that file:
+
+    OPENBLAS_NUM_THREADS=1 python tools/trace_fingerprints.py \
+        > tests/trace_fingerprints.txt
+
+Every other line is ``case,solver,sha256``;
 the hash covers a run's trace CSV, final point, final pattern, status,
 iteration count, convergence flag, gamma and seed, plus the ``keep_u``
 vectors where kept. Cases:
@@ -582,7 +591,21 @@ def spectral_kernel_lines():
     return lines
 
 
+def stack_line():
+    """A comment naming the numpy and scipy versions and the BLAS each was
+    built with: the stack a set of lines was made on."""
+    import scipy
+
+    parts = []
+    for module in (np, scipy):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        parts.append(f"{module.__name__} {module.__version__} "
+                     f"({blas['name']} {blas['version']})")
+    return "# " + ", ".join(parts)
+
+
 def main():
+    print(stack_line())
     outcomes, reports = [], []
     for seed in range(QC_INSTANCES):
         print("\n".join(qc_case(seed, outcomes, reports)))
