@@ -75,9 +75,11 @@ def enlarged_bound_l1(ustar, step, eps) -> SparsityPattern:
 
     Closed form: coordinate i can be nonzero for some u with
     ||u - ustar|| <= eps exactly when |ustar_i| + eps > step (= gamma*lam).
-    ustar must be finite.
+    ustar must be finite, and step finite and nonnegative.
     """
     _check_eps(eps)
+    if not 0.0 <= step < math.inf:  # NaN fails this too
+        raise ValueError(f"step must be finite and nonnegative, got {step!r}")
     ustar = np.asarray(ustar, dtype=float)
     if not np.isfinite(ustar).all():
         raise ValueError("ustar must be finite")

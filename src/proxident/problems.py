@@ -5,27 +5,16 @@ subclass (least squares or masked matrix least squares here), and g a
 structure-inducing regularizer from the prox catalog. Generators can attach
 a certified optimal pair (xstar, ustar) so that identification claims can
 be checked against ground truth.
-
-scipy.linalg is never imported here. ``LeastSquaresOracle.prox``, which
-only Douglas-Rachford calls, needs two LAPACK routines (the Cholesky factor
-and its solve). It takes them from scipy's f2py extension
-``scipy.linalg._flapack``, loaded on its own when the first factor is
-built, because importing scipy.linalg itself loads about 330 modules and
-27 MB. Importing the package loads numpy alone.
 """
 
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .manifolds import _integer
-from .prox import Regularizer, _check_lam, prox_nuclear
+from .prox import Regularizer, _check_gamma, _check_lam, prox_nuclear
 
 __all__ = [
     "SmoothOracle",
@@ -80,33 +69,6 @@ def _check_component_count(n_components, m):
                          f"components={n_components!r} with m={m}")
 
 
-@functools.cache
-def _flapack():
-    """scipy's f2py LAPACK extension scipy.linalg._flapack, which
-    cho_factor and cho_solve take dpotrf and dpotrs from. When scipy.linalg
-    is imported, its module is used; otherwise the extension is found in
-    the linalg directory of the installed scipy and loaded alone, so
-    neither scipy's nor scipy.linalg's __init__ runs. It registers itself
-    in sys.modules as it loads; the entry is dropped, so that a later
-    import of scipy.linalg loads and binds it as usual."""
-    loaded = sys.modules.get("scipy.linalg._flapack")
-    if loaded is not None:
-        return loaded
-    scipy = importlib.util.find_spec("scipy")
-    spec = scipy and importlib.machinery.PathFinder.find_spec(
-        "scipy.linalg._flapack",
-        [os.path.join(path, "linalg")
-         for path in scipy.submodule_search_locations])
-    if spec is None:
-        raise ImportError("Douglas-Rachford's least-squares prox needs "
-                          "scipy (its LAPACK extension scipy.linalg._flapack)"
-                          ", which is not installed")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules.pop(spec.name, None)
-    return module
-
-
 class LeastSquaresOracle(SmoothOracle):
     """f(x) = 0.5 * ||A x - b||^2 with cached Gram matrix.
 
@@ -121,12 +83,9 @@ class LeastSquaresOracle(SmoothOracle):
     (see split); the blocks are built on the first read of components and
     cached. components=None (the default) means no finite-sum view.
 
-    prox solves (I + gamma A^T A) x = v + gamma A^T b via a Cholesky
-    factorization cached per gamma. The factor and the solves are LAPACK's
-    dpotrf and dpotrs from scipy's f2py extension alone (see _flapack),
-    loaded when the first factor is built: only a run that calls prox
-    (Douglas-Rachford) loads it, no run imports scipy.linalg, and a run's
-    later iterations only look the factor up.
+    prox solves (I + gamma A^T A) x = v + gamma A^T b with the inverse
+    of that matrix, built from its Cholesky factor once per gamma and
+    cached, so a run's later iterations make one matrix-vector product.
 
     restricted_solve minimises f + c.z on a flat from the cached Gram and
     A^T b, for predictor-corrector's flat step.
@@ -188,28 +147,22 @@ class LeastSquaresOracle(SmoothOracle):
         return self.gram.dot(x) - self.Atb
 
     def prox(self, v, gamma):
-        """(I + gamma*gram)^{-1} (v + gamma*Atb), by dpotrs on the dpotrf
-        factor kept for this gamma: the calls, arguments and bytes of
-        cho_factor and cho_solve, from scipy's LAPACK extension alone
-        (_flapack), since scipy.linalg would load about 330 modules and
-        27 MB. The factor keeps cho_factor's checks (a non-finite matrix
-        raises its ValueError, one not positive definite LinAlgError); the
-        solve skips cho_solve's finiteness check, so a non-finite v gives
-        a non-finite result rather than a ValueError."""
+        """(I + gamma*gram)^{-1} (v + gamma*Atb), with the inverse kept for
+        this gamma: C^-T C^-1 from the inverse of the Cholesky factor C,
+        not np.linalg.inv of the matrix, whose bytes at n = 120 depend on
+        the BLAS thread count. gamma must be positive and finite (a
+        ValueError otherwise); a non-finite matrix raises numpy's
+        ValueError and one not positive definite in floating point (such
+        as I + gamma*gram for a huge gamma and a singular gram) LinAlgError.
+        v is not checked, so a non-finite v gives a non-finite result."""
+        _check_gamma(gamma)
         key = float(gamma)
-        cached = self._prox_cache.get(key)
-        if cached is None:
-            lapack = _flapack()
-            n = self.gram.shape[0]
-            a = np.asarray_chkfinite(np.eye(n) + key * self.gram)
-            factor, info = lapack.dpotrf(a, lower=0, clean=0, overwrite_a=0)
-            if info > 0:
-                raise np.linalg.LinAlgError(
-                    f"{info}-th leading minor of the array is not positive "
-                    f"definite")
-            cached = self._prox_cache[key] = (lapack.dpotrs, factor)
-        potrs, factor = cached
-        return potrs(factor, v + gamma * self.Atb, lower=0)[0]
+        inverse = self._prox_cache.get(key)
+        if inverse is None:
+            a = np.eye(self.gram.shape[0]) + key * self.gram
+            c_inv = np.linalg.inv(np.linalg.cholesky(np.asarray_chkfinite(a)))
+            inverse = self._prox_cache[key] = c_inv.T @ c_inv
+        return inverse.dot(v + gamma * self.Atb)
 
     def restricted_solve(self, reduce, c):
         """The z solving B^T G B z = B^T A^T b - c, with G the cached Gram
@@ -295,6 +248,7 @@ class MatrixLSOracle(SmoothOracle):
         return self._residual(x)
 
     def prox(self, v, gamma):
+        _check_gamma(gamma)
         m = 1.0 if self.mask is None else self.mask
         return (v + gamma * m * self.target) / (1.0 + gamma * m)
 

@@ -49,12 +49,13 @@ them, with no sign convention: flipping column j of U and row j of V^T
 together leaves (U * s) @ V^T bit for bit the same (negation is exact and
 each product keeps its sign), and nothing else reads the vectors.
 
-The tv1d prox keeps the decisions of its last taut-string scan as a plan.
-A call of the same length first checks that plan in one vectorised pass
-(the scan's own quotients and comparisons, evaluated in numpy) and, on a
-hit, builds the output from it; on a miss it runs the scan, which replaces
-the plan. Either way the output is the scan's, byte for byte: a plan from
-another input or another thread costs a miss, never a different result.
+The tv1d prox keeps the decisions of a taut-string scan as a plan when
+the next scan repeats them, or when the next call repeats the scan's
+input. A call of the same length first checks that plan in one vectorised
+pass (the scan's own quotients and comparisons, evaluated in numpy) and,
+on a hit, builds the output from it; on a miss it runs the scan. Either
+way the output is the scan's, byte for byte: a plan from another input or
+another thread costs a miss, never a different result.
 
 Every operator rejects non-finite input, a non-positive or non-finite
 gamma and a negative or non-finite lam with a ValueError; lam = 0 is
@@ -115,11 +116,15 @@ def _check_input(u, gamma, lam=1.0):
     if not math.isfinite(np.vdot(u, u)) and not np.isfinite(u).all():
         raise ValueError("prox input must be finite")
     if not (0.0 < gamma < math.inf and 0.0 <= lam < math.inf):
-        if not 0.0 < gamma < math.inf:
-            raise ValueError(
-                f"gamma must be positive and finite, got {gamma!r}")
+        _check_gamma(gamma)
         raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
     return u
+
+
+def _check_gamma(gamma):
+    """Raise a ValueError unless gamma is positive and finite."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
 
 
 def _l1(x) -> float:
@@ -183,20 +188,26 @@ def prox_l0(u, gamma, lam=1.0) -> ProxResult:
 # the string is one constant segment of the output, so the segment structure
 # is a byproduct of the construction.
 #
-# Consecutive calls in a run almost always take the same bends, so the last
-# scan's decisions are kept as a plan, and the next call of the same length
-# first checks in one vectorised pass whether the scan would take them again
-# (see _tv1d_planned). The scan stays the one definition of the output: the
-# check computes the scan's own quotients and accepts only when every
-# comparison the scan makes comes out as recorded.
+# Consecutive calls in a run almost always take the same bends. When a scan
+# takes the same decisions as the scan before it, they are kept as a plan,
+# and the next call of the same length first checks in one vectorised pass
+# whether the scan would take them again (see _tv1d_planned). The scan stays
+# the one definition of the output: the check computes the scan's own
+# quotients and accepts only when every comparison the scan makes comes out
+# as recorded. A call on the very input of the last scan builds the plan of
+# that scan's decisions first, so the plan holds again on its own input. A
+# stream of unrelated inputs, whose decisions never repeat, pays the check
+# of a stale plan and one list comparison on top of the scan.
 # ---------------------------------------------------------------------------
 
 _UPPER, _LOWER, _FINAL = 0, 1, 2  # how the scan ends a segment
 
-# The plan of the last scan, replaced as a whole. It is only a guess: a plan
-# from another input, another length or another thread costs a miss, never a
-# different output.
+# The plan, replaced as a whole, and the last scan's decisions and input
+# (step, bytes). The plan is only a guess: a plan from another input,
+# another length or another thread costs a miss, never a different output.
 _tv1d_plan = None
+_tv1d_decisions = None
+_tv1d_input = None
 
 
 def _tv1d_segments(y, step):
@@ -205,11 +216,12 @@ def _tv1d_segments(y, step):
     The scan runs on Python floats: the tube bounds r_k +- step of the
     running sums r_k are converted to lists once per call, and each quotient
     and comparison below is the same IEEE operation as on numpy scalars.
-    It also records, per segment, the index J at which it ended the segment
-    and how (a bend at the upper or the lower bound, or the final piece),
-    and replaces the module's plan with the one built from them.
+    It also records its decisions: per segment, its anchor and end, the
+    index J at which it ended the segment and how (a bend at the upper or
+    the lower bound, or the final piece). When they are the last scan's,
+    it replaces the module's plan with the one built from them.
     """
-    global _tv1d_plan
+    global _tv1d_plan, _tv1d_decisions, _tv1d_input
     n = y.size
     r = np.cumsum(y)
     r_n = r[-1].item()
@@ -218,7 +230,7 @@ def _tv1d_segments(y, step):
     rp = (r + step).tolist()
     rm = (r - step).tolist()
     segs = []
-    ends = []  # (J, how) per segment
+    decisions = []  # (a, b, J, how) per segment
     a = 0  # anchor: string position, value s_a
     s_a = 0.0
     while a < n:
@@ -235,13 +247,13 @@ def _tv1d_segments(y, step):
             if lo > m_hi:
                 # no straight line fits: the string bends at the upper bound
                 segs.append((a, k_hi, m_hi))
-                ends.append((j, _UPPER))
+                decisions.append((a, k_hi, j, _UPPER))
                 s_a = rp[k_hi - 1]
                 a = k_hi
                 break
             if up < m_lo:
                 segs.append((a, k_lo, m_lo))
-                ends.append((j, _LOWER))
+                decisions.append((a, k_lo, j, _LOWER))
                 s_a = rm[k_lo - 1]
                 a = k_lo
                 break
@@ -251,11 +263,14 @@ def _tv1d_segments(y, step):
                 m_lo, k_lo = lo, j
             if j == n:
                 segs.append((a, n, up))
-                ends.append((j, _FINAL))
+                decisions.append((a, n, j, _FINAL))
                 a = n
                 break
             j += 1
-    _tv1d_plan = _Tv1dPlan(n, segs, ends)
+    if decisions == _tv1d_decisions:
+        _tv1d_plan = _Tv1dPlan(n, decisions)
+    _tv1d_decisions = decisions
+    _tv1d_input = (step, y.tobytes())
     return segs
 
 
@@ -301,9 +316,9 @@ class _Tv1dPlan:
     __slots__ = ("n", "take", "anchor", "den", "cuts", "size", "tests",
                  "expect", "values", "lengths")
 
-    def __init__(self, n, segs, ends):
-        k = len(segs)
-        count = [j - a for (a, _, _), (j, _) in zip(segs, ends)]
+    def __init__(self, n, decisions):
+        k = len(decisions)
+        count = [j - a for a, _, j, _ in decisions]
         e = sum(count)
         u0, l0 = 2 * e, 2 * e + 3 * k  # the places of U[3i] and L[3i]
         cut_up, cut_lo, left, right, expect, values = [], [], [], [], [], []
@@ -313,7 +328,7 @@ class _Tv1dPlan:
         # segment is the final piece (a bend is at most at J_i - 1 < n)
         firsts, shifts, anchors = [], [], [2 * n]
         first = 0  # the place of a_i + 1 among the entries
-        for (a, b, _), (j, how) in zip(segs, ends):
+        for a, b, j, how in decisions:
             last = first + j - a - 1  # J_i
             bend = first + b - a - 1  # b_i
             firsts.append(first)
@@ -365,7 +380,7 @@ class _Tv1dPlan:
         # last tied one, which settles signed zeros); the final piece's is
         # its quotient at n
         self.values = np.array(values)
-        self.lengths = np.array([b - a for a, b, _ in segs])
+        self.lengths = np.array([b - a for a, b, _, _ in decisions])
 
 
 def _tv1d_planned(plan, y, step):
@@ -435,15 +450,21 @@ def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
     The output is always the taut-string scan's, byte for byte. Cost: when
     the last scan's plan holds for u (same length, the same bends), one
     vectorised numpy check over the steps of that scan; otherwise that
-    check plus the scan, which also replaces the plan. The scan goes from
+    check plus the scan, which replaces the plan when it takes the last
+    scan's decisions again (on the last scan's own input, the plan of its
+    decisions is built and checked before any scan). The scan goes from
     each segment's anchor to the index where the tube forces a bend, and
     the string restarts at the bend, so it takes O(n) steps when segments
     end close to where the bend is detected and O(n^2) at worst. An input
     whose running sums overflow is rejected with a ValueError.
     """
+    global _tv1d_plan
     u = _check_1d("tv1d", u, gamma, lam)
     step = gamma * lam
     x = _tv1d_planned(_tv1d_plan, u, step)
+    if x is None and _tv1d_input == (step, u.tobytes()):
+        _tv1d_plan = _Tv1dPlan(u.size, _tv1d_decisions)
+        x = _tv1d_planned(_tv1d_plan, u, step)
     if x is None:
         x = _segments_to_point(_tv1d_segments(u, step), u.size)
     # x[1:] - x[:-1] is the subtraction np.diff runs

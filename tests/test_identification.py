@@ -170,6 +170,13 @@ class TestEnlargedBound:
         with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
             enlarged_bound_l1(u, 1.0, float("nan"))
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_step_rejected(self, step):
+        # a NaN or infinite step certified every coordinate zero
+        with pytest.raises(ValueError,
+                           match="step must be finite and nonnegative"):
+            enlarged_bound_l1(np.ones(3), step, 0.1)
+
     def test_sampled_nan_eps_rejected(self):
         p = stub_problem(Regularizer.tv1d(3, 1.0), [5.0, -3.0, 0.1])
         with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):

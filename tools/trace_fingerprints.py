@@ -5,7 +5,7 @@ Usage (from the root of a checkout, no flags):
     python tools/trace_fingerprints.py > fingerprints.txt
 
 and ``diff`` the files of two checkouts. The first line is a comment that
-names the numpy and scipy versions and the BLAS each was built with
+names the numpy version and the BLAS it was built with
 (``stack_line``). ``tests/trace_fingerprints.txt`` holds this output at 1
 BLAS thread, and a Tier-1 test compares a fresh run with it; a change that
 moves a line updates that file:
@@ -592,16 +592,10 @@ def spectral_kernel_lines():
 
 
 def stack_line():
-    """A comment naming the numpy and scipy versions and the BLAS each was
-    built with: the stack a set of lines was made on."""
-    import scipy
-
-    parts = []
-    for module in (np, scipy):
-        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        parts.append(f"{module.__name__} {module.__version__} "
-                     f"({blas['name']} {blas['version']})")
-    return "# " + ", ".join(parts)
+    """A comment naming the numpy version and the BLAS it was built with:
+    the stack a set of lines was made on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__} ({blas['name']} {blas['version']})"
 
 
 def main():
