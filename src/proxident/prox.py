@@ -291,8 +291,11 @@ class _Tv1dPlan:
     window up to b_i, the window after b_i, and J_i alone. Only the side
     the segment bends at is split at b_i; on the other side, and in the
     final piece, the first part is the whole window and the second one J_i
-    alone. The arrays depend on n and the decisions only, never on input
-    values.
+    alone. The check reads the tube bounds from a buffer [rp (n), rm (n),
+    0.0]: ``take`` holds the places of rp[j - 1] at the e entries, then
+    those of rm[j - 1], so one flat take gathers up's and lo's numerators,
+    and ``anchor`` and ``den`` repeat their e entries for both halves. The
+    arrays depend on n and the decisions only, never on input values.
 
     Since lo_j <= up_j at every entry, the scan passes a window without a
     break iff max lo <= min up over it. So it takes the plan's decisions
@@ -366,12 +369,17 @@ class _Tv1dPlan:
             l0 += 3
             first = last + 1
         # per entry: its segment's first place, a_i - first place and anchor
-        seg_first, seg_shift, self.anchor = np.repeat(
+        seg_first, seg_shift, anchor = np.repeat(
             np.array([firsts, shifts, anchors]), count, axis=1)
         place = np.arange(e)
+        take = place + seg_shift  # j - 1
+        den = (place + 1.0) - seg_first  # j - a_i
         self.n = n
-        self.take = place + seg_shift  # j - 1
-        self.den = (place + 1.0) - seg_first  # j - a_i
+        # up_j reads rp[j - 1] and lo_j reads rm[j - 1], both less the
+        # segment's anchor and over j - a_i
+        self.take = np.concatenate((take, take + n))
+        self.anchor = np.concatenate((anchor, anchor))
+        self.den = np.concatenate((den, den))
         self.cuts = np.array(cut_up + cut_lo)
         self.size = 2 * e + 6 * k
         self.tests = np.array(left + right)
@@ -386,12 +394,13 @@ class _Tv1dPlan:
 def _tv1d_planned(plan, y, step):
     """The point the scan would give y, if it takes plan's decisions on y;
     else None, so also when there is no plan of y's length or a tube bound
-    r_k +- step, or a difference of two, could overflow."""
+    r_k +- step, or a difference of two, could overflow: the check runs
+    only when 2 * (max |r_k| + step), which bounds them all, is finite."""
     if plan is None or plan.n != y.size:
         return None
     n = plan.n
     buf = np.empty(2 * n + 1)
-    r = np.cumsum(y, out=buf[:n])
+    r = np.add.accumulate(y, out=buf[:n])
     # every tube bound r +- step, and every difference of two, is at most
     # 2 * (max |r| + step) in size: when that is finite, nothing below
     # overflows (a nan or inf sum fails too; Python floats overflow to inf
@@ -405,20 +414,20 @@ def _tv1d_planned(plan, y, step):
     # (r_n - s)/(n - a) for up and lo alike
     buf[n - 1] = buf[2 * n - 1] = r_n
     buf[2 * n] = 0.0
-    e = plan.take.size
+    e2 = plan.take.size
+    e = e2 // 2
     t = np.empty(plan.size)
-    v = t[:2 * e].reshape(2, e)  # up, lo
-    np.take(buf[:2 * n].reshape(2, n), plan.take, axis=1, out=v)
-    v -= buf[plan.anchor]
+    v = buf.take(plan.take, out=t[:e2])  # up, lo
+    v -= buf.take(plan.anchor)
     v /= plan.den
     m = plan.cuts.size // 2
-    np.minimum.reduceat(v[0], plan.cuts[:m], out=t[2 * e:2 * e + m])
-    np.maximum.reduceat(v[1], plan.cuts[m:], out=t[2 * e + m:])
-    g = t[plan.tests]
+    np.minimum.reduceat(t[:e], plan.cuts[:m], out=t[e2:e2 + m])
+    np.maximum.reduceat(t[e:e2], plan.cuts[m:], out=t[e2 + m:])
+    g = t.take(plan.tests)
     c = g.size // 2
     if (g[:c] > g[c:]).tobytes() != plan.expect:
         return None
-    return np.repeat(t[plan.values], plan.lengths)
+    return t.take(plan.values).repeat(plan.lengths)
 
 
 def _segments_to_point(segs, n):
@@ -487,6 +496,14 @@ def _potts_segments(y, step):
     the block are scored on Python floats, row by row, as their best values
     become known. Every total is the same IEEE expression
     (best[l] + cost) + jump[l] wherever it is computed.
+
+    A row scores its in-block breakpoints only when a lower bound does not
+    rule them out. The bound is (least best value known in the block +
+    the row's least in-block cost) + step, the costs' minima taken in one
+    masked reduction per block. IEEE rounding is monotone, so no in-block
+    total is below it: when it is above the row's best pre-block total m,
+    no in-block breakpoint beats or ties m, and the row keeps its pre-block
+    answer (the same tie rule, and the chosen total as its best value).
     """
     n = y.size
     c1 = np.concatenate(([0.0], np.cumsum(y)))
@@ -506,11 +523,10 @@ def _potts_segments(y, step):
     rows = min(_POTTS_BLOCK, n)
     seg_buf = np.empty(rows * n)
     sq_buf = np.empty(rows * n)
+    # row i of a block has its in-block breakpoints at the columns j < i
+    below = np.tri(rows, rows - 1, -1, bool)
     best = np.zeros(n + 1)
-    # jump[l] is 0 at l = 0 and step once best[l] is known; before that it
-    # is inf (and best[l] is 0), so a block's own breakpoints total inf and
-    # stay out of its vectorised argmin
-    jump = np.full(n, np.inf)
+    jump = np.full(n, step)  # the cost of a jump at l > 0
     jump[0] = 0.0
     nseg = [0] * (n + 1)
     back = [0] * (n + 1)
@@ -525,20 +541,33 @@ def _potts_segments(y, step):
         np.divide(sq, lengths[n - r1 + 1:n - r0 + 1][::-1, :w], out=sq)
         np.subtract(total, sq, out=total)
         np.multiply(total, 0.5, out=total)
-        inner = total[:, r0:].tolist()  # costs of the in-block breakpoints
-        np.add(best[:w], total, out=total)
-        np.add(total, jump[:w], out=total)
-        firsts = total.argmin(1).tolist()
-        lasts = total[:, ::-1].argmin(1).tolist()
+        # the totals of the breakpoints before the block, whose best values
+        # are known; those inside it keep their costs
+        pre, inner = total[:, :r0], total[:, r0:]
+        np.add(best[:r0], pre, out=pre)
+        np.add(pre, jump[:r0], out=pre)
+        firsts = pre.argmin(1).tolist()
+        lasts = pre[:, ::-1].argmin(1).tolist()
+        # each row's least in-block cost: one masked reduction a block
+        inner_min = np.minimum.reduce(
+            inner, 1, initial=math.inf, where=below[:b, :b - 1]).tolist()
         block_best = []
+        low = math.inf  # the least best value known in the block
         for i, l in enumerate(firsts):
             m = total.item(i, l)
-            inb = [(v + c) + step for v, c in zip(block_best, inner[i])]
-            m_in = min(inb, default=math.inf)
+            # IEEE rounding is monotone, so every in-block total
+            # (v + c) + step is at least this bound: above m, none of them
+            # beats or ties m, and the row keeps its pre-block answer
+            if (low + inner_min[i]) + step > m:
+                inb, m_in = (), math.inf
+            else:
+                inb = [(v + c) + step
+                       for v, c in zip(block_best, inner[i, :i].tolist())]
+                m_in = min(inb, default=math.inf)
             # the breakpoints tied at the row's minimum, in index order
             if m_in < m:
                 ties = []
-            elif l + lasts[i] == w - 1:  # the first and last argmin agree
+            elif l + lasts[i] == r0 - 1:  # the first and last argmin agree
                 ties = [l]
             else:
                 ties = np.flatnonzero(total[i, :r0] == m).tolist()
@@ -546,11 +575,13 @@ def _potts_segments(y, step):
                 ties += [r0 + j for j, t in enumerate(inb) if t == m_in]
             # the first tied breakpoint with the fewest segments
             l = ties[0] if len(ties) == 1 else min(ties, key=nseg.__getitem__)
-            block_best.append(inb[l - r0] if l >= r0 else total.item(i, l))
+            value = inb[l - r0] if l >= r0 else total.item(i, l)
+            block_best.append(value)
+            if value < low:
+                low = value
             nseg[r0 + i] = nseg[l] + 1
             back[r0 + i] = l
         best[r0:r1] = block_best
-        jump[r0:r1] = step
     segs = []
     r = n
     while r > 0:
@@ -566,7 +597,8 @@ def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
 
     Cost: O(n^2) arithmetic in about n/16 block passes, each over the
     segment costs of 16 right ends at once, plus a Python-float scan of the
-    breakpoints inside each block; the extra memory is O(16*n).
+    breakpoints inside each block for the right ends where an exact lower
+    bound does not rule them out; the extra memory is O(16*n).
     An input whose running sums, or n times those of its squares, overflow
     is rejected with a ValueError.
     """

@@ -94,7 +94,8 @@ def test_main_prints_and_stores_why_a_run_failed(tmp_path, capsys):
             "differ between passes; check failed: final patterns") in printed
     assert "base exit code" not in printed
     doc = json.loads(out.read_text())
-    assert doc["env"]["scipy"] == importlib.metadata.version("scipy")
+    assert doc["env"]["numpy"] == importlib.metadata.version("numpy")
+    assert "scipy" not in doc["env"]
     pair = doc["runs"]["lowrank-seed0"]["pairs"][0]
     assert pair["change"]["exit_code"] == 1
     assert len(pair["change"]["check_failed"]) == 2

@@ -438,6 +438,22 @@ class TestPottsBlockEdges:
         assert _hex_segments(_potts_segments(u, step)) == _hex_segments(
             potts_segments_reference(u, step))
 
+    # runs of quarter-integers at a small step: the optimal or a tied last
+    # breakpoint often lies inside the right end's own block, so the DP
+    # scores some rows' in-block breakpoints and rules others out by its
+    # bound
+    @pytest.mark.parametrize("block", [1, 2, 3, 16])
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)),
+                    min_size=2, max_size=30),
+           st.sampled_from([1 / 64, 1 / 16, 0.125, 0.25, 0.5]))
+    def test_in_block_breakpoints_match_reference(self, block, runs, step):
+        u = np.repeat([q / 4.0 for q, _ in runs], [k for _, k in runs])
+        with mock.patch.object(prox_module, "_POTTS_BLOCK", block):
+            segs = _potts_segments(u, step)
+        assert _hex_segments(segs) == _hex_segments(
+            potts_segments_reference(u, step))
+
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
     def test_any_block_size(self, monkeypatch, block):
         monkeypatch.setattr(prox_module, "_POTTS_BLOCK", block)

@@ -184,7 +184,6 @@ def main(argv=None):
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "numpy": importlib.metadata.version("numpy"),
-            "scipy": importlib.metadata.version("scipy"),
         })
         doc.setdefault("runs", {})[f"{args.workload}-seed{args.seed}"] = {
             "workload": args.workload,
