@@ -129,6 +129,24 @@ def test_diverge_start_lines_hash_a_diverged_empty_run():
     assert [line.split(",")[2] for line in lines] == [empty] * len(SOLVERS)
 
 
+def test_diagonal_lines_are_well_formed_and_repeatable():
+    import numpy as np
+
+    tool = load_tool()
+    lines = tool.diagonal_lines()
+    assert lines == tool.diagonal_lines()
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"diagonal-{kind},{name}" for kind in ("l1", "tv1d", "potts1d")
+        for name in SOLVERS]
+    assert all(re.fullmatch(r"diagonal-[a-z0-9]+,[a-z-]+,[0-9a-f]{64}", line)
+               for line in lines)
+    for _, problem in tool._diagonal_problems():
+        design = problem.smooth.A
+        assert np.array_equal(design, np.diag(np.diagonal(design)))
+        assert set(np.diagonal(design)) == {1.0, 0.3}
+        assert problem.smooth.component_count == 4
+
+
 def test_gen_lines_are_well_formed_and_repeatable():
     tool = load_tool()
     lines = tool.gen_lines()

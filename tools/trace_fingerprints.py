@@ -34,6 +34,10 @@ vectors where kept. Cases:
   settings: DAve-PG under ``constant:2`` and ``geometric:0.5`` delays, and
   SAGA over 3 components;
 * ``lowrank``, ``rank``, ``tv1d``, ``potts1d``, ``l0``: the other prox kinds;
+* ``diagonal-l1``, ``diagonal-tv1d``, ``diagonal-potts1d``: a weighted
+  60-point signal denoised through the square diagonal design diag(w),
+  w in {1, 0.3}, as the segment-1d benchmark's designs are, over 4
+  components so that every solver runs;
 * ``lowrank-structure``: the ``lowrank`` (nuclear) and ``rank`` runs hashed
   without their trace's objective column, one line per kind and solver, so
   that a change in the objective's last bits shows as the only change;
@@ -101,6 +105,7 @@ from proxident.manifolds import (  # noqa: E402
 )
 from proxident.problems import (  # noqa: E402
     CompositeProblem,
+    LeastSquaresOracle,
     SmoothOracle,
     gen_lasso,
     gen_lowrank_matrix_problem,
@@ -328,6 +333,28 @@ def _vector_kind_problems():
     return [(kind, CompositeProblem(base.smooth,
                                     getattr(Regularizer, kind)(30, lam)))
             for kind, lam in (("tv1d", 0.5), ("potts1d", 0.05), ("l0", 0.01))]
+
+
+def _diagonal_problems():
+    """(case, problem): l1, tv1d and potts1d on one weighted signal,
+    f(x) = 0.5 * ||w * x - w * y||^2 written as the design diag(w)."""
+    n = 60
+    rng = np.random.default_rng(n)
+    jumps = np.sort(rng.choice(np.arange(1, n), 3, replace=False))
+    truth = np.repeat(rng.uniform(-2.0, 2.0, 4),
+                      np.diff(np.concatenate(([0], jumps, [n]))))
+    w = np.where(rng.random(n) < 0.5, 1.0, 0.3)
+    y = truth + 0.2 * rng.standard_normal(n)
+    smooth = LeastSquaresOracle(np.diag(w), w * y, components=4)
+    return [(f"diagonal-{kind}", CompositeProblem(
+        smooth, getattr(Regularizer, kind)(n, lam)))
+        for kind, lam in (("l1", 0.1), ("tv1d", 1.0), ("potts1d", 2.0))]
+
+
+def diagonal_lines():
+    """The ``diagonal-*`` lines: every solver on each diagonal problem."""
+    return [line for case, problem in _diagonal_problems()
+            for line in solver_lines(case, problem, KINDS_CONFIG)]
 
 
 FLAT_QC_SEEDS = (0, 1, 2, 3, 4)
@@ -605,7 +632,8 @@ def main():
         print("\n".join(qc_case(seed, outcomes, reports)))
     print(outcomes_line(outcomes))
     print(reports_line(reports))
-    print("\n".join(other_cases() + replicate_lines() + cli_lines()
+    print("\n".join(other_cases() + diagonal_lines() + replicate_lines()
+                    + cli_lines()
                     + collection_lines() + kernel_lines()
                     + lowrank_structure_lines() + spectral_kernel_lines()
                     + gen_lines() + solve_lines()))
