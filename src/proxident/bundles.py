@@ -18,11 +18,7 @@ import os
 
 import numpy as np
 
-from .problems import (
-    CompositeProblem,
-    least_squares_oracle,
-    matrix_ls_oracle,
-)
+from .problems import CompositeProblem, LeastSquaresOracle, MatrixLSOracle
 from .prox import Regularizer
 
 __all__ = [
@@ -248,13 +244,13 @@ def read_bundle(path) -> CompositeProblem:
 
     A = read_matrix(os.path.join(path, "A.txt"))
     if _KINDS[kind] == "nuclear":
-        smooth, ambient, shape = matrix_ls_oracle(A), A.shape, A.shape
+        smooth, ambient, shape = MatrixLSOracle(A), A.shape, A.shape
     else:
         m, n = A.shape
         b = _read_shaped(os.path.join(path, "b.txt"), (m,))
         components = entry("components", (int, lambda v: 1 <= v <= m,
                                           f"an integer in 1..{m}"))
-        smooth = least_squares_oracle(A, b, components=components)
+        smooth = LeastSquaresOracle(A, b, components=components)
         ambient, shape = n, (n,)
     xstar, ustar = (_read_shaped(os.path.join(path, meta[key]), shape)
                     if key in meta else None  # the meta names no file

@@ -72,8 +72,9 @@ def _check_component_count(n_components, m):
 class LeastSquaresOracle(SmoothOracle):
     """f(x) = 0.5 * ||A x - b||^2 with cached Gram matrix.
 
-    Both constants come from one np.linalg.eigvalsh of the Gram A^T A, run
-    on the first read of lipschitz or strong_convexity and cached: L is the
+    Both constants come from one np.linalg.eigvalsh of the Gram A^T A (for
+    a dense design; a diagonal one's need none, see below), run on the
+    first read of lipschitz or strong_convexity and cached: L is the
     top eigenvalue and mu the bottom one, or 0 when the bottom eigenvalue is
     at most n * eps * L with n the column count (numpy's matrix_rank cutoff
     for the Gram), so wide and rank-deficient designs have mu = 0.
@@ -94,6 +95,24 @@ class LeastSquaresOracle(SmoothOracle):
     make the same BLAS gemv and dot calls, with the same bytes, but dot
     skips the matmul ufunc's dispatch, which at n = 20 costs about as much
     as the product itself.
+
+    A diagonal design is applied as its diagonal d, chosen once at
+    construction when A is n x n with n >= 2, every off-diagonal entry is
+    zero and every g_i = d_i * d_i is finite. Then gram is np.diag(g), with
+    no matrix product; the value's residual is d * x - b and the gradient
+    (g * x + 0.0) - Atb; and L and mu are the largest and the smallest g_i,
+    with the same cutoff and no eigvalsh (which returns the g_i themselves
+    unless LAPACK scales a matrix outside the normal range). Each dense
+    product has one nonzero term an entry, so these give its bytes: the
+    + 0.0 turns a -0.0 product into the +0.0 that the BLAS sum gives. One
+    exception: where g_i * x_i underflows to zero, the sum (which uses FMA)
+    may give -0.0. That zero reaches only a squared residual, or a gradient
+    entry whose Atb entry is 0, where x_i - gamma * (+-0) is x_i, since an
+    underflow needs x_i != 0; so no value byte and no step byte moves. A
+    1 x 1 design stays dense: numpy multiplies it as a scalar, with no sum,
+    so its -0.0 products stay -0.0. A, Atb, prox, restricted_solve and
+    split keep their dense code; a block of split is a square diagonal only
+    when it is the whole design (components=1).
     """
 
     def __init__(self, A, b, components=None):
@@ -105,16 +124,24 @@ class LeastSquaresOracle(SmoothOracle):
             _check_component_count(components, A.shape[0])
         self.A = A
         self.b = b
-        self.gram = A.T @ A
         self.Atb = A.T @ b
+        self._g = _diagonal_gram(A)
+        if self._g is None:
+            self.gram = A.T @ A
+        else:
+            self.gram = np.diag(self._g)
+            self._value, self._gradient = _diagonal_products(
+                A.diagonal().copy(), self._g, b, self.Atb)
         self._components = None
         self._n_components = components
         self._prox_cache = {}
 
     @functools.cached_property
     def _spectrum(self):
-        """(L, mu) from the Gram's eigenvalues, computed on first read."""
-        eigs = np.linalg.eigvalsh(self.gram)
+        """(L, mu) from the Gram's eigenvalues, computed on first read (a
+        diagonal Gram's are its sorted diagonal)."""
+        eigs = (np.linalg.eigvalsh(self.gram) if self._g is None
+                else np.sort(self._g))
         top, bottom = float(eigs[-1]), float(eigs[0])
         cutoff = eigs.size * np.finfo(float).eps * top
         return top, bottom if bottom > cutoff else 0.0
@@ -184,7 +211,7 @@ class LeastSquaresOracle(SmoothOracle):
         Each block is itself a least-squares oracle on sqrt(k)-scaled data so
         that averaging the components reproduces f exactly. The blocks are
         built here with their Grams; like any LeastSquaresOracle, each
-        computes its own L and mu from one eigvalsh on first read.
+        computes its own L and mu from its Gram's spectrum on first read.
         """
         m = self.A.shape[0]
         _check_component_count(n_components, m)
@@ -196,13 +223,42 @@ class LeastSquaresOracle(SmoothOracle):
         ]
 
 
+def _diagonal_gram(A):
+    """d * d for the diagonal d of A when A is n x n with n >= 2, every
+    off-diagonal entry zero and every d_i * d_i finite; None otherwise."""
+    n = A.shape[0]
+    if A.shape[1] != n or n < 2:
+        return None
+    d = A.diagonal()
+    if np.count_nonzero(A) != np.count_nonzero(d):  # a nan counts as nonzero
+        return None
+    with np.errstate(over="ignore"):
+        g = d * d
+    return g if np.isfinite(g).all() else None
+
+
+def _diagonal_products(d, g, b, Atb):
+    """(value, gradient) of 0.5 * ||d * x - b||^2 with g = d * d and
+    Atb = A^T b: LeastSquaresOracle's _value and _gradient for the design
+    diag(d), chosen once at construction."""
+
+    def value(x):
+        r = d * x - b
+        return 0.5 * float(r.dot(r))
+
+    def gradient(x):
+        return (g * x + 0.0) - Atb
+
+    return value, gradient
+
+
 def least_squares_oracle(A, b, components=None) -> LeastSquaresOracle:
     """Least-squares smooth term, optionally with row-partitioned components.
 
-    Nothing spectral is computed here: L and mu come from one eigvalsh of
-    the Gram on the first read of either, and the components (when a count
-    is given) are built on their first read. A component count outside 1..m
-    raises ValueError here.
+    Nothing spectral is computed here: L and mu come from the Gram's
+    spectrum on the first read of either (see LeastSquaresOracle), and the
+    components (when a count is given) are built on their first read. A
+    component count outside 1..m raises ValueError here.
     """
     return LeastSquaresOracle(A, b, components)
 
@@ -241,8 +297,10 @@ class MatrixLSOracle(SmoothOracle):
         return r
 
     def _value(self, x):
+        # np.add.reduce(., None) is the reduction np.sum runs, without its
+        # wrapper
         r = self._residual(x)
-        return 0.5 * float(np.sum(r * r))
+        return 0.5 * float(np.add.reduce(r * r, None))
 
     def _gradient(self, x):
         return self._residual(x)
@@ -313,7 +371,7 @@ def gen_lasso(m, n, seed, density=0.1, noise=0.1, lam=None, components=10):
     b = A @ x_true + noise * rng.standard_normal(m)
     if lam is None:
         lam = 0.1 * float(np.abs(A.T @ b).max())
-    oracle = least_squares_oracle(A, b, components=min(components, m))
+    oracle = LeastSquaresOracle(A, b, components=min(components, m))
     return CompositeProblem(
         smooth=oracle,
         reg=Regularizer.l1(n, lam),
@@ -367,7 +425,7 @@ def gen_qc_lasso(n, s, delta, seed, m=None, lam=1.0, components=10,
     # least-norm residual r with A^T r = -v, then b = A xstar - r
     r = -A @ np.linalg.solve(A.T @ A, v)
     b = A @ xstar - r
-    oracle = least_squares_oracle(A, b, components=min(components, m))
+    oracle = LeastSquaresOracle(A, b, components=min(components, m))
     gamma = 1.0 / oracle.lipschitz
     ustar = xstar - gamma * oracle.gradient(xstar)
     return CompositeProblem(
@@ -414,7 +472,7 @@ def gen_lowrank_matrix_problem(size=20, rank=4, degenerate=False, seed=0,
         sigma[rank:] = lam * rng.uniform(0.1, 0.5, size=tail)
     sigma = np.sort(sigma)[::-1]
     target = (qu * sigma) @ qv.T
-    oracle = matrix_ls_oracle(target)
+    oracle = MatrixLSOracle(target)
     reg = Regularizer.nuclear(size, size, lam)
     # gamma = 1 makes the problem's minimizer exactly prox_{lam*||.||_*}(B)
     xres = prox_nuclear(target, 1.0, lam)

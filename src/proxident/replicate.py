@@ -26,9 +26,9 @@ from .asynchronous import DelayModel, run_dave_pg
 from .manifolds import _integer
 from .problems import (
     CompositeProblem,
+    LeastSquaresOracle,
     gen_lasso,
     gen_lowrank_matrix_problem,
-    least_squares_oracle,
 )
 from .prox import Regularizer
 from .solvers import SolverConfig, _fmt, run_pg
@@ -72,7 +72,7 @@ def _fig1_rhs():
 
 
 def _solve_lasso_tight(A, b, lam):
-    problem = CompositeProblem(least_squares_oracle(A, b),
+    problem = CompositeProblem(LeastSquaresOracle(A, b),
                                Regularizer.l1(A.shape[1], lam))
     point, _ = run_pg(problem, SolverConfig(stop_tol=1e-14, max_iter=500_000))
     return point

@@ -278,6 +278,112 @@ class TestExactConstants:
             assert trace.gamma * sigma_max ** 2 <= 1.0 + 1e-14
 
 
+# diagonal entries and point entries with signed zeros, subnormals, entries
+# whose squares underflow and products that overflow
+DIAGONAL = [1.0, 0.3, 0.0, -2.0, -0.0, 1e-200, 5e-324, 1e150]
+POINT = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1.0,
+         -0.7]
+
+
+def dense_products(A, b, x):
+    """The dense path's value and gradient of 0.5 * ||A x - b||^2 at x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = A.dot(x) - b
+        return 0.5 * float(r.dot(r)), (A.T @ A).dot(x) - A.T @ b
+
+
+class TestDiagonalDesign:
+    """A square diagonal design is applied as its diagonal: the products
+    have the dense ones' bytes, bar the zero sign of an underflowed
+    product, and L and mu come with no eigvalsh."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 60, 200])
+    def test_products_are_the_dense_bytes(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            d = rng.choice(DIAGONAL, n)
+            A, x, b = np.diag(d), rng.choice(POINT, n), rng.choice(POINT, n)
+            value, gradient = dense_products(A, b, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                o = LeastSquaresOracle(A, b)
+                assert o.gram.tobytes() == (A.T @ A).tobytes()
+                assert o.value(x).hex() == value.hex()
+                got = o.gradient(x)
+            moved = got.view(np.uint64) != gradient.view(np.uint64)
+            # only where g * x underflowed, against an Atb entry of 0
+            g = d * d
+            assert (g[moved] != 0).all() and (x[moved] != 0).all()
+            assert (got[moved] == 0).all() and (o.Atb[moved] == 0).all()
+            assert (gradient[moved] == 0).all()
+
+    def test_an_underflowed_product_moves_no_step(self):
+        # g_4 * x_4 = 0.09 * -5e-324 rounds to -0.0: OpenBLAS FMAs the last
+        # term of a length-5 sum outside its vector loop and gives -0.0,
+        # the diagonal path +0.0
+        d = np.array([1.0, 0.3, 0.3, 1.0, 0.3])
+        x = np.array([2.0, -1.0, 0.5, 3.0, -5e-324])
+        b = np.array([1.0, 0.3, -0.3, 0.0, 0.0])
+        A = np.diag(d)
+        o = LeastSquaresOracle(A, b)
+        value, gradient = dense_products(A, b, x)
+        got = o.gradient(x)
+        assert got[4] == 0.0 and not np.signbit(got[4]) and gradient[4] == 0.0
+        assert got[:4].tobytes() == gradient[:4].tobytes()
+        assert o.value(x).hex() == value.hex()
+        for gamma in (1.0, 1.0 / o.lipschitz, 0.37, 1e300):
+            assert (x - gamma * got).tobytes() == (
+                x - gamma * gradient).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 60, 200])
+    def test_constants_are_eigvalsh_of_the_gram(self, n, count_spectra):
+        rng = np.random.default_rng(n)
+        for entries in ([1.0, 0.3], [1.0, 0.3, 0.0, -2.0, -0.0],
+                        rng.uniform(-1e10, 1e10, 5), [1.0, 1e-10]):
+            d = rng.choice(entries, n)
+            o = LeastSquaresOracle(np.diag(d), rng.standard_normal(n))
+            o.lipschitz
+            assert count_spectra == []
+            assert_exact_constants(o, np.diag(d))
+            del count_spectra[:]
+
+    @pytest.mark.parametrize("design", [
+        np.vstack([np.diag([0.3, 1.0, 2.0, 1.0, 0.3]), np.zeros(5)]),
+        np.diag([0.3, 1.0, 2.0, 1.0, 0.3]) + np.diag([0.0, 0.0, 1e-300], 2),
+        np.diag([0.3, 1.0, 2.0, np.inf, 0.3]),
+        np.diag([0.3, 1.0, 2.0, 1e200, 0.3]),  # its square overflows
+        np.array([[0.3]]),  # a 1 x 1 product is a scalar one, with no sum
+    ], ids=["rectangular", "off-diagonal", "inf", "square-overflow", "1x1"])
+    def test_other_designs_keep_the_dense_products(self, design,
+                                                   count_spectra):
+        n = design.shape[1]
+        # an underflowed product and a -0.0 one: the dense bytes differ
+        x = np.array([-5e-324, 2.0, -0.0, 3.0, -5e-324])[-n:]
+        b = np.zeros(design.shape[0])
+        value, gradient = dense_products(design, b, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            o = LeastSquaresOracle(design, b)
+            assert o.gram.tobytes() == (design.T @ design).tobytes()
+            assert o.gradient(x).tobytes() == gradient.tobytes()
+            assert repr(o.value(x)) == repr(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                o.lipschitz
+            except np.linalg.LinAlgError:  # the inf design's nan Gram
+                pass
+        assert count_spectra == [n]
+
+    def test_bench_designs_take_the_path(self, count_spectra):
+        # segment-1d's designs, and a split: its blocks are rectangular
+        rng = np.random.default_rng(0)
+        w = np.where(rng.random(200) < 0.5, 1.0, 0.3)
+        o = LeastSquaresOracle(np.diag(w), w, components=4)
+        assert (o.lipschitz, o.strong_convexity) == (1.0, 0.3 * 0.3)
+        assert count_spectra == []
+        o.components[0].lipschitz
+        assert count_spectra == [200]
+
+
 def _python(code):
     """stdout of code run in a fresh interpreter that imports this
     package."""

@@ -371,8 +371,11 @@ class TestTv1dPlan:
         assert scan.call_count == 3
 
     def test_bounds_whose_differences_overflow_always_scan(self):
-        # finite bounds, but rp[0] - rm[1] overflows: the scan's Python
-        # floats give inf silently, and the check leaves such inputs to it
+        # the running sums are [1.5e308, 0, 1], so every tube bound and
+        # every difference of two is finite (the widest, max rp - min rm,
+        # is 1.5e308 + 1); but the check's guard 2 * (max |r| + step) =
+        # 3e308 is not, so the check refuses the input and leaves it to
+        # the scan
         u = np.array([1.5e308, -1.5e308, 1.0])
         with np.errstate(over="ignore"), _counting_scans() as scan:
             for _ in range(3):  # the value's jumps overflow, as ever
