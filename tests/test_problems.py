@@ -356,7 +356,9 @@ class TestDiagonalDesign:
     def test_other_designs_keep_the_dense_products(self, design,
                                                    count_spectra):
         n = design.shape[1]
-        # an underflowed product and a -0.0 one: the dense bytes differ
+        # underflowing products, which come out -0.0 from the last term of
+        # a 5-term BLAS sum and from numpy's 1 x 1 scalar product, where
+        # the diagonal path would give +0.0
         x = np.array([-5e-324, 2.0, -0.0, 3.0, -5e-324])[-n:]
         b = np.zeros(design.shape[0])
         value, gradient = dense_products(design, b, x)
@@ -365,6 +367,8 @@ class TestDiagonalDesign:
             assert o.gram.tobytes() == (design.T @ design).tobytes()
             assert o.gradient(x).tobytes() == gradient.tobytes()
             assert repr(o.value(x)) == repr(value)
+        # the class's own products run, with no per-call choice
+        assert not {"_value", "_gradient"} & set(vars(o))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             try:
@@ -373,8 +377,9 @@ class TestDiagonalDesign:
                 pass
         assert count_spectra == [n]
 
-    def test_bench_designs_take_the_path(self, count_spectra):
-        # segment-1d's designs, and a split: its blocks are rectangular
+    def test_weighted_signal_designs_take_the_path(self, count_spectra):
+        # w in {1, 0.3}, as segment-1d denoises, and a split: its blocks
+        # are rectangular
         rng = np.random.default_rng(0)
         w = np.where(rng.random(200) < 0.5, 1.0, 0.3)
         o = LeastSquaresOracle(np.diag(w), w, components=4)

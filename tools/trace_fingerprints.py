@@ -633,8 +633,7 @@ def main():
     print(outcomes_line(outcomes))
     print(reports_line(reports))
     print("\n".join(other_cases() + diagonal_lines() + replicate_lines()
-                    + cli_lines()
-                    + collection_lines() + kernel_lines()
+                    + cli_lines() + collection_lines() + kernel_lines()
                     + lowrank_structure_lines() + spectral_kernel_lines()
                     + gen_lines() + solve_lines()))
 
