@@ -107,6 +107,26 @@ def test_lowrank_structure_lines_are_well_formed_and_repeatable():
     assert lines[0].split(",")[2] not in full
 
 
+def test_masked_lines_are_well_formed():
+    tool = load_tool()
+    lines = tool.masked_lines()
+    cases = [f"{size}x{size}-{kind}" for size, _ in tool.MASKED_SHAPES
+             for kind in ("nuclear", "rank")]
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        f"masked-{case},{name}" for case in cases for name in SOLVERS] + [
+        f"masked-structure,{case}-{name}" for case in cases
+        for name in SOLVERS]
+    assert all(re.fullmatch(r"masked-[a-z0-9-]+,[a-z0-9-]+,[0-9a-f]{64}",
+                            line) for line in lines)
+    # the structure lines leave the objective column out of the same runs
+    half = len(lines) // 2
+    assert lines[0].split(",")[2] != lines[half].split(",")[2]
+    for _, problem in tool._masked_problems():
+        # a 0/1 mask with zeros: L = 1 and mu = 0
+        smooth = problem.smooth
+        assert (smooth.lipschitz, smooth.strong_convexity) == (1.0, 0.0)
+
+
 def test_draw_lines_are_well_formed_and_repeatable():
     tool = load_tool()
     lines = tool.draw_lines()

@@ -41,6 +41,11 @@ vectors where kept. Cases:
 * ``lowrank-structure``: the ``lowrank`` (nuclear) and ``rank`` runs hashed
   without their trace's objective column, one line per kind and solver, so
   that a change in the objective's last bits shows as the only change;
+* ``masked-<size>-<kind>``: completions through a 0/1 observation mask,
+  shaped like the lowrank benchmark's (20x20 of rank 2 and 50x50 of rank
+  5, about 60% observed, lam = 5), under the nuclear and the rank
+  regularizer, every solver, at most 500 iterations; ``masked-structure``
+  hashes the same runs without their trace's objective column;
 * ``replicate-fig<N>``: one line per emitted file, keyed by file name;
 * ``cli-lasso``: ``proxident gen lasso`` then ``solve`` (exit code,
   trace.csv and report.txt);
@@ -106,6 +111,7 @@ from proxident.manifolds import (  # noqa: E402
 from proxident.problems import (  # noqa: E402
     CompositeProblem,
     LeastSquaresOracle,
+    MatrixLSOracle,
     SmoothOracle,
     gen_lasso,
     gen_lowrank_matrix_problem,
@@ -163,30 +169,35 @@ def run_digest(point, trace, objective=True):
 
 
 def solver_lines(case, problem, config, names=None, kwargs=None,
-                 outcomes=None, objective=True, reports=None):
+                 outcomes=None, objective=True, reports=None, structure=None):
     """One line per solver; a rejected problem hashes its error message.
 
     When outcomes is a list, each run also appends
     ``case,solver,status,iterations,pattern`` (or its error) to it; when
     reports is a list, ``case,solver,`` and the run's identification report
-    text (or its error); the objective flag is run_digest's."""
+    text (or its error); when structure is a list, ``case,solver,`` and the
+    run's digest without its objective column (or its error's). The
+    objective flag is run_digest's."""
     lines = []
     for name in names or SOLVERS:
         try:
             point, trace = run_solver(name, problem, config,
                                       **(kwargs or {}).get(name, {}))
             digest = run_digest(point, trace, objective)
+            bare = run_digest(point, trace, False)
             outcome = (f"{trace.status},{trace.iterations},"
                        f"{_pattern_hex(point)}")
             report = report_text(analyze_trace(trace)) if trace else "empty"
         except ValueError as exc:
-            digest = _sha(["error", exc])
+            digest = bare = _sha(["error", exc])
             outcome = report = f"error {exc}"
         lines.append(f"{case},{name},{digest}")
         if outcomes is not None:
             outcomes.append(f"{case},{name},{outcome}")
         if reports is not None:
             reports.append(f"{case},{name},{report}")
+        if structure is not None:
+            structure.append(f"{case},{name},{bare}")
     return lines
 
 
@@ -355,6 +366,45 @@ def diagonal_lines():
     """The ``diagonal-*`` lines: every solver on each diagonal problem."""
     return [line for case, problem in _diagonal_problems()
             for line in solver_lines(case, problem, KINDS_CONFIG)]
+
+
+MASKED_SHAPES = ((20, 2), (50, 5))  # (size, rank)
+
+
+def _masked_problems():
+    """(case, problem): a nuclear and a rank completion for each (size,
+    rank) in MASKED_SHAPES, shaped like the lowrank benchmark's: the
+    product of two Gaussian size x rank factors, seen through a 0/1 mask
+    of about 60% of its entries, with lam = 5."""
+    cases = []
+    for size, rank in MASKED_SHAPES:
+        rng = np.random.default_rng(size)
+        left = rng.standard_normal((size, rank))
+        right = rng.standard_normal((size, rank))
+        mask = (rng.random((size, size)) < 0.6).astype(float)
+        smooth = MatrixLSOracle(mask * (left @ right.T), mask)
+        cases += [(f"masked-{size}x{size}-{kind}", CompositeProblem(
+            smooth, getattr(Regularizer, kind)(size, size, 5.0)))
+            for kind in ("nuclear", "rank")]
+    return cases
+
+
+MASKED_CONFIG = SolverConfig(stop_tol=1e-9, max_iter=500, keep_u=True)
+
+
+def masked_lines():
+    """The ``masked-*`` lines: every solver on each masked completion,
+    hashed with its trace's objective column and then, as
+    ``masked-structure`` lines, without it."""
+    lines, structure = [], []
+    for case, problem in _masked_problems():
+        lines += solver_lines(case, problem, MASKED_CONFIG,
+                              structure=structure)
+    for line in structure:
+        case, name, digest = line.split(",")
+        shape = case.removeprefix("masked-")
+        lines.append(f"masked-structure,{shape}-{name},{digest}")
+    return lines
 
 
 FLAT_QC_SEEDS = (0, 1, 2, 3, 4)
@@ -634,7 +684,8 @@ def main():
     print(reports_line(reports))
     print("\n".join(other_cases() + diagonal_lines() + replicate_lines()
                     + cli_lines() + collection_lines() + kernel_lines()
-                    + lowrank_structure_lines() + spectral_kernel_lines()
+                    + lowrank_structure_lines() + masked_lines()
+                    + spectral_kernel_lines()
                     + gen_lines() + solve_lines()))
 
 
