@@ -1,7 +1,7 @@
 """Composite problems: smooth oracles, finite sums, and seeded generators.
 
 A composite problem is min f(x) + g(x) with f smooth, a ``SmoothOracle``
-subclass (least squares or masked matrix least squares here), and g a
+subclass (least squares, or its diagonal form on a matrix here), and g a
 structure-inducing regularizer from the prox catalog. Generators can attach
 a certified optimal pair (xstar, ustar) so that identification claims can
 be checked against ground truth.
@@ -37,7 +37,8 @@ class SmoothOracle:
     gradient, which call them. It overrides the defaults strong_convexity
     = 0.0 and components = None when it has more (a list of oracles f^j
     with f = (1/m) * sum_j f^j), prox when it has one, and restricted_solve
-    when it can minimise itself on a flat.
+    when it can minimise itself on a flat. The package's two are least
+    squares and its diagonal form on a matrix.
     """
 
     strong_convexity = 0.0
@@ -72,12 +73,9 @@ def _check_component_count(n_components, m):
 class LeastSquaresOracle(SmoothOracle):
     """f(x) = 0.5 * ||A x - b||^2 with cached Gram matrix.
 
-    Both constants come from one np.linalg.eigvalsh of the Gram A^T A (for
-    a dense design; a diagonal one's need none, see below), run on the
-    first read of lipschitz or strong_convexity and cached: L is the
-    top eigenvalue and mu the bottom one, or 0 when the bottom eigenvalue is
-    at most n * eps * L with n the column count (numpy's matrix_rank cutoff
-    for the Gram), so wide and rank-deficient designs have mu = 0.
+    L and mu (see _constants) come from one np.linalg.eigvalsh of the Gram
+    A^T A (a diagonal design's need none, see below), run on the first read
+    of either and cached, so wide and rank-deficient designs have mu = 0.
     Construction computes no spectrum.
 
     With components=k the oracle is also the finite sum of k row blocks
@@ -100,9 +98,9 @@ class LeastSquaresOracle(SmoothOracle):
     construction when A is n x n with n >= 2, every off-diagonal entry is
     zero and every g_i = d_i * d_i is finite. Then gram is np.diag(g), with
     no matrix product; the value's residual is d * x - b and the gradient
-    (g * x + 0.0) - Atb; and L and mu are the largest and the smallest g_i,
-    with the same cutoff and no eigvalsh (which returns the g_i themselves
-    unless LAPACK scales a matrix outside the normal range). Each dense
+    (g * x + 0.0) - Atb; and L and mu are _constants of the g_i, with no
+    eigvalsh (which returns the g_i themselves unless LAPACK scales a
+    matrix outside the normal range). Each dense
     product has one nonzero term an entry, so these give its bytes: the
     + 0.0 turns a -0.0 product into the +0.0 that the BLAS sum gives. One
     exception: where g_i * x_i underflows to zero, the sum (which uses FMA)
@@ -139,12 +137,9 @@ class LeastSquaresOracle(SmoothOracle):
     @functools.cached_property
     def _spectrum(self):
         """(L, mu) from the Gram's eigenvalues, computed on first read (a
-        diagonal Gram's are its sorted diagonal)."""
-        eigs = (np.linalg.eigvalsh(self.gram) if self._g is None
-                else np.sort(self._g))
-        top, bottom = float(eigs[-1]), float(eigs[0])
-        cutoff = eigs.size * np.finfo(float).eps * top
-        return top, bottom if bottom > cutoff else 0.0
+        diagonal Gram's are its diagonal)."""
+        return _constants(np.linalg.eigvalsh(self.gram) if self._g is None
+                          else self._g)
 
     @property
     def lipschitz(self) -> float:
@@ -237,14 +232,24 @@ def _diagonal_gram(A):
     return g if np.isfinite(g).all() else None
 
 
+def _constants(g):
+    """(L, mu) of a quadratic whose Hessian has the eigenvalues g: L is the
+    largest g_i and mu the smallest, or 0 when it is at most g.size * eps
+    * L (numpy's matrix_rank cutoff)."""
+    top, bottom = float(g.max()), float(g.min())
+    return top, bottom if bottom > g.size * np.finfo(float).eps * top else 0.0
+
+
 def _diagonal_products(d, g, b, Atb):
     """(value, gradient) of 0.5 * ||d * x - b||^2 with g = d * d and
-    Atb = A^T b: LeastSquaresOracle's _value and _gradient for the design
-    diag(d), chosen once at construction."""
+    Atb = d * b, elementwise on arrays of any shape, chosen once at
+    construction: LeastSquaresOracle's _value and _gradient for the design
+    diag(d), and MatrixLSOracle's. np.vdot sums the flattened residual's
+    squares with the BLAS dot that r.dot(r) calls on a vector."""
 
     def value(x):
         r = d * x - b
-        return 0.5 * float(r.dot(r))
+        return 0.5 * float(np.vdot(r, r))
 
     def gradient(x):
         return (g * x + 0.0) - Atb
@@ -253,25 +258,22 @@ def _diagonal_products(d, g, b, Atb):
 
 
 def least_squares_oracle(A, b, components=None) -> LeastSquaresOracle:
-    """Least-squares smooth term, optionally with row-partitioned components.
-
-    Nothing spectral is computed here: L and mu come from the Gram's
-    spectrum on the first read of either (see LeastSquaresOracle), and the
-    components (when a count is given) are built on their first read. A
-    component count outside 1..m raises ValueError here.
-    """
+    """LeastSquaresOracle(A, b, components), which computes nothing
+    spectral and builds no component."""
     return LeastSquaresOracle(A, b, components)
 
 
 class MatrixLSOracle(SmoothOracle):
-    """f(X) = 0.5 * ||mask * (X - target)||_F^2 (identity map when mask=None).
+    """f(X) = 0.5 * ||w * X - w * target||_F^2 with w the entrywise 0/1
+    mask, all ones when mask=None: diagonal least squares on a matrix.
 
-    The mask is entrywise 0/1; unobserved entries do not contribute. The
-    gradient Lipschitz constant is 1 (0/1 mask); strong convexity is 1 for
-    the identity map and 0 otherwise.
+    As w * w = w, value and gradient are _diagonal_products(w, w, w *
+    target, w * target); the gradient is mask * (X - target) bar the sign
+    of a zero. (L, mu) = _constants(w): (1, 1) for an all-ones w, (1, 0)
+    when w has a zero, and (0, 0) for an all-zero mask, where f = 0, the
+    default step is 1 and every positive step is admissible. prox is
+    (v + gamma * w * target) / (1 + gamma * w).
     """
-
-    lipschitz = 1.0
 
     def __init__(self, target, mask=None):
         target = np.asarray(target, dtype=float)
@@ -286,29 +288,15 @@ class MatrixLSOracle(SmoothOracle):
             if not np.all((mask == 0) | (mask == 1)):
                 raise ValueError("mask entries must be 0 or 1")
         self.target = target
-        self.mask = mask
-        full = mask is None or bool(np.all(mask == 1))
-        self.strong_convexity = 1.0 if full else 0.0
-
-    def _residual(self, x):
-        r = x - self.target
-        if self.mask is not None:
-            r = self.mask * r
-        return r
-
-    def _value(self, x):
-        # np.add.reduce(., None) is the reduction np.sum runs, without its
-        # wrapper
-        r = self._residual(x)
-        return 0.5 * float(np.add.reduce(r * r, None))
-
-    def _gradient(self, x):
-        return self._residual(x)
+        self._w = np.ones(target.shape) if mask is None else mask
+        self._wt = self._w * target
+        self._value, self._gradient = _diagonal_products(
+            self._w, self._w, self._wt, self._wt)
+        self.lipschitz, self.strong_convexity = _constants(self._w)
 
     def prox(self, v, gamma):
         _check_gamma(gamma)
-        m = 1.0 if self.mask is None else self.mask
-        return (v + gamma * m * self.target) / (1.0 + gamma * m)
+        return (v + gamma * self._wt) / (1.0 + gamma * self._w)
 
 
 def matrix_ls_oracle(target, mask=None) -> MatrixLSOracle:
