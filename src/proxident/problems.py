@@ -36,13 +36,15 @@ class SmoothOracle:
     lipschitz (the gradient's Lipschitz constant) and inherits value and
     gradient, which call them. It overrides the defaults strong_convexity
     = 0.0 and components = None when it has more (a list of oracles f^j
-    with f = (1/m) * sum_j f^j), prox when it has one, and restricted_solve
-    when it can minimise itself on a flat. The package's two are least
-    squares and its diagonal form on a matrix.
+    with f = (1/m) * sum_j f^j), prox when it has one, restricted_solve
+    when it can minimise itself on a flat, and _shape = None with its
+    points' shape, which CompositeProblem checks, when it knows it. The
+    package's two are least squares and its diagonal form on a matrix.
     """
 
     strong_convexity = 0.0
     components = None
+    _shape = None
 
     def value(self, x) -> float:
         return float(self._value(x))
@@ -122,6 +124,7 @@ class LeastSquaresOracle(SmoothOracle):
             _check_component_count(components, A.shape[0])
         self.A = A
         self.b = b
+        self._shape = (A.shape[1],)
         self.Atb = A.T @ b
         self._g = _diagonal_gram(A)
         if self._g is None:
@@ -288,6 +291,7 @@ class MatrixLSOracle(SmoothOracle):
             if not np.all((mask == 0) | (mask == 1)):
                 raise ValueError("mask entries must be 0 or 1")
         self.target = target
+        self._shape = target.shape
         self._w = np.ones(target.shape) if mask is None else mask
         self._wt = self._w * target
         self._value, self._gradient = _diagonal_products(
@@ -320,6 +324,13 @@ class CompositeProblem:
     delta: float | None = None
     seed: int | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        ambient = self.reg.collection.ambient
+        shape = ambient if isinstance(ambient, tuple) else (ambient,)
+        if self.smooth._shape not in (None, shape):
+            raise ValueError(f"smooth term shape {self.smooth._shape} != "
+                             f"regularizer shape {shape}")
 
     def objective(self, x) -> float:
         return self.smooth.value(x) + self.reg.value(x)

@@ -4,6 +4,9 @@ These deliberately avoid the algorithms under test: the TV oracle enumerates
 segmentations and jump signs and solves the stationarity system in closed
 form; the Potts oracle enumerates all 2^(n-1) breakpoint masks.
 ``CallableSmooth`` is the tests' smooth term built from two callables.
+``matrix_ls_residual_reference`` and ``matrix_ls_prox_reference`` are the
+masked matrix term's residual and prox as written out before it became a
+diagonal least-squares term.
 ``prox_optimality_residual`` is acceptance criterion 1's checker: the
 distance of a convex prox's output from its optimality condition.
 ``estimate_projection_diagonal`` is the exception: it draws through random
@@ -30,6 +33,20 @@ class CallableSmooth(SmoothOracle):
         self.lipschitz = float(lipschitz)
         self.strong_convexity = float(strong_convexity)
         self.components = components
+
+
+def matrix_ls_residual_reference(x, target, mask=None):
+    """mask * (x - target), or x - target without a mask: the gradient of
+    0.5 * ||mask * (x - target)||_F^2 for a 0/1 mask."""
+    r = x - target
+    return r if mask is None else mask * r
+
+
+def matrix_ls_prox_reference(v, gamma, target, mask=None):
+    """(v + gamma * mask * target) / (1 + gamma * mask), with mask 1 when
+    there is none: the prox of 0.5 * ||mask * (x - target)||_F^2."""
+    m = 1.0 if mask is None else mask
+    return (v + gamma * m * target) / (1.0 + gamma * m)
 
 
 def tv1d_bruteforce(u, step):

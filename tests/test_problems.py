@@ -5,12 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import (
+    CallableSmooth,
+    matrix_ls_prox_reference,
+    matrix_ls_residual_reference,
+)
 
 import proxident
 from proxident.bundles import read_bundle, write_bundle
 from proxident.manifolds import pattern_of
 from proxident.problems import (
+    CompositeProblem,
     LeastSquaresOracle,
+    MatrixLSOracle,
     SmoothOracle,
     gen_lasso,
     gen_lowrank_matrix_problem,
@@ -18,8 +25,8 @@ from proxident.problems import (
     least_squares_oracle,
     matrix_ls_oracle,
 )
-from proxident.prox import prox_l1
-from proxident.solvers import SolverConfig, run_apg
+from proxident.prox import Regularizer, prox_l1
+from proxident.solvers import SolverConfig, run_apg, run_pg
 
 GATE_SEEDS = range(100)  # the acceptance gate's certified instances
 GATE_SHAPE = dict(n=20, s=5, delta=0.5)
@@ -501,7 +508,10 @@ class TestProxF:
 
     def test_non_finite_input_gives_a_non_finite_result(self):
         o = least_squares_oracle(np.eye(3), np.ones(3))
-        x = o.prox(np.array([np.inf, 0.0, 1.0]), 0.5)
+        # the inverse's zeros times the inf make NaNs in the product
+        with pytest.warns(RuntimeWarning,
+                          match="invalid value encountered in dot"):
+            x = o.prox(np.array([np.inf, 0.0, 1.0]), 0.5)
         assert not np.isfinite(x).all()
 
 
@@ -581,6 +591,119 @@ class TestMatrixOracle:
         # stationarity of 0.5*||mask*(x-B)||^2 + ||x-v||^2/(2*gamma)
         grad = mask * (x - target) + (x - v) / 0.9
         assert np.max(np.abs(grad)) <= 1e-12
+
+
+class TestMatrixTermIsDiagonalLeastSquares:
+    """MatrixLSOracle against its formulas as written out before it was
+    built on the diagonal least-squares path."""
+
+    @staticmethod
+    def _cases():
+        """(target, mask, x): the identity map and masks with and without
+        zeros, at points that include signed zeros and target entries."""
+        rng = np.random.default_rng(21)
+        cases = []
+        for shape in ((1, 1), (3, 4), (20, 20), (50, 50)):
+            target = rng.standard_normal(shape)
+            target[rng.random(shape) < 0.2] = 0.0
+            for mask in (None, np.ones(shape),
+                         (rng.random(shape) < 0.6).astype(float),
+                         np.zeros(shape)):
+                x = rng.standard_normal(shape)
+                x[rng.random(shape) < 0.2] = -0.0
+                x[rng.random(shape) < 0.2] = 0.0
+                same = rng.random(shape) < 0.2
+                x[same] = target[same]
+                cases.append((target, mask, x))
+        return cases
+
+    def test_gradient_is_the_reference_bar_the_sign_of_zeros(self):
+        for target, mask, x in self._cases():
+            got = MatrixLSOracle(target, mask).gradient(x)
+            want = matrix_ls_residual_reference(x, target, mask)
+            # == compares -0.0 and +0.0 equal, and every other value by
+            # its bits
+            assert got.shape == want.shape and (got == want).all()
+
+    def test_prox_is_byte_equal_to_the_reference(self):
+        rng = np.random.default_rng(22)
+        for target, mask, x in self._cases():
+            o = MatrixLSOracle(target, mask)
+            for gamma in (1e-3, 0.37, 1.0, 2.0, 1e6):
+                want = matrix_ls_prox_reference(x, gamma, target, mask)
+                assert o.prox(x, gamma).tobytes() == want.tobytes()
+            v = rng.standard_normal(target.shape)
+            assert (o.prox(v, 0.9).tobytes()
+                    == matrix_ls_prox_reference(v, 0.9, target,
+                                                mask).tobytes())
+
+    def test_value_is_half_the_vdot_of_the_reference_residual(self):
+        for target, mask, x in self._cases():
+            r = matrix_ls_residual_reference(x, target, mask)
+            assert MatrixLSOracle(target, mask).value(x) == (
+                0.5 * float(np.vdot(r, r)))
+
+    def test_constants(self):
+        target = np.arange(12.0).reshape(3, 4)
+        some_zero = np.ones((3, 4))
+        some_zero[1, 2] = 0.0
+        for mask, constants in ((None, (1.0, 1.0)),
+                                (np.ones((3, 4)), (1.0, 1.0)),
+                                (some_zero, (1.0, 0.0)),
+                                (np.zeros((3, 4)), (0.0, 0.0))):
+            o = MatrixLSOracle(target, mask)
+            assert (o.lipschitz, o.strong_convexity) == constants
+
+    def test_an_all_zero_mask_is_f_zero_with_every_step_admissible(self):
+        # L = 0: f is 0, the default step is 1 and any positive step runs
+        target = np.arange(12.0).reshape(3, 4)
+        o = MatrixLSOracle(target, np.zeros((3, 4)))
+        x = np.ones((3, 4))
+        assert o.value(x) == 0.0 and not o.gradient(x).any()
+        problem = CompositeProblem(o, Regularizer.nuclear(3, 4, 1.0))
+        _, trace = run_pg(problem, SolverConfig(max_iter=3))
+        assert trace.gamma == 1.0
+        for gamma in (1e-3, 2.0, 1e6):
+            _, trace = run_pg(problem, SolverConfig(gamma=gamma, max_iter=3))
+            assert trace.gamma == gamma
+        # a mask with a one has L = 1, and pg refuses a step of 2 or more
+        some_one = np.zeros((3, 4))
+        some_one[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            run_pg(CompositeProblem(MatrixLSOracle(target, some_one),
+                                    Regularizer.nuclear(3, 4, 1.0)),
+                   SolverConfig(gamma=2.0, max_iter=3))
+
+
+class TestProblemShape:
+    """CompositeProblem refuses a smooth term whose points have another
+    shape than the regularizer's, where it is built."""
+
+    @pytest.mark.parametrize("smooth,reg,message", [
+        (LeastSquaresOracle(np.arange(1.0, 10.0).reshape(3, 3), np.ones(3)),
+         Regularizer.l1(1, 1.0), r"\(3,\) != regularizer shape \(1,\)"),
+        (LeastSquaresOracle(np.diag([1.0, 0.3, 2.0]), np.ones(3)),
+         Regularizer.l1(1, 1.0), r"\(3,\) != regularizer shape \(1,\)"),
+        (MatrixLSOracle(np.ones((3, 4))), Regularizer.nuclear(4, 3, 1.0),
+         r"\(3, 4\) != regularizer shape \(4, 3\)"),
+    ], ids=["dense", "diagonal", "matrix"])
+    def test_a_mismatch_is_refused_with_both_shapes(self, smooth, reg,
+                                                    message):
+        with pytest.raises(ValueError, match="smooth term shape " + message):
+            CompositeProblem(smooth, reg)
+
+    def test_matching_shapes_and_components_are_accepted(self):
+        o = LeastSquaresOracle(np.ones((6, 3)), np.ones(6), components=3)
+        CompositeProblem(o, Regularizer.tv1d(3, 1.0))
+        for part in o.components:
+            CompositeProblem(part, Regularizer.l1(3, 1.0))
+        CompositeProblem(MatrixLSOracle(np.ones((3, 4))),
+                         Regularizer.rank(3, 4, 1.0))
+
+    def test_an_oracle_that_states_no_shape_is_not_checked(self):
+        smooth = CallableSmooth(lambda x: 0.0, np.zeros_like, 1.0)
+        assert smooth._shape is None
+        CompositeProblem(smooth, Regularizer.l1(5, 1.0))
 
 
 class TestQCLasso:
