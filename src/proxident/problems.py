@@ -255,7 +255,11 @@ def _diagonal_products(d, g, b, Atb):
         return 0.5 * float(np.vdot(r, r))
 
     def gradient(x):
-        return (g * x + 0.0) - Atb
+        # (g * x + 0.0) - Atb in place: one array, not three
+        r = g * x
+        r += 0.0
+        r -= Atb
+        return r
 
     return value, gradient
 

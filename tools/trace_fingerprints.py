@@ -169,22 +169,22 @@ def run_digest(point, trace, objective=True):
 
 
 def solver_lines(case, problem, config, names=None, kwargs=None,
-                 outcomes=None, objective=True, reports=None, structure=None):
+                 outcomes=None, reports=None, structure=None):
     """One line per solver; a rejected problem hashes its error message.
 
     When outcomes is a list, each run also appends
     ``case,solver,status,iterations,pattern`` (or its error) to it; when
     reports is a list, ``case,solver,`` and the run's identification report
     text (or its error); when structure is a list, ``case,solver,`` and the
-    run's digest without its objective column (or its error's). The
-    objective flag is run_digest's."""
+    run's digest without its objective column (or its error's)."""
     lines = []
     for name in names or SOLVERS:
         try:
             point, trace = run_solver(name, problem, config,
                                       **(kwargs or {}).get(name, {}))
-            digest = run_digest(point, trace, objective)
-            bare = run_digest(point, trace, False)
+            digest = run_digest(point, trace)
+            if structure is not None:
+                bare = run_digest(point, trace, objective=False)
             outcome = (f"{trace.status},{trace.iterations},"
                        f"{_pattern_hex(point)}")
             report = report_text(analyze_trace(trace)) if trace else "empty"
@@ -312,11 +312,12 @@ def lowrank_structure_lines():
     column, one line per kind and solver."""
     lines = []
     for case, problem in _lowrank_problems():
-        kind = problem.reg.kind
-        for line in solver_lines("lowrank-structure", problem, KINDS_CONFIG,
-                                 objective=False):
+        structure = []
+        solver_lines(case, problem, KINDS_CONFIG, structure=structure)
+        for line in structure:
             _, name, digest = line.split(",")
-            lines.append(f"lowrank-structure,{kind}-{name},{digest}")
+            lines.append(f"lowrank-structure,{problem.reg.kind}-{name},"
+                         f"{digest}")
     return lines
 
 
