@@ -255,11 +255,7 @@ def _diagonal_products(d, g, b, Atb):
         return 0.5 * float(np.vdot(r, r))
 
     def gradient(x):
-        # (g * x + 0.0) - Atb in place: one array, not three
-        r = g * x
-        r += 0.0
-        r -= Atb
-        return r
+        return (g * x + 0.0) - Atb
 
     return value, gradient
 
