@@ -560,7 +560,13 @@ class TestSmoothContract:
         o = matrix_ls_oracle(np.ones((2, 3)), np.array([[1.0, 0, 1]] * 2))
         assert (o.lipschitz, o.strong_convexity, o.components) == (
             1.0, 0.0, None)
-        assert matrix_ls_oracle(np.ones((2, 3))).strong_convexity == 1.0
+        # the identity map and an all-ones mask are (1, 1); an all-zero
+        # mask is f = 0, with L = 0
+        for mask, constants in ((None, (1.0, 1.0)),
+                                (np.ones((2, 3)), (1.0, 1.0)),
+                                (np.zeros((2, 3)), (0.0, 0.0))):
+            o = matrix_ls_oracle(np.ones((2, 3)), mask)
+            assert (o.lipschitz, o.strong_convexity) == constants
 
 
 class TestMatrixOracle:
@@ -643,17 +649,6 @@ class TestMatrixTermIsDiagonalLeastSquares:
             assert MatrixLSOracle(target, mask).value(x) == (
                 0.5 * float(np.vdot(r, r)))
 
-    def test_constants(self):
-        target = np.arange(12.0).reshape(3, 4)
-        some_zero = np.ones((3, 4))
-        some_zero[1, 2] = 0.0
-        for mask, constants in ((None, (1.0, 1.0)),
-                                (np.ones((3, 4)), (1.0, 1.0)),
-                                (some_zero, (1.0, 0.0)),
-                                (np.zeros((3, 4)), (0.0, 0.0))):
-            o = MatrixLSOracle(target, mask)
-            assert (o.lipschitz, o.strong_convexity) == constants
-
     def test_an_all_zero_mask_is_f_zero_with_every_step_admissible(self):
         # L = 0: f is 0, the default step is 1 and any positive step runs
         target = np.arange(12.0).reshape(3, 4)
@@ -669,7 +664,7 @@ class TestMatrixTermIsDiagonalLeastSquares:
         # a mask with a one has L = 1, and pg refuses a step of 2 or more
         some_one = np.zeros((3, 4))
         some_one[0, 0] = 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"outside admissible \(0, 2\)"):
             run_pg(CompositeProblem(MatrixLSOracle(target, some_one),
                                     Regularizer.nuclear(3, 4, 1.0)),
                    SolverConfig(gamma=2.0, max_iter=3))
@@ -691,14 +686,6 @@ class TestProblemShape:
                                                     message):
         with pytest.raises(ValueError, match="smooth term shape " + message):
             CompositeProblem(smooth, reg)
-
-    def test_matching_shapes_and_components_are_accepted(self):
-        o = LeastSquaresOracle(np.ones((6, 3)), np.ones(6), components=3)
-        CompositeProblem(o, Regularizer.tv1d(3, 1.0))
-        for part in o.components:
-            CompositeProblem(part, Regularizer.l1(3, 1.0))
-        CompositeProblem(MatrixLSOracle(np.ones((3, 4))),
-                         Regularizer.rank(3, 4, 1.0))
 
     def test_an_oracle_that_states_no_shape_is_not_checked(self):
         smooth = CallableSmooth(lambda x: 0.0, np.zeros_like, 1.0)
