@@ -141,8 +141,10 @@ class LeastSquaresOracle(SmoothOracle):
     def _spectrum(self):
         """(L, mu) from the Gram's eigenvalues, computed on first read (a
         diagonal Gram's are its diagonal)."""
-        return _constants(np.linalg.eigvalsh(self.gram) if self._g is None
-                          else self._g)
+        if self._g is not None:
+            return _constants(self._g.max(), self._g.min(), self._g.size)
+        g = np.linalg.eigvalsh(self.gram)  # ascending
+        return _constants(g[-1], g[0], g.size)
 
     @property
     def lipschitz(self) -> float:
@@ -235,12 +237,15 @@ def _diagonal_gram(A):
     return g if np.isfinite(g).all() else None
 
 
-def _constants(g):
-    """(L, mu) of a quadratic whose Hessian has the eigenvalues g: L is the
-    largest g_i and mu the smallest, or 0 when it is at most g.size * eps
-    * L (numpy's matrix_rank cutoff)."""
-    top, bottom = float(g.max()), float(g.min())
-    return top, bottom if bottom > g.size * np.finfo(float).eps * top else 0.0
+def _constants(top, bottom, size):
+    """(L, mu) of a quadratic whose Hessian has size eigenvalues, the
+    largest top and the smallest bottom: L is top and mu is bottom, or 0
+    when it is at most size * eps * L (numpy's matrix_rank cutoff). Each
+    caller reads the extremes as is cheapest for it: eigvalsh returns its
+    eigenvalues in ascending order, so by index; a diagonal or a mask by
+    max and min."""
+    top, bottom = float(top), float(bottom)
+    return top, bottom if bottom > size * np.finfo(float).eps * top else 0.0
 
 
 def _diagonal_products(d, g, b, Atb):
@@ -272,7 +277,7 @@ class MatrixLSOracle(SmoothOracle):
 
     As w * w = w, value and gradient are _diagonal_products(w, w, w *
     target, w * target); the gradient is mask * (X - target) bar the sign
-    of a zero. (L, mu) = _constants(w): (1, 1) for an all-ones w, (1, 0)
+    of a zero. (L, mu) are _constants of w: (1, 1) for an all-ones w, (1, 0)
     when w has a zero, and (0, 0) for an all-zero mask, where f = 0, the
     default step is 1 and every positive step is admissible. prox is
     (v + gamma * w * target) / (1 + gamma * w).
@@ -296,7 +301,8 @@ class MatrixLSOracle(SmoothOracle):
         self._wt = self._w * target
         self._value, self._gradient = _diagonal_products(
             self._w, self._w, self._wt, self._wt)
-        self.lipschitz, self.strong_convexity = _constants(self._w)
+        self.lipschitz, self.strong_convexity = _constants(
+            self._w.max(), self._w.min(), self._w.size)
 
     def prox(self, v, gamma):
         _check_gamma(gamma)

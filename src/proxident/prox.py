@@ -57,6 +57,18 @@ on a hit, builds the output from it; on a miss it runs the scan. Either
 way the output is the scan's, byte for byte: a plan from another input or
 another thread costs a miss, never a different result.
 
+The potts1d prox keeps the back pointers of a dynamic program as its plan
+when the next DP chooses them again and meets no tie on the way; any other
+DP drops the plan. A call of the same length first checks the plan: in
+vectorised passes it builds the segment costs with the DP's own
+operations, takes the best values along the plan's chain and accepts only
+when every right end's planned breakpoint is its row's strict, unique
+minimum, where the DP's choice and best value are the plan's (see
+_potts_planned). On a hit the output is read off the plan's chain; on a
+miss the DP runs. The check's memory is a fixed multiple of n, with at
+most _POTTS_CHECK_CELLS costs a pass, and the output is the DP's, byte for
+byte: here too a plan from another input or another thread costs a miss.
+
 Every operator rejects non-finite input, a non-positive or non-finite
 gamma and a negative or non-finite lam with a ValueError; lam = 0 is
 allowed.
@@ -125,6 +137,11 @@ def _check_gamma(gamma):
     """Raise a ValueError unless gamma is positive and finite."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+
+
+class _InputTooLarge(ValueError):
+    """A finite input to a 1-D kernel whose running sums overflow. The
+    solvers end a run that meets one as diverged (``solvers._advance``)."""
 
 
 def _l1(x) -> float:
@@ -226,7 +243,8 @@ def _tv1d_segments(y, step):
     r = np.cumsum(y)
     r_n = r[-1].item()
     if not math.isfinite(r_n):  # an overflowed sum stays inf or nan
-        raise ValueError("tv1d input too large: its running sums overflow")
+        raise _InputTooLarge(
+            "tv1d input too large: its running sums overflow")
     rp = (r + step).tolist()
     rm = (r - step).tolist()
     segs = []
@@ -481,6 +499,91 @@ def prox_tv1d(u, gamma, lam=1.0) -> ProxResult:
 
 
 _POTTS_BLOCK = 16  # right ends per vectorised pass of the Potts DP
+_POTTS_CHECK_CELLS = 1 << 15  # segment costs per pass of the plan check
+
+# The DP's per-length constants (_potts_constants); the plan, replaced as
+# a whole: the back pointers of a DP that the DP before it or a check
+# confirmed, as a list and as an index array; and the last DP's back
+# pointers, or None when it met a tie. The plan is only a guess: a plan
+# from another input, another length or another thread costs a miss,
+# never a different output.
+_potts_consts = None
+_potts_plan = None
+_potts_back = None
+
+
+def _potts_check_rows(n):
+    """Right ends per pass of the plan check: all n while the pass holds
+    at most _POTTS_CHECK_CELLS segment costs, fewer (at least one) above."""
+    return max(1, min(n, _POTTS_CHECK_CELLS // n))
+
+
+def _potts_constants(n):
+    """(n, rows, lengths, below, above), shared by the DP and the plan
+    check.
+
+    Row n - r of lengths holds r - l at the columns l < r and the padding
+    1.0 at l >= r, which keeps the unused costs there finite; it is one
+    strided view of 2n - 1 floats. below[i, j] says j < i: row i of a
+    block of right ends has its in-block breakpoints at the columns j < i,
+    and above is its negation. The masks have as many rows as the larger
+    of a DP block and a check pass; a block of fewer rows reads their
+    top-left corner.
+    """
+    global _potts_consts
+    rows = max(min(_POTTS_BLOCK, n), _potts_check_rows(n))
+    consts = _potts_consts
+    if consts is None or consts[0] != n or consts[1] < rows:
+        pad = np.concatenate((np.arange(n, 0, -1.0), np.ones(n - 1)))
+        lengths = np.ndarray((n, n), buffer=pad, strides=2 * pad.strides)
+        below = np.tri(rows, rows - 1, -1, bool)
+        consts = _potts_consts = (n, rows, lengths, below, ~below)
+    return consts
+
+
+def _potts_sums(y):
+    """(c1, c2, c1 as a list): the running sums of y and of y*y, from 0.
+
+    An input whose sums overflow is rejected: an overflowed sum stays inf
+    or nan, and n * sum(y*y) bounds every squared segment sum
+    (c1[r] - c1[l])**2.
+    """
+    n = y.size
+    c1 = np.zeros(n + 1)
+    c2 = np.zeros(n + 1)
+    np.add.accumulate(y, out=c1[1:])  # the sums np.cumsum runs
+    np.add.accumulate(y * y, out=c2[1:])
+    c1l = c1.tolist()
+    if not (math.isfinite(c1l[n]) and math.isfinite(n * c2[n].item())):
+        raise _InputTooLarge("potts1d input too large: its running sums of "
+                             "y or n times those of y*y overflow")
+    return c1, c2, c1l
+
+
+def _potts_costs(out, sq, c1, c2, lengths, r0, r1):
+    """The segment costs 0.5 * ((c2[r] - c2[l]) - sq*sq / (r - l)) of the
+    right ends r0..r1-1 (rows) and the breakpoints l < r1 - 1 (columns),
+    into out, with sq = c1[r] - c1[l] in the buffer sq; the costs at
+    l >= r are finite padding."""
+    n = c1.size - 1
+    np.subtract(c2[r0:r1, None], c2[:r1 - 1], out=out)
+    np.subtract(c1[r0:r1, None], c1[:r1 - 1], out=sq)
+    np.multiply(sq, sq, out=sq)
+    np.divide(sq, lengths[n - r1 + 1:n - r0 + 1][::-1, :r1 - 1], out=sq)
+    np.subtract(out, sq, out=out)
+    np.multiply(out, 0.5, out=out)
+
+
+def _potts_chain(back, c1l):
+    """The segments (start, end, mean) that back's chain from n gives."""
+    segs = []
+    r = len(back) - 1
+    while r > 0:
+        l = back[r]
+        segs.append((l, r, (c1l[r] - c1l[l]) / (r - l)))
+        r = l
+    segs.reverse()
+    return segs
 
 
 def _potts_segments(y, step):
@@ -504,43 +607,33 @@ def _potts_segments(y, step):
     total is below it: when it is above the row's best pre-block total m,
     no in-block breakpoint beats or ties m, and the row keeps its pre-block
     answer (the same tie rule, and the chosen total as its best value).
+
+    The DP also keeps its back pointers: when no row met a tie and they
+    are the last DP's, they become the module's plan (see _potts_planned);
+    any other DP drops the plan. Cost: O(n^2) arithmetic in about n/16
+    block passes plus the Python scan of the in-block rows the bound does
+    not rule out; the extra memory is O(16*n) on top of the shared
+    per-length constants.
     """
+    global _potts_plan, _potts_back
     n = y.size
-    c1 = np.concatenate(([0.0], np.cumsum(y)))
-    c2 = np.concatenate(([0.0], np.cumsum(y * y)))
-    c1l = c1.tolist()
-    # an overflowed sum stays inf or nan; n * sum(y*y) bounds every squared
-    # segment sum (c1[r] - c1[l])**2 below
-    if not (math.isfinite(c1l[n]) and math.isfinite(n * c2[n].item())):
-        raise ValueError("potts1d input too large: its running sums of y "
-                         "or n times those of y*y overflow")
-    # row n - r holds r - l at the columns l < r; the columns l >= r read
-    # the padding 1.0, which keeps the unused costs there finite
-    pad = np.concatenate((np.arange(n, 0, -1.0), np.ones(n - 1)))
-    lengths = np.ndarray((n, n), buffer=pad, strides=2 * pad.strides)
-    c1col = c1[:, None]
-    c2col = c2[:, None]
+    c1, c2, c1l = _potts_sums(y)
+    _, _, lengths, below, _ = _potts_constants(n)
     rows = min(_POTTS_BLOCK, n)
     seg_buf = np.empty(rows * n)
     sq_buf = np.empty(rows * n)
-    # row i of a block has its in-block breakpoints at the columns j < i
-    below = np.tri(rows, rows - 1, -1, bool)
     best = np.zeros(n + 1)
     jump = np.full(n, step)  # the cost of a jump at l > 0
     jump[0] = 0.0
     nseg = [0] * (n + 1)
     back = [0] * (n + 1)
+    tied = False
     for r0 in range(1, n + 1, rows):
         r1 = min(r0 + rows, n + 1)
         b, w = r1 - r0, r1 - 1  # rows r0..r1-1 use the breakpoints l < w
         total = seg_buf[:b * w].reshape(b, w)
-        sq = sq_buf[:b * w].reshape(b, w)
-        np.subtract(c2col[r0:r1], c2[:w], out=total)
-        np.subtract(c1col[r0:r1], c1[:w], out=sq)
-        np.multiply(sq, sq, out=sq)
-        np.divide(sq, lengths[n - r1 + 1:n - r0 + 1][::-1, :w], out=sq)
-        np.subtract(total, sq, out=total)
-        np.multiply(total, 0.5, out=total)
+        _potts_costs(total, sq_buf[:b * w].reshape(b, w), c1, c2, lengths,
+                     r0, r1)
         # the totals of the breakpoints before the block, whose best values
         # are known; those inside it keep their costs
         pre, inner = total[:, :r0], total[:, r0:]
@@ -574,7 +667,11 @@ def _potts_segments(y, step):
             if m_in <= m:
                 ties += [r0 + j for j, t in enumerate(inb) if t == m_in]
             # the first tied breakpoint with the fewest segments
-            l = ties[0] if len(ties) == 1 else min(ties, key=nseg.__getitem__)
+            if len(ties) == 1:
+                l = ties[0]
+            else:
+                tied = True
+                l = min(ties, key=nseg.__getitem__)
             value = inb[l - r0] if l >= r0 else total.item(i, l)
             block_best.append(value)
             if value < low:
@@ -582,28 +679,107 @@ def _potts_segments(y, step):
             nseg[r0 + i] = nseg[l] + 1
             back[r0 + i] = l
         best[r0:r1] = block_best
-    segs = []
-    r = n
-    while r > 0:
-        l = back[r]
-        segs.append((l, r, (c1l[r] - c1l[l]) / (r - l)))
-        r = l
-    segs.reverse()
-    return segs
+    # the check fails on the very input of a DP that met a tie, so such
+    # a DP keeps no plan
+    confirmed = not tied and back == _potts_back
+    _potts_plan = (back, np.array(back)) if confirmed else None
+    _potts_back = None if tied else back
+    return _potts_chain(back, c1l)
+
+
+def _potts_planned(plan, y, step):
+    """The DP's segments of y, if every choice the DP would make on y is
+    plan's; else None, so also when plan is None or of another length.
+
+    plan is (back, index array of back). The check computes, right end by
+    right end in ascending order, best[r] = (best[l] + cost(l, r)) + jump[l]
+    at l = back[r], and every other total of the row, l < r, with the DP's
+    own operations in its order (_potts_costs, then best, then jump). It
+    accepts only when every other total is above best[r]: the plan's
+    breakpoint is the row's strict, unique minimum.
+
+    Then the DP chooses it. Suppose the best values at l < r are the DP's.
+    The row's totals are then the DP's bit for bit, and a unique strict
+    minimum is chosen whatever the tie rule, which only breaks ties, and
+    whatever the DP's lower bound skips, which only skips totals above the
+    pre-block minimum. So the DP's choice at r is back[r] and its best[r]
+    is the check's, and by induction on r every choice and best value is
+    the DP's; the output, read off the same chain, is the DP's byte for
+    byte. A nan total or best value fails the comparison, and an input
+    whose sums overflow raises as the DP does.
+
+    The right ends are checked _potts_check_rows(n) at a time, and the
+    first pass that finds a row where the plan fails ends the check, so
+    its extra memory is at most a few arrays of max(n, _POTTS_CHECK_CELLS)
+    floats.
+    """
+    if plan is None or len(plan[0]) != y.size + 1:
+        return None
+    back, back_at = plan
+    n = y.size
+    step = float(step)
+    c1, c2, c1l = _potts_sums(y)
+    _, _, lengths, _, above = _potts_constants(n)
+    rows = _potts_check_rows(n)
+    cells = rows * n
+    seg_buf = np.empty(cells)
+    sq_buf = np.empty(cells)
+    gt_buf = np.empty(cells, bool)
+    best = np.zeros(n + 1)
+    best_l = [0.0] * (n + 1)
+    for r0 in range(1, n + 1, rows):
+        r1 = min(r0 + rows, n + 1)
+        b, w = r1 - r0, r1 - 1
+        total = seg_buf[:b * w].reshape(b, w)
+        _potts_costs(total, sq_buf[:b * w].reshape(b, w), c1, c2, lengths,
+                     r0, r1)
+        at = (np.arange(b), back_at[r0:r1])
+        # best along the plan's chain; back[r] < r is known by now
+        for r, c in zip(range(r0, r1), total[at].tolist()):
+            l = back[r]
+            best_l[r] = (best_l[l] + c) + (step if l else 0.0)
+        best[r0:r1] = best_l[r0:r1]
+        np.add(best[:w], total, out=total)
+        # the jump costs: step at l > 0 in one flat pass, 0.0 at l = 0
+        first = total[:, 0] + 0.0
+        np.add(total, step, out=total)
+        total[:, 0] = first
+        total[at] = math.inf
+        # above every row's best value at every other breakpoint l < r; the
+        # padding at l >= r passes, and a nan fails
+        gt = gt_buf[:b * w].reshape(b, w)
+        np.greater(total, best[r0:r1, None], out=gt)
+        np.logical_or(gt[:, r0:], above[:b, :b - 1], out=gt[:, r0:])
+        if not gt.all():
+            return None
+    return _potts_chain(back, c1l)
 
 
 def prox_potts1d(u, gamma, lam=1.0) -> ProxResult:
     """Exact prox of the jump-count penalty (piecewise-constant fits).
 
-    Cost: O(n^2) arithmetic in about n/16 block passes, each over the
-    segment costs of 16 right ends at once, plus a Python-float scan of the
-    breakpoints inside each block for the right ends where an exact lower
-    bound does not rule them out; the extra memory is O(16*n).
-    An input whose running sums, or n times those of its squares, overflow
-    is rejected with a ValueError.
+    The output is always the DP's (_potts_segments), byte for byte. Cost:
+    when the plan, the back pointers of a DP that the DP before it or a
+    check confirmed, holds for u (same length, every choice the DP's
+    strict unique minimum), one vectorised check of about 10 passes over
+    the n^2/2 segment costs and a Python loop of n steps. Otherwise that
+    check, which stops at the first pass that fails, plus the DP: O(n^2)
+    arithmetic in about n/16 block passes, each over the segment costs of
+    16 right ends at once, and a Python-float scan of the breakpoints
+    inside each block for the right ends where an exact lower bound does
+    not rule them out. The DP drops the plan, and keeps its own when it
+    met no tie and chose as the DP before it. The extra memory is a fixed
+    multiple of n, with at most _POTTS_CHECK_CELLS costs per check pass:
+    no n x n array. A plan from another input or another thread costs a
+    miss, never a different result. An input whose running sums, or n
+    times those of its squares, overflow is rejected with a ValueError.
     """
     u = _check_1d("potts1d", u, gamma, lam)
-    x = _segments_to_point(_potts_segments(u, gamma * lam), u.size)
+    step = gamma * lam
+    segs = _potts_planned(_potts_plan, u, step)
+    if segs is None:
+        segs = _potts_segments(u, step)
+    x = _segments_to_point(segs, u.size)
     pattern = _jump_pattern(x)
     return ProxResult(x, pattern, lam * float(pattern.count_ones()))
 

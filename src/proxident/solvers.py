@@ -18,7 +18,8 @@ DAve-PG and random subspace descent pass their own ``stop`` closure,
 stop(k, u_step, x_k). The run ends "converged" when the rule holds,
 "max_iter" when the iterations run out, and "diverged" when a step or stop
 rule raises ``_Diverged``: ``_advance`` does so when the u-step is not
-finite, before the prox. Each run holds numpy's overflow and invalid-value
+finite, before the prox, and when a 1-D kernel refuses a finite u whose
+running sums overflow. Each run holds numpy's overflow and invalid-value
 warnings off (``_quiet``; Douglas-Rachford's start prox included), so a
 diverging run ends with that status and no RuntimeWarning.
 
@@ -52,7 +53,7 @@ from itertools import repeat
 import numpy as np
 
 from .manifolds import SparsityPattern, _integer, _real
-from .prox import ProxResult
+from .prox import ProxResult, _InputTooLarge
 
 __all__ = [
     "SolverConfig",
@@ -308,11 +309,16 @@ def _quiet():
 
 def _advance(g, u, u_prev, gamma):
     """(||u - u_prev||, prox_{gamma g}(u)); raises _Diverged before the prox
-    when the u-step is not finite."""
+    when the u-step is not finite, and in place of the ValueError of a 1-D
+    kernel (tv1d, potts1d) whose finite input has overflowing running
+    sums."""
     u_step = _step_norm(u, u_prev)
     if not math.isfinite(u_step):
         raise _Diverged
-    return u_step, g.prox(u, gamma)
+    try:
+        return u_step, g.prox(u, gamma)
+    except _InputTooLarge as exc:
+        raise _Diverged from exc
 
 
 def _iterate(problem, config, gamma, step, x, u_prev=None, pattern=None,

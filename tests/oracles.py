@@ -153,10 +153,12 @@ def tv1d_segments_reference(y, step):
     return segs
 
 
-def potts_segments_reference(y, step):
-    """The fancy-indexing Potts DP that ``prox._potts_segments`` replaced,
-    kept to pin its bytes; ties prefer fewer segments, then the first
-    breakpoint."""
+def potts_dp_reference(y, step):
+    """(back, unique) of the fancy-indexing Potts DP that
+    ``prox._potts_segments`` replaced: back[r] is the last breakpoint it
+    chose for the right end r (ties prefer fewer segments, then the first
+    breakpoint), and unique says that every row's least total was taken
+    at one breakpoint only."""
     n = y.size
     c1 = np.concatenate(([0.0], np.cumsum(y)))
     c2 = np.concatenate(([0.0], np.cumsum(y * y)))
@@ -164,16 +166,27 @@ def potts_segments_reference(y, step):
     best[0] = 0.0
     nseg = np.zeros(n + 1, dtype=np.int64)
     back = np.zeros(n + 1, dtype=np.int64)
+    unique = True
     for r in range(1, n + 1):
         ls = np.arange(r)
         length = r - ls
         seg_cost = 0.5 * ((c2[r] - c2[ls]) - (c1[r] - c1[ls]) ** 2 / length)
         total = best[:r] + seg_cost + step * (ls > 0)
         tied = np.flatnonzero(total == total.min())
+        unique = unique and tied.size == 1
         l = tied[np.argmin(nseg[tied])]
         best[r] = total[l]
         nseg[r] = nseg[l] + 1
         back[r] = l
+    return back.tolist(), unique
+
+
+def potts_segments_reference(y, step):
+    """The segments of potts_dp_reference's choices, kept to pin the bytes
+    of ``prox._potts_segments``."""
+    n = y.size
+    c1 = np.concatenate(([0.0], np.cumsum(y)))
+    back, _ = potts_dp_reference(y, step)
     segs = []
     r = n
     while r > 0:

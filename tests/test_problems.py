@@ -271,6 +271,21 @@ class TestExactConstants:
             assert comp.gram.tobytes() == (block.T @ block).tobytes()
             assert_exact_constants(comp, block)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_extremes_by_index_are_max_and_min(self, seed):
+        # eigvalsh's eigenvalues are ascending, so L and mu, read from
+        # them by index, have the bytes of reading them by max and min
+        rng = np.random.default_rng(seed)
+        full = rng.standard_normal((30, 8))
+        deficient = full[:, :3] @ rng.standard_normal((3, 8))  # rank 3
+        for A in (full, deficient, rng.standard_normal((5, 12))):
+            g = np.linalg.eigvalsh(A.T @ A)
+            top, bottom = float(g.max()), float(g.min())
+            mu = bottom if bottom > g.size * np.finfo(float).eps * top else 0.0
+            o = least_squares_oracle(A, np.ones(A.shape[0]))
+            assert (o.lipschitz.hex(), o.strong_convexity.hex()) == (
+                top.hex(), mu.hex())
+
     def test_gate_instances(self):
         for seed in GATE_SEEDS:
             p = gen_qc_lasso(seed=seed, **GATE_SHAPE)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     pattern_of_reference,
     potts1d_bruteforce,
+    potts_dp_reference,
     potts_segments_reference,
     prox_l1_reference,
     prox_nuclear_reference,
@@ -467,6 +469,166 @@ class TestPottsBlockEdges:
                 for step in (0.25, 1.0):
                     assert _hex_segments(_potts_segments(u, step)) == (
                         _hex_segments(potts_segments_reference(u, step)))
+
+
+def _counting_dps():
+    """A patch that counts the dynamic programs prox_potts1d runs."""
+    return mock.patch.object(prox_module, "_potts_segments",
+                             wraps=prox_module._potts_segments)
+
+
+def _counting_checks():
+    """A patch that counts the plan checks prox_potts1d runs (calls of
+    _potts_planned with a plan)."""
+    checks = []
+    planned = prox_module._potts_planned
+
+    def counting(plan, y, step):
+        if plan is not None:
+            checks.append(plan)
+        return planned(plan, y, step)
+
+    return checks, mock.patch.object(prox_module, "_potts_planned", counting)
+
+
+def _reset_potts_plan():
+    prox_module._potts_plan = prox_module._potts_back = None
+
+
+def _assert_potts_is_reference(u, lam):
+    """prox_potts1d(u, 1, lam), whatever plan it checks first, gives the
+    point and pattern of the reference DP at step lam."""
+    res = prox_potts1d(u, 1.0, lam)
+    x, pattern = segments_to_result_reference(
+        potts_segments_reference(u, lam), u.size)
+    assert res.point.tobytes() == x.tobytes()
+    assert res.pattern.packed_hex() == pattern.packed_hex()
+
+
+def _plan_of(back):
+    return back, np.array(back)
+
+
+class TestPottsPlan:
+    """prox_potts1d first checks the back pointers of the last confirmed
+    DP on its input and runs the DP only when the check fails; either way
+    its output is the reference DP's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_signals(), st.one_of(st.just(0.0), _steps),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 1 << 15]))
+    def test_call_sequence_matches_reference(self, u, lam, seed, cells):
+        # cells: the check's costs per pass, from one row a pass up
+        rng = np.random.default_rng(seed)
+        n = u.size
+        scale = max(1.0, float(np.abs(u).max()))
+        _reset_potts_plan()
+        with _counting_dps() as dp, mock.patch.object(
+                prox_module, "_POTTS_CHECK_CELLS", cells):
+            for _ in range(3):  # a DP, a confirming DP, then the plan
+                _assert_potts_is_reference(u, lam)
+            if prox_module._potts_back is not None:  # no row tied
+                assert dp.call_count == 2
+            _assert_potts_is_reference(
+                u + 1e-9 * scale * rng.standard_normal(n), lam)
+            moved = u.copy()  # one point moved: most breakpoints stay
+            moved[rng.integers(n)] += scale * rng.choice([-1, -0.5, 0.5, 1])
+            _assert_potts_is_reference(moved, lam)
+            _assert_potts_is_reference(rng.standard_normal(n), lam)
+            _assert_potts_is_reference(rng.standard_normal(n + 1), lam)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_signals(), _steps, st.sampled_from([1, 7, 1 << 15]))
+    def test_check_accepts_exactly_unique_choices(self, u, step, cells):
+        # the check of the reference DP's own back pointers holds iff every
+        # row's least total is taken once, and then gives its segments
+        back, unique = potts_dp_reference(u, step)
+        with mock.patch.object(prox_module, "_POTTS_CHECK_CELLS", cells):
+            segs = prox_module._potts_planned(_plan_of(back), u, step)
+        assert (segs is not None) == unique
+        if unique:
+            assert _hex_segments(segs) == _hex_segments(
+                potts_segments_reference(u, step))
+
+    # integer-valued inputs whose exact ties reach the DP's tie rule
+    @pytest.mark.parametrize("digits, step", [
+        ("20024", 1.0),
+        ("01210121012101210121012101210121012", 0.5),
+        ("01201201201201201201201201", 1 / 3),
+        ("0110110010111101001110000011101", 0.25),
+    ])
+    def test_tied_inputs_fall_back_to_the_dp(self, digits, step):
+        u = np.array([float(d) for d in digits])
+        back, unique = potts_dp_reference(u, step)
+        assert not unique
+        assert prox_module._potts_planned(_plan_of(back), u, step) is None
+        _reset_potts_plan()
+        with _counting_dps() as dp:
+            for _ in range(3):
+                _assert_potts_is_reference(u, step)
+        assert dp.call_count == 3  # a DP that met a tie keeps no plan
+        assert prox_module._potts_plan is None
+
+    def test_unrelated_stream_checks_rarely_and_a_repeat_hits(self):
+        rng = np.random.default_rng(5)
+        _reset_potts_plan()
+        checks, counting = _counting_checks()
+        with counting, _counting_dps() as dp:
+            for _ in range(40):
+                _assert_potts_is_reference(rng.standard_normal(60), 1.0)
+            assert len(checks) <= 3 and dp.call_count >= 37
+            u = rng.standard_normal(60)
+            for _ in range(5):
+                _assert_potts_is_reference(u, 1.0)
+        assert dp.call_count == 40 + 2  # then three hits
+        assert prox_module._potts_plan is not None
+
+    def test_miss_drops_the_plan_and_another_length_misses(self):
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal(30)
+        _reset_potts_plan()
+        for _ in range(2):
+            prox_potts1d(u, 1.0)
+        assert prox_module._potts_plan is not None
+        assert prox_module._potts_planned(
+            prox_module._potts_plan, rng.standard_normal(31), 1.0) is None
+        _assert_potts_is_reference(rng.standard_normal(30), 1.0)
+        assert prox_module._potts_plan is None
+
+    def test_overflowing_sums_raise_from_the_check(self):
+        u = np.array([1e150, -1e150, 1e150])
+        _reset_potts_plan()
+        for _ in range(3):
+            assert np.array_equal(prox_potts1d(u, 1.0).point, u)
+        assert prox_module._potts_plan is not None
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="running sums"):
+            prox_potts1d(np.array([7e153, 7e153, 0.0]), 1.0)
+
+    def test_memory_at_n_2000_is_a_multiple_of_n(self):
+        # no n x n array: a DP block and a check pass hold 16 rows of
+        # costs; one n x n float array alone would take 32 MB
+        rng = np.random.default_rng(7)
+        n = 2000
+        u = np.repeat(rng.uniform(-2.0, 2.0, 20), n // 20)
+        u += 0.1 * rng.standard_normal(n)
+        _reset_potts_plan()
+        for _ in range(2):
+            prox_potts1d(u, 1.0)
+        assert prox_module._potts_plan is not None
+        checks, counting = _counting_checks()
+        with counting, _counting_dps() as dp:
+            tracemalloc.start()
+            try:
+                res = prox_potts1d(u, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (len(checks), dp.call_count) == (1, 0)
+        assert peak < 100 * n * 8
+        x, _ = segments_to_result_reference(
+            potts_segments_reference(u, 1.0), n)
+        assert res.point.tobytes() == x.tobytes()
 
 
 class TestSegmentsToResult:

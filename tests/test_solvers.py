@@ -659,6 +659,34 @@ class TestRunStatus:
                                     x0=np.full(20, 1e308))
         assert log.status == "diverged" and not log.converged
 
+    # finite prox inputs whose running sums overflow: 5 * 1e308 for tv1d,
+    # n * sum(u * u) = 25e308 for potts1d. From x0 = b the first u is b
+    # with a u-step of 0, and the kernel refuses it
+    @pytest.mark.parametrize("kind, level", [("tv1d", 1e308),
+                                             ("potts1d", 1e154)])
+    @pytest.mark.parametrize("name", ["pg", "apg", "pg-adaptive",
+                                      "predictor-corrector"])
+    def test_overflowing_running_sums_end_diverged(self, kind, level, name):
+        b = np.full(5, level)
+        p = CompositeProblem(least_squares_oracle(np.eye(5), b),
+                             getattr(Regularizer, kind)(5, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the run
+            point, log = run_solver(name, p, SolverConfig(), x0=b.copy())
+        assert (log.status, log.iterations, len(log)) == ("diverged", 0, 0)
+        assert np.array_equal(point.point, b) and point.value is None
+
+    @pytest.mark.parametrize("kind, level", [("tv1d", 1e308),
+                                             ("potts1d", 1e154)])
+    def test_dr_start_prox_still_rejects_overflowing_sums(self, kind, level):
+        # dr takes the prox of x0 itself at entry, before its loop, so the
+        # kernel's ValueError still reaches the caller there
+        b = np.full(5, level)
+        p = CompositeProblem(least_squares_oracle(np.eye(5), b),
+                             getattr(Regularizer, kind)(5, 1.0))
+        with pytest.raises(ValueError, match="running sums"):
+            run_dr(p, SolverConfig(), x0=b.copy())
+
     def test_first_step_divergence_returns_the_start(self):
         # an infinite gradient makes the first u-step inf, before any prox
         p = CompositeProblem(
